@@ -23,26 +23,28 @@ from .model import (
     CostWeights,
     Dimensions,
     ModelSpec,
+    NodeTable,
     TimeGrid,
     ToleranceConfig,
     ValidationReport,
-    sample,
-    sample_cost,
+    resample,
     validate,
 )
 from .detsolve import (
     DeterministicSolution,
     MatrixPath,
-    VectorPath,
     integrate_matrix_ode,
     solve_P,
     compute_Theta,
     solve_phi,
+    compute_ff,
     solve_Sigma,
     compute_Delta,
+    compute_gain,
     compute_curlyA,
     solve_Pi,
     solve_pi,
+    solve_filter_side,
     solve_all,
 )
 from .value import (

@@ -26,12 +26,11 @@ import numpy as np
 from .detsolve import (
     DeterministicSolution,
     MatrixPath,
-    compute_curlyA,
-    compute_Delta,
     solve_all,
-    solve_Pi,
-    solve_pi,
+    solve_filter_side,
 )
+# bench/tracer.py wraps these names here; the calls go through solve_filter_side
+from .detsolve import compute_curlyA, compute_Delta, solve_Pi, solve_pi  # noqa: F401
 from .errors import (
     EmptyGrid,
     InsufficientPaths,
@@ -52,7 +51,7 @@ from .model import (
     ModelSpec,
     TimeGrid,
     ToleranceConfig,
-    interp_table,
+    interp_table,  # noqa: F401  bench/tracer.py counts its calls here by name
     validate,
 )
 from .simulate import ControlPolicy, bundle_to_csv
@@ -420,15 +419,11 @@ def cmd_simulate(args) -> int:
 
 
 def _scaled_sigma_solution(model, sol, scale, tol) -> DeterministicSolution:
-    """Rebuild the dependent paths from a scaled Sigma (debug aid: the
-    result is deliberately inconsistent and verification should fail)."""
+    """Rebuild the paths that depend on Sigma, the filter gain included,
+    from a scaled Sigma (debug aid: the result is deliberately inconsistent
+    and verification should fail)."""
     Sigma = MatrixPath(sol.grid, sol.Sigma.values * scale)
-    Delta = compute_Delta(Sigma, model)
-    curlyA = compute_curlyA(model, Sigma)
-    Pi = solve_Pi(model, curlyA, sol.grid, tol)
-    pi_vec = solve_pi(model, curlyA, sol.grid)
-    return replace(sol, Sigma=Sigma, Delta=Delta, curlyA=curlyA,
-                   Pi=Pi, pi_vec=pi_vec)
+    return replace(sol, **solve_filter_side(Sigma, sol.table, tol))
 
 
 def _band_floor(target: float) -> float:
@@ -547,9 +542,7 @@ def _run_checks(sc: Scenario, grid: TimeGrid, seed: int, n_paths: int,
             0.0, 2.0 * row.excess_se + _band_floor(0.0), margin >= 0.0)
 
     # perturbation penalty against its closed form
-    Rnodes = np.array([interp_table(model.cost.grid, model.cost.R, t)
-                       for t in grid.nodes])
-    pred = float(np.trapezoid(np.einsum("a,tab,b->t", eps, Rnodes, eps),
+    pred = float(np.trapezoid(np.einsum("a,tab,b->t", eps, sol.table.R[::2], eps),
                               grid.nodes))
     row = comp.row("perturbed_feedback")
     row2 = comp2.row("perturbed_feedback")

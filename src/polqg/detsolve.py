@@ -9,12 +9,17 @@ RK4 (no adaptivity, so reruns are bitwise reproducible):
   phi    backward affine offset
   Sigma  forward filter error covariance (Riccati of Kalman-Bucy type)
   Delta  Sigma (K^{-1} H)^T, the error diffusion loading
-  curlyA closed-loop error drift matrix
+  curlyA closed-loop error drift A - gain H
   Pi, pi backward Lyapunov pair used by the value decomposition
+  gain   Kalman-Bucy filter gain (Sigma H^T + C K^T) N^{-1}, N = K K^T
+  ff     feed-forward R^{-1}(B^T phi + r) of the optimal control
 
-Between nodes, coefficients come from piecewise-linear interpolation and
-already computed paths are interpolated the same way.  Symmetric matrices
-are re-symmetrized after every step so roundoff cannot accumulate skew.
+All of them read one NodeTable: the model's coefficients resampled once
+onto the nodes of the solve grid and the RK4 midpoints between them.  An
+RK4 stage indexes the table by knot; a path already computed on the grid
+enters the stages of a later equation the same way, its midpoint values
+interpolated linearly between nodes.  Symmetric matrices are
+re-symmetrized after every step so roundoff cannot accumulate skew.
 """
 
 from __future__ import annotations
@@ -27,63 +32,67 @@ import numpy as np
 from .errors import NonFinite, PSDViolation, SingularMatrix
 from .model import (
     ModelSpec,
+    NodeTable,
     TimeGrid,
     ToleranceConfig,
+    at_knots,
     interp_table,
-    table_at_nodes,
+    solve_stack,
 )
+from .model import table_at_nodes  # noqa: F401  bench/tracer.py wraps it here by name
 
 __all__ = [
     "MatrixPath",
-    "VectorPath",
     "DeterministicSolution",
     "integrate_matrix_ode",
     "solve_P",
     "compute_Theta",
     "solve_phi",
+    "compute_ff",
     "solve_Sigma",
     "compute_Delta",
+    "compute_gain",
     "compute_curlyA",
     "solve_Pi",
     "solve_pi",
+    "solve_filter_side",
     "solve_all",
 ]
 
 
 @dataclass(frozen=True)
 class MatrixPath:
-    """Matrix-valued function of time stored at grid nodes."""
+    """Matrix- or vector-valued function of time stored at grid nodes."""
 
     grid: TimeGrid
-    values: np.ndarray  # (steps+1, p, q)
+    values: np.ndarray  # (steps+1, ...)
 
     def at(self, t: float) -> np.ndarray:
         return interp_table(self.grid, self.values, t)
 
-
-@dataclass(frozen=True)
-class VectorPath:
-    grid: TimeGrid
-    values: np.ndarray  # (steps+1, p)
-
-    def at(self, t: float) -> np.ndarray:
-        return interp_table(self.grid, self.values, t)
+    def knots(self) -> np.ndarray:
+        """Values at the knots of the grid, for the RK4 stages of a later
+        equation."""
+        return at_knots(self.grid, self.grid, self.values)
 
 
 @dataclass(frozen=True)
 class DeterministicSolution:
-    """All deterministic paths on one grid; boundary nodes hold the
-    boundary data bitwise."""
+    """All deterministic paths on one grid, and the table they were solved
+    from; boundary nodes hold the boundary data bitwise."""
 
     grid: TimeGrid
+    table: NodeTable
     P: MatrixPath       # (n, n)
     Theta: MatrixPath   # (m, n)
-    phi: VectorPath     # (n,)
+    phi: MatrixPath     # (n,)
+    ff: MatrixPath      # (m,)
     Sigma: MatrixPath   # (n, n)
     Delta: MatrixPath   # (n, d)
+    gain: MatrixPath    # (n, d)
     curlyA: MatrixPath  # (n, n)
     Pi: MatrixPath      # (n, n)
-    pi_vec: VectorPath  # (n,)
+    pi_vec: MatrixPath  # (n,)
 
 
 def _symmetrize(M: np.ndarray) -> np.ndarray:
@@ -91,18 +100,22 @@ def _symmetrize(M: np.ndarray) -> np.ndarray:
 
 
 def integrate_matrix_ode(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
+    rhs: Callable[[int, np.ndarray], np.ndarray],
     boundary: np.ndarray,
     grid: TimeGrid,
     direction: Literal["forward", "backward"],
     post_step: Callable[[np.ndarray], np.ndarray] | None = None,
+    what: str = "integrate_matrix_ode",
 ) -> np.ndarray:
     """Classical fixed-step RK4 over the grid, either direction.
 
+    rhs(j, y) is evaluated at knot j of the grid (see TimeGrid.knots):
+    step i uses knots 2i, 2i+1 (twice) and 2i+2.
     forward: boundary is the value at t_0, integrate up to t_N.
     backward: boundary is the value at t_N, integrate down to t_0.
-    The boundary node stores `boundary` unchanged.  Raises NonFinite as
-    soon as a step produces a NaN or infinity.
+    The boundary node stores `boundary` unchanged.  Raises NonFinite,
+    naming `what` and the node, as soon as a step produces a NaN or
+    infinity.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
@@ -113,45 +126,43 @@ def integrate_matrix_ode(
     if direction == "forward":
         out[0] = y
         for i in range(grid.steps):
-            t0, t1 = nodes[i], nodes[i + 1]
-            hs = t1 - t0
-            tm = 0.5 * (t0 + t1)
-            k1 = rhs(t0, y)
-            k2 = rhs(tm, y + (0.5 * hs) * k1)
-            k3 = rhs(tm, y + (0.5 * hs) * k2)
-            k4 = rhs(t1, y + hs * k3)
+            hs = nodes[i + 1] - nodes[i]
+            j = 2 * i
+            k1 = rhs(j, y)
+            k2 = rhs(j + 1, y + (0.5 * hs) * k1)
+            k3 = rhs(j + 1, y + (0.5 * hs) * k2)
+            k4 = rhs(j + 2, y + hs * k3)
             y = y + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if post_step is not None:
                 y = post_step(y)
             if not np.isfinite(y).all():
-                raise NonFinite("integrate_matrix_ode", i + 1)
+                raise NonFinite(what, i + 1)
             out[i + 1] = y
     else:
         out[grid.steps] = y
         for i in range(grid.steps - 1, -1, -1):
-            t0, t1 = nodes[i], nodes[i + 1]
-            hs = t1 - t0
-            tm = 0.5 * (t0 + t1)
-            k1 = rhs(t1, y)
-            k2 = rhs(tm, y - (0.5 * hs) * k1)
-            k3 = rhs(tm, y - (0.5 * hs) * k2)
-            k4 = rhs(t0, y - hs * k3)
+            hs = nodes[i + 1] - nodes[i]
+            j = 2 * i
+            k1 = rhs(j + 2, y)
+            k2 = rhs(j + 1, y - (0.5 * hs) * k1)
+            k3 = rhs(j + 1, y - (0.5 * hs) * k2)
+            k4 = rhs(j, y - hs * k3)
             y = y - (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if post_step is not None:
                 y = post_step(y)
             if not np.isfinite(y).all():
-                raise NonFinite("integrate_matrix_ode", i)
+                raise NonFinite(what, i)
             out[i] = y
     return out
 
 
 def _assert_psd(name: str, values: np.ndarray, psd_tol: float):
-    for i in range(values.shape[0]):
-        M = values[i]
-        floor = -psd_tol * (1.0 + float(np.linalg.norm(M)))
-        eigmin = float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
-        if eigmin < floor:
-            raise PSDViolation(name, i, eigmin, floor)
+    floor = -psd_tol * (1.0 + np.linalg.norm(values, axis=(1, 2)))
+    eigmin = np.linalg.eigvalsh(0.5 * (values + values.mT))[:, 0]
+    bad = np.flatnonzero(eigmin < floor)
+    if bad.size:
+        i = int(bad[0])
+        raise PSDViolation(name, i, float(eigmin[i]), float(floor[i]))
 
 
 def _solve(mat: np.ndarray, rhs: np.ndarray, name: str, t: float) -> np.ndarray:
@@ -161,151 +172,131 @@ def _solve(mat: np.ndarray, rhs: np.ndarray, name: str, t: float) -> np.ndarray:
         raise SingularMatrix(name, t) from None
 
 
-def solve_P(model: ModelSpec, grid: TimeGrid,
-            tol: ToleranceConfig = ToleranceConfig()) -> MatrixPath:
+def solve_P(tab: NodeTable, tol: ToleranceConfig = ToleranceConfig()) -> MatrixPath:
     """Backward Riccati path with terminal value G, symmetrized each step
     and checked positive semidefinite at every node."""
-    co, cw = model.coeffs, model.cost
 
-    def rhs(t, P):
-        A = interp_table(co.grid, co.A, t)
-        B = interp_table(co.grid, co.B, t)
-        Q = interp_table(cw.grid, cw.Q, t)
-        S = interp_table(cw.grid, cw.S, t)
-        R = interp_table(cw.grid, cw.R, t)
-        BtPS = B.T @ P + S
-        return -(P @ A) - A.T @ P - Q + BtPS.T @ _solve(R, BtPS, "R", t)
+    def rhs(j, P):
+        A = tab.A[j]
+        BtPS = tab.B[j].T @ P + tab.S[j]
+        return (-(P @ A) - A.T @ P - tab.Q[j]
+                + BtPS.T @ _solve(tab.R[j], BtPS, "R", float(tab.grid.knots[j])))
 
-    values = integrate_matrix_ode(rhs, cw.G, grid, "backward", post_step=_symmetrize)
+    values = integrate_matrix_ode(rhs, tab.G, tab.grid, "backward",
+                                  post_step=_symmetrize, what="P")
     _assert_psd("P", values, tol.psd_tol)
-    return MatrixPath(grid, values)
+    return MatrixPath(tab.grid, values)
 
 
-def compute_Theta(P: MatrixPath, model: ModelSpec) -> MatrixPath:
+def compute_Theta(P: MatrixPath, tab: NodeTable) -> MatrixPath:
     """Feedback gain -R^{-1}(B^T P + S) at every node of P's grid."""
-    grid = P.grid
-    B = table_at_nodes(grid, model.coeffs.grid, model.coeffs.B)
-    S = table_at_nodes(grid, model.cost.grid, model.cost.S)
-    R = table_at_nodes(grid, model.cost.grid, model.cost.R)
-    nodes = grid.nodes
-    vals = np.empty((grid.steps + 1, model.dims.m, model.dims.n))
-    for i in range(grid.steps + 1):
-        vals[i] = -_solve(R[i], B[i].T @ P.values[i] + S[i], "R", float(nodes[i]))
-    return MatrixPath(grid, vals)
+    B, S, R = tab.B[::2], tab.S[::2], tab.R[::2]
+    return MatrixPath(P.grid, -solve_stack(R, B.mT @ P.values + S, "R", P.grid.nodes))
 
 
-def solve_phi(model: ModelSpec, Theta: MatrixPath, P: MatrixPath,
-              grid: TimeGrid) -> VectorPath:
+def solve_phi(tab: NodeTable, Theta: MatrixPath, P: MatrixPath) -> MatrixPath:
     """Backward affine offset with terminal value g."""
-    co, cw = model.coeffs, model.cost
+    Th_k, P_k = Theta.knots(), P.knots()
 
-    def rhs(t, phi):
-        A = interp_table(co.grid, co.A, t)
-        B = interp_table(co.grid, co.B, t)
-        a = interp_table(co.grid, co.a, t)
-        q = interp_table(cw.grid, cw.q, t)
-        r = interp_table(cw.grid, cw.r, t)
-        Th = Theta.at(t)
-        return -(A + B @ Th).T @ phi - Th.T @ r - P.at(t) @ a - q
+    def rhs(j, phi):
+        Th = Th_k[j]
+        return (-(tab.A[j] + tab.B[j] @ Th).T @ phi - Th.T @ tab.r[j]
+                - P_k[j] @ tab.a[j] - tab.q[j])
 
-    values = integrate_matrix_ode(rhs, cw.g, grid, "backward")
-    return VectorPath(grid, values)
+    values = integrate_matrix_ode(rhs, tab.g, tab.grid, "backward", what="phi")
+    return MatrixPath(tab.grid, values)
 
 
-def solve_Sigma(model: ModelSpec, grid: TimeGrid,
-                tol: ToleranceConfig = ToleranceConfig()) -> MatrixPath:
+def compute_ff(phi: MatrixPath, tab: NodeTable) -> MatrixPath:
+    """Feed-forward R^{-1}(B^T phi + r) of the optimal control at every node."""
+    v = np.einsum("tnm,tn->tm", tab.B[::2], phi.values) + tab.r[::2]
+    ff = solve_stack(tab.R[::2], v[:, :, None], "R", phi.grid.nodes)[:, :, 0]
+    return MatrixPath(phi.grid, ff)
+
+
+def solve_Sigma(tab: NodeTable, tol: ToleranceConfig = ToleranceConfig()) -> MatrixPath:
     """Forward filter error covariance from Sigma(0) = 0."""
-    co = model.coeffs
 
-    def rhs(t, Sig):
-        A = interp_table(co.grid, co.A, t)
-        C = interp_table(co.grid, co.C, t)
-        D = interp_table(co.grid, co.D, t)
-        H = interp_table(co.grid, co.H, t)
-        K = interp_table(co.grid, co.K, t)
-        Acl = A - C @ _solve(K, H, "K", t)
-        Nmat = K @ K.T
+    def rhs(j, Sig):
+        Acl, H = tab.Acl[j], tab.H[j]
         SH = Sig @ H.T
-        return Acl @ Sig + Sig @ Acl.T - SH @ _solve(Nmat, H @ Sig, "N", t) + D @ D.T
+        SHNHS = SH @ _solve(tab.N[j], H @ Sig, "N", float(tab.grid.knots[j]))
+        return Acl @ Sig + Sig @ Acl.T - SHNHS + tab.DDt[j]
 
-    n = model.dims.n
-    values = integrate_matrix_ode(rhs, np.zeros((n, n)), grid, "forward",
-                                  post_step=_symmetrize)
+    n = tab.dims.n
+    values = integrate_matrix_ode(rhs, np.zeros((n, n)), tab.grid, "forward",
+                                  post_step=_symmetrize, what="Sigma")
     _assert_psd("Sigma", values, tol.psd_tol)
-    return MatrixPath(grid, values)
+    return MatrixPath(tab.grid, values)
 
 
-def compute_Delta(Sigma: MatrixPath, model: ModelSpec) -> MatrixPath:
+def compute_Delta(Sigma: MatrixPath, tab: NodeTable) -> MatrixPath:
     """Error diffusion loading Sigma (K^{-1} H)^T at every node."""
-    grid = Sigma.grid
-    H = table_at_nodes(grid, model.coeffs.grid, model.coeffs.H)
-    K = table_at_nodes(grid, model.coeffs.grid, model.coeffs.K)
-    nodes = grid.nodes
-    vals = np.empty((grid.steps + 1, model.dims.n, model.dims.d))
-    for i in range(grid.steps + 1):
-        KinvH = _solve(K[i], H[i], "K", float(nodes[i]))
-        vals[i] = Sigma.values[i] @ KinvH.T
-    return MatrixPath(grid, vals)
+    return MatrixPath(Sigma.grid, Sigma.values @ tab.KinvH[::2].mT)
 
 
-def compute_curlyA(model: ModelSpec, Sigma: MatrixPath) -> MatrixPath:
-    """Closed-loop error drift A - (Sigma H^T + C K^T) N^{-1} H."""
-    grid = Sigma.grid
-    A = table_at_nodes(grid, model.coeffs.grid, model.coeffs.A)
-    C = table_at_nodes(grid, model.coeffs.grid, model.coeffs.C)
-    H = table_at_nodes(grid, model.coeffs.grid, model.coeffs.H)
-    K = table_at_nodes(grid, model.coeffs.grid, model.coeffs.K)
-    nodes = grid.nodes
-    vals = np.empty((grid.steps + 1, model.dims.n, model.dims.n))
-    for i in range(grid.steps + 1):
-        Nmat = K[i] @ K[i].T
-        Lam = Sigma.values[i] @ H[i].T + C[i] @ K[i].T
-        vals[i] = A[i] - Lam @ _solve(Nmat, H[i], "N", float(nodes[i]))
-    return MatrixPath(grid, vals)
+def compute_gain(Sigma: MatrixPath, tab: NodeTable) -> MatrixPath:
+    """Kalman-Bucy gain (Sigma H^T + C K^T) N^{-1} at every node."""
+    Lam = Sigma.values @ tab.H[::2].mT + tab.C[::2] @ tab.K[::2].mT
+    gain = solve_stack(tab.N[::2], Lam.mT, "N", Sigma.grid.nodes).mT
+    return MatrixPath(Sigma.grid, gain)
 
 
-def solve_Pi(model: ModelSpec, curlyA: MatrixPath, grid: TimeGrid,
+def compute_curlyA(gain: MatrixPath, tab: NodeTable) -> MatrixPath:
+    """Closed-loop error drift A - gain H at every node."""
+    return MatrixPath(gain.grid, tab.A[::2] - gain.values @ tab.H[::2])
+
+
+def solve_Pi(tab: NodeTable, curlyA: MatrixPath,
              tol: ToleranceConfig = ToleranceConfig()) -> MatrixPath:
     """Backward Lyapunov path with terminal value G."""
-    cw = model.cost
+    Av_k = curlyA.knots()
 
-    def rhs(t, Pi):
-        Av = curlyA.at(t)
-        Q = interp_table(cw.grid, cw.Q, t)
-        return -(Pi @ Av) - Av.T @ Pi - Q
+    def rhs(j, Pi):
+        Av = Av_k[j]
+        return -(Pi @ Av) - Av.T @ Pi - tab.Q[j]
 
-    values = integrate_matrix_ode(rhs, cw.G, grid, "backward", post_step=_symmetrize)
+    values = integrate_matrix_ode(rhs, tab.G, tab.grid, "backward",
+                                  post_step=_symmetrize, what="Pi")
     _assert_psd("Pi", values, tol.psd_tol)
-    return MatrixPath(grid, values)
+    return MatrixPath(tab.grid, values)
 
 
-def solve_pi(model: ModelSpec, curlyA: MatrixPath, grid: TimeGrid) -> VectorPath:
+def solve_pi(tab: NodeTable, curlyA: MatrixPath) -> MatrixPath:
     """Backward linear offset with terminal value g."""
-    cw = model.cost
+    Av_k = curlyA.knots()
 
-    def rhs(t, piv):
-        return -curlyA.at(t).T @ piv - interp_table(cw.grid, cw.q, t)
+    def rhs(j, piv):
+        return -Av_k[j].T @ piv - tab.q[j]
 
-    values = integrate_matrix_ode(rhs, cw.g, grid, "backward")
-    return VectorPath(grid, values)
+    values = integrate_matrix_ode(rhs, tab.g, tab.grid, "backward", what="pi")
+    return MatrixPath(tab.grid, values)
+
+
+def solve_filter_side(Sigma: MatrixPath, tab: NodeTable,
+                      tol: ToleranceConfig = ToleranceConfig()) -> dict[str, MatrixPath]:
+    """Every path that depends on Sigma: Delta, the gain, curlyA, Pi and pi,
+    keyed by their DeterministicSolution field names (Sigma included)."""
+    gain = compute_gain(Sigma, tab)
+    curlyA = compute_curlyA(gain, tab)
+    return {"Sigma": Sigma, "Delta": compute_Delta(Sigma, tab), "gain": gain,
+            "curlyA": curlyA, "Pi": solve_Pi(tab, curlyA, tol),
+            "pi_vec": solve_pi(tab, curlyA)}
 
 
 def solve_all(model: ModelSpec, grid: TimeGrid,
               tol: ToleranceConfig = ToleranceConfig()) -> DeterministicSolution:
-    """Solve every deterministic path on one grid.
+    """Solve every deterministic path on one grid from one NodeTable.
 
-    Control side first (P, then Theta, then phi), filter side second
-    (Sigma, then Delta and curlyA, then Pi and pi).
+    Control side first (P, then Theta, then phi and the feed-forward),
+    filter side second (Sigma, then Delta, the gain and curlyA, then Pi
+    and pi).
     """
-    P = solve_P(model, grid, tol)
-    Theta = compute_Theta(P, model)
-    phi = solve_phi(model, Theta, P, grid)
-    Sigma = solve_Sigma(model, grid, tol)
-    Delta = compute_Delta(Sigma, model)
-    curlyA = compute_curlyA(model, Sigma)
-    Pi = solve_Pi(model, curlyA, grid, tol)
-    pi_vec = solve_pi(model, curlyA, grid)
+    tab = NodeTable.build(model, grid)
+    P = solve_P(tab, tol)
+    Theta = compute_Theta(P, tab)
+    phi = solve_phi(tab, Theta, P)
     return DeterministicSolution(
-        grid=grid, P=P, Theta=Theta, phi=phi, Sigma=Sigma,
-        Delta=Delta, curlyA=curlyA, Pi=Pi, pi_vec=pi_vec,
+        grid=grid, table=tab, P=P, Theta=Theta, phi=phi, ff=compute_ff(phi, tab),
+        **solve_filter_side(solve_Sigma(tab, tol), tab, tol),
     )

@@ -7,33 +7,37 @@ Cost             <G X_T, X_T> + 2<g, X_T>
 
 Coefficients are piecewise linear in time, stored as per-node tables on a
 uniform grid and interpolated in between.  `validate` checks the standing
-assumptions: finite bounded coefficients, invertible K, and the usual
-definiteness conditions on the cost weights.
+assumptions: a finite x0, finite bounded coefficients, invertible K, and
+the usual definiteness conditions on the cost weights.
+
+A solve works on a NodeTable: every coefficient and cost weight resampled
+once onto the knots of the solve grid (its nodes and the RK4 midpoints
+between them), together with what depends on the coefficients alone
+(K^{-1}, K^{-1} H, the filter drift A - C K^{-1} H, N = K K^T and D D^T).
+`resample` does all interpolation in one vectorized pass with the bracket
+and weight arithmetic of `interp_table`, so both give the same bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyGrid, OutOfRange, ShapeMismatch
+from .errors import EmptyGrid, OutOfRange, ShapeMismatch, SingularMatrix
 
 __all__ = [
     "TimeGrid",
     "Dimensions",
     "CoefficientTable",
-    "CoefficientSample",
     "CostWeights",
-    "CostSample",
     "ModelSpec",
     "ToleranceConfig",
+    "NodeTable",
     "CheckResult",
     "ValidationReport",
-    "sample",
-    "sample_cost",
+    "resample",
     "validate",
 ]
 
@@ -59,6 +63,16 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         # (steps+1,), endpoints exact
         return np.linspace(0.0, self.T, self.steps + 1)
+
+    @cached_property
+    def knots(self) -> np.ndarray:
+        """(2*steps+1,) RK4 evaluation times: knot 2i is node t_i, knot
+        2i+1 the midpoint 0.5*(t_i + t_{i+1})."""
+        nodes = self.nodes
+        out = np.empty(2 * self.steps + 1)
+        out[0::2] = nodes
+        out[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
+        return out
 
 
 @dataclass(frozen=True)
@@ -120,17 +134,6 @@ class CoefficientTable:
         )
 
 
-class CoefficientSample(NamedTuple):
-    A: np.ndarray
-    B: np.ndarray
-    a: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    H: np.ndarray
-    h: np.ndarray
-    K: np.ndarray
-
-
 @dataclass(frozen=True)
 class CostWeights:
     """Cost data: terminal (G, g) plus per-node running weights on `grid`."""
@@ -164,14 +167,6 @@ class CostWeights:
         )
 
 
-class CostSample(NamedTuple):
-    Q: np.ndarray
-    S: np.ndarray
-    R: np.ndarray
-    q: np.ndarray
-    r: np.ndarray
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Complete problem instance."""
@@ -196,67 +191,110 @@ class ToleranceConfig:
 # ---------------------------------------------------------------------------
 # interpolation
 
-def _bracket(grid: TimeGrid, t: float):
-    """Index i and weight w with t = (1-w) t_i + w t_{i+1}; exact at nodes."""
-    if t < 0.0 or t > grid.T:
-        raise OutOfRange(f"t={t!r} outside [0, {grid.T}]")
-    i = int(t / grid.h)
-    if i > grid.steps - 1:
-        i = grid.steps - 1
+def resample(grid: TimeGrid, values: np.ndarray, ts) -> np.ndarray:
+    """Linear interpolation of a per-node table at every time in ts.
+
+    Row j uses the bracket i = int(t_j/h) (clipped to the last step) and
+    the weight w = (t_j - t_i)/(t_{i+1} - t_i), and returns the node value
+    itself when w is 0 or 1, so nodes come back exactly.
+    """
+    ts = np.asarray(ts, dtype=float)
+    outside = ~((ts >= 0.0) & (ts <= grid.T))
+    if outside.any():
+        raise OutOfRange(f"t={float(ts[outside][0])!r} outside [0, {grid.T}]")
+    i = np.minimum((ts / grid.h).astype(np.intp), grid.steps - 1)
     nodes = grid.nodes
-    w = (t - nodes[i]) / (nodes[i + 1] - nodes[i])
-    return i, w
+    w = (ts - nodes[i]) / (nodes[i + 1] - nodes[i])
+    w = w.reshape(w.shape + (1,) * (values.ndim - 1))
+    lo, hi = values[i], values[i + 1]
+    return np.where(w == 0.0, lo, np.where(w == 1.0, hi, (1.0 - w) * lo + w * hi))
 
 
 def interp_table(grid: TimeGrid, values: np.ndarray, t: float) -> np.ndarray:
-    """Linear interpolation of a per-node table; returns node values exactly."""
-    i, w = _bracket(grid, t)
-    if w == 0.0:
-        return values[i]
-    if w == 1.0:
-        return values[i + 1]
-    return (1.0 - w) * values[i] + w * values[i + 1]
-
-
-def sample(coeffs: CoefficientTable, t: float) -> CoefficientSample:
-    """Dynamics coefficients at time t by linear interpolation between nodes."""
-    i, w = _bracket(coeffs.grid, t)
-    if w == 0.0:
-        return CoefficientSample(*(getattr(coeffs, f)[i] for f in CoefficientTable._FIELDS))
-    if w == 1.0:
-        return CoefficientSample(*(getattr(coeffs, f)[i + 1] for f in CoefficientTable._FIELDS))
-    return CoefficientSample(
-        *((1.0 - w) * getattr(coeffs, f)[i] + w * getattr(coeffs, f)[i + 1]
-          for f in CoefficientTable._FIELDS)
-    )
-
-
-def sample_cost(cost: CostWeights, t: float) -> CostSample:
-    """Running cost weights at time t by linear interpolation between nodes."""
-    i, w = _bracket(cost.grid, t)
-    if w == 0.0:
-        return CostSample(cost.Q[i], cost.S[i], cost.R[i], cost.q[i], cost.r[i])
-    if w == 1.0:
-        j = i + 1
-        return CostSample(cost.Q[j], cost.S[j], cost.R[j], cost.q[j], cost.r[j])
-    u = 1.0 - w
-    return CostSample(
-        u * cost.Q[i] + w * cost.Q[i + 1],
-        u * cost.S[i] + w * cost.S[i + 1],
-        u * cost.R[i] + w * cost.R[i + 1],
-        u * cost.q[i] + w * cost.q[i + 1],
-        u * cost.r[i] + w * cost.r[i + 1],
-    )
+    """Linear interpolation of a per-node table at one time t; returns node
+    values exactly."""
+    return resample(grid, values, np.array([t], dtype=float))[0]
 
 
 def table_at_nodes(grid: TimeGrid, table_grid: TimeGrid, values: np.ndarray) -> np.ndarray:
-    """Resample a per-node table onto the nodes of another grid."""
+    """Resample a per-node table onto the nodes of another grid; on the
+    table's own grid the table itself is returned."""
     if grid.steps == table_grid.steps and grid.T == table_grid.T:
         return values
-    out = np.empty((grid.steps + 1,) + values.shape[1:])
-    for i, t in enumerate(grid.nodes):
-        out[i] = interp_table(table_grid, values, min(t, table_grid.T))
+    return resample(table_grid, values, np.minimum(grid.nodes, table_grid.T))
+
+
+def at_knots(grid: TimeGrid, table_grid: TimeGrid, values: np.ndarray) -> np.ndarray:
+    """A per-node table of table_grid at the knots of grid (see TimeGrid.knots)."""
+    out = np.empty((2 * grid.steps + 1,) + values.shape[1:])
+    out[0::2] = table_at_nodes(grid, table_grid, values)
+    out[1::2] = resample(table_grid, values, grid.knots[1::2])
     return out
+
+
+def solve_stack(mat: np.ndarray, rhs: np.ndarray, name: str,
+                times: np.ndarray) -> np.ndarray:
+    """np.linalg.solve over a leading time axis; a singular matrix raises
+    SingularMatrix naming the first time whose determinant vanishes."""
+    try:
+        return np.linalg.solve(mat, rhs)
+    except np.linalg.LinAlgError:
+        j = int(np.argmax(np.linalg.det(mat) == 0.0))
+        raise SingularMatrix(name, float(times[j])) from None
+
+
+@dataclass(frozen=True)
+class NodeTable:
+    """One model's coefficients and cost weights on the knots of one solve
+    grid, each resampled once.
+
+    Every per-time field has a leading axis of 2N+1 knots: knot 2i is node
+    t_i and knot 2i+1 the RK4 midpoint 0.5*(t_i + t_{i+1}), so field[j]
+    feeds RK4 stage j and field[::2] holds the node values.  The derived
+    fields depend on the coefficients alone.
+    """
+
+    grid: TimeGrid
+    dims: Dimensions
+    A: np.ndarray
+    B: np.ndarray
+    a: np.ndarray
+    C: np.ndarray
+    D: np.ndarray
+    H: np.ndarray
+    h: np.ndarray
+    K: np.ndarray
+    Q: np.ndarray
+    S: np.ndarray
+    R: np.ndarray
+    q: np.ndarray
+    r: np.ndarray
+    G: np.ndarray      # (n, n) terminal weights, no time axis
+    g: np.ndarray      # (n,)
+    Kinv: np.ndarray   # K^{-1}
+    KinvH: np.ndarray  # K^{-1} H
+    Acl: np.ndarray    # A - C K^{-1} H, the filter drift
+    N: np.ndarray      # K K^T
+    DDt: np.ndarray    # D D^T
+
+    @classmethod
+    def build(cls, model: "ModelSpec", grid: TimeGrid) -> "NodeTable":
+        co, cw = model.coeffs, model.cost
+        f = {name: at_knots(grid, co.grid, getattr(co, name))
+             for name in CoefficientTable._FIELDS}
+        f.update({name: at_knots(grid, cw.grid, getattr(cw, name))
+                  for name in ("Q", "S", "R", "q", "r")})
+        K, times = f["K"], grid.knots
+        eye_d = np.broadcast_to(np.eye(model.dims.d), K.shape)
+        KinvH = solve_stack(K, f["H"], "K", times)
+        return cls(
+            grid, model.dims, **f, G=cw.G, g=cw.g,
+            Kinv=solve_stack(K, eye_d, "K", times),
+            KinvH=KinvH,
+            Acl=f["A"] - f["C"] @ KinvH,
+            N=K @ K.mT,
+            DDt=f["D"] @ f["D"].mT,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -338,25 +376,26 @@ def _finite_check(name: str, tables: dict[str, np.ndarray]) -> CheckResult:
     return CheckResult(name, True, None, 0.0)
 
 
-def _sym_slack(M: np.ndarray) -> float:
-    return float(np.linalg.norm(M - M.swapaxes(-1, -2)))
+# the helpers below take one matrix or a stack of them (leading node axis)
+
+def _sym_slack(M: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(M - M.mT, axis=(-2, -1))
 
 
-def _eig_floor(M: np.ndarray, psd_tol: float) -> float:
+def _eig_floor(M: np.ndarray, psd_tol: float) -> np.ndarray:
     """Slack of the PSD check: eigmin + psd_tol*(1 + ||M||), on the symmetric part."""
-    Ms = 0.5 * (M + M.T)
-    eigmin = float(np.linalg.eigvalsh(Ms)[0])
-    return eigmin + psd_tol * (1.0 + float(np.linalg.norm(M)))
+    eigmin = np.linalg.eigvalsh(0.5 * (M + M.mT))[..., 0]
+    return eigmin + psd_tol * (1.0 + np.linalg.norm(M, axis=(-2, -1)))
 
 
-def _per_node_min(values: np.ndarray, fn) -> tuple[int, float]:
-    slacks = [fn(values[i]) for i in range(values.shape[0])]
+def _worst_node(name: str, slacks: np.ndarray) -> CheckResult:
     worst = int(np.argmin(slacks))
-    return worst, float(slacks[worst])
+    slack = float(slacks[worst])
+    return CheckResult(name, slack >= 0, worst, slack)
 
 
 def validate(model: ModelSpec, tol: ToleranceConfig = ToleranceConfig()) -> ValidationReport:
-    """Check the standing assumptions node by node.
+    """Check the standing assumptions at every node.
 
     Shape inconsistencies raise ShapeMismatch; everything else is reported
     as a pass/fail entry with the worst node and its margin.
@@ -365,14 +404,18 @@ def validate(model: ModelSpec, tol: ToleranceConfig = ToleranceConfig()) -> Vali
     co, cw = model.coeffs, model.cost
     checks: list[CheckResult] = []
 
+    x0_finite = bool(np.isfinite(model.x0).all())
+    checks.append(CheckResult("x0_finite", x0_finite, None,
+                              0.0 if x0_finite else float("-inf")))
+
     checks.append(_finite_check(
         "A1_coefficients_finite",
         {f: getattr(co, f) for f in CoefficientTable._FIELDS}))
 
     # condition number cap stands in for uniform invertibility of K
-    conds = [float(np.linalg.cond(co.K[i])) for i in range(co.K.shape[0])]
+    conds = np.linalg.cond(co.K)
     worst = int(np.argmax(conds))
-    margin = tol.k_cond_bound - conds[worst]
+    margin = tol.k_cond_bound - float(conds[worst])
     if not np.isfinite(conds[worst]):
         margin = float("-inf")
     checks.append(CheckResult("A2_K_invertible", margin >= 0, worst, margin))
@@ -381,28 +424,24 @@ def validate(model: ModelSpec, tol: ToleranceConfig = ToleranceConfig()) -> Vali
         "A3_cost_finite",
         {f: getattr(cw, f) for f in ("G", "g", "Q", "S", "R", "q", "r")}))
 
-    checks.append(CheckResult("A3_G_symmetric", _sym_slack(cw.G) <= tol.sym_tol,
-                              None, tol.sym_tol - _sym_slack(cw.G)))
-    for name, table in (("A3_Q_symmetric", cw.Q), ("A3_R_symmetric", cw.R)):
-        worst, slack = _per_node_min(table, lambda M: tol.sym_tol - _sym_slack(M))
-        checks.append(CheckResult(name, slack >= 0, worst, slack))
+    g_sym = tol.sym_tol - float(_sym_slack(cw.G))
+    checks.append(CheckResult("A3_G_symmetric", g_sym >= 0, None, g_sym))
+    checks.append(_worst_node("A3_Q_symmetric", tol.sym_tol - _sym_slack(cw.Q)))
+    checks.append(_worst_node("A3_R_symmetric", tol.sym_tol - _sym_slack(cw.R)))
 
-    g_slack = _eig_floor(cw.G, tol.psd_tol)
+    g_slack = float(_eig_floor(cw.G, tol.psd_tol))
     checks.append(CheckResult("A3_G_psd", g_slack >= 0, None, g_slack))
 
-    worst, slack = _per_node_min(
-        cw.R, lambda M: _eig_floor(M, tol.psd_tol) - cw.delta)
-    checks.append(CheckResult("A3_R_uniformly_definite", slack >= 0, worst, slack))
+    checks.append(_worst_node("A3_R_uniformly_definite",
+                              _eig_floor(cw.R, tol.psd_tol) - cw.delta))
 
-    def qsrs_slack(i):
-        Q, S, R = cw.Q[i], cw.S[i], cw.R[i]
-        try:
-            M = Q - S.T @ np.linalg.solve(0.5 * (R + R.T), S)
-        except np.linalg.LinAlgError:
-            return float("-inf")
-        return _eig_floor(M, tol.psd_tol)
-
-    worst, slack = _per_node_min(np.arange(cw.Q.shape[0]), qsrs_slack)
-    checks.append(CheckResult("A3_QSRS_psd", slack >= 0, worst, slack))
+    # Q - S^T R^{-1} S with the symmetric part of R; a singular R fails the
+    # node outright and is swapped for I so the stacked solve goes through
+    Rs = 0.5 * (cw.R + cw.R.mT)
+    singular = np.linalg.det(Rs) == 0.0
+    Rs[singular] = np.eye(model.dims.m)
+    M = cw.Q - cw.S.mT @ np.linalg.solve(Rs, cw.S)
+    slacks = np.where(singular, -np.inf, _eig_floor(M, tol.psd_tol))
+    checks.append(_worst_node("A3_QSRS_psd", slacks))
 
     return ValidationReport(tuple(checks))

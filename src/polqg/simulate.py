@@ -17,7 +17,9 @@ are bitwise independent of scheduling.
 
 The stepping kernel is vectorized over a leading path axis; the public
 single-path functions run it with one path, so batch and single-path
-results agree bitwise.
+results agree bitwise.  It reads every coefficient, the gain
+(Sigma H^T + C K^T) N^{-1}, K^{-1} and the feed-forward R^{-1}(B^T phi + r)
+from the DeterministicSolution and its NodeTable, by node index.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ import numpy as np
 
 from .detsolve import DeterministicSolution
 from .errors import NonFinite, ShapeMismatch
-from .model import ModelSpec, Dimensions, TimeGrid, interp_table, sample_cost, table_at_nodes
+from .model import ModelSpec, Dimensions, TimeGrid, interp_table
+from .model import table_at_nodes  # noqa: F401  bench/tracer.py wraps it here by name
 
 __all__ = [
     "NoiseDraw",
@@ -124,48 +127,14 @@ class PathBundle:
     cost: float
 
 
-class _NodeData:
-    """Per-node coefficient and gain tables shared by every path."""
-
-    def __init__(self, model: ModelSpec, sol: DeterministicSolution):
-        grid = sol.grid
-        co, cw = model.coeffs, model.cost
-        self.A = table_at_nodes(grid, co.grid, co.A)
-        self.B = table_at_nodes(grid, co.grid, co.B)
-        self.a = table_at_nodes(grid, co.grid, co.a)
-        self.C = table_at_nodes(grid, co.grid, co.C)
-        self.D = table_at_nodes(grid, co.grid, co.D)
-        self.H = table_at_nodes(grid, co.grid, co.H)
-        self.hvec = table_at_nodes(grid, co.grid, co.h)
-        self.K = table_at_nodes(grid, co.grid, co.K)
-        self.Q = table_at_nodes(grid, cw.grid, cw.Q)
-        self.S = table_at_nodes(grid, cw.grid, cw.S)
-        self.R = table_at_nodes(grid, cw.grid, cw.R)
-        self.q = table_at_nodes(grid, cw.grid, cw.q)
-        self.r = table_at_nodes(grid, cw.grid, cw.r)
-        nn = grid.steps + 1
-        d = model.dims.d
-        eye_d = np.eye(d)
-        self.Kinv = np.linalg.solve(self.K, np.broadcast_to(eye_d, (nn, d, d)))
-        Nmat = self.K @ self.K.swapaxes(1, 2)
-        Lam = sol.Sigma.values @ self.H.swapaxes(1, 2) + self.C @ self.K.swapaxes(1, 2)
-        self.Gain = np.linalg.solve(Nmat, Lam.swapaxes(1, 2)).swapaxes(1, 2)
-        self.Theta = sol.Theta.values
-        v = np.einsum("tnm,tn->tm", self.B, sol.phi.values) + self.r
-        # R^{-1}(B^T phi + r) at nodes
-        self.ff = np.linalg.solve(self.R, v[:, :, None])[:, :, 0]
-        self.Delta = sol.Delta.values
-        self.curlyA = sol.curlyA.values
-
-
-def _policy_controls(policy: ControlPolicy, nd: _NodeData, i: int,
+def _policy_controls(policy: ControlPolicy, sol: DeterministicSolution, i: int,
                      Xhat: np.ndarray, m: int) -> np.ndarray:
     npaths = Xhat.shape[0]
     if policy.kind == "zero":
         return np.zeros((npaths, m))
     if policy.kind == "open_loop":
         return np.broadcast_to(policy.table[i], (npaths, m)).copy()
-    u = Xhat @ nd.Theta[i].T - nd.ff[i]
+    u = Xhat @ sol.Theta.values[i].T - sol.ff.values[i]
     if policy.kind == "perturbed_feedback":
         off = policy.table if policy.table.ndim == 1 else policy.table[i]
         u = u + off
@@ -191,7 +160,8 @@ def _closed_loop_arrays(model: ModelSpec, sol: DeterministicSolution,
     n, m, d = dims.n, dims.m, dims.d
     N = grid.steps
     _check_policy_table(policy, grid, m)
-    nd = _NodeData(model, sol)
+    tab = sol.table
+    Gain = sol.gain.values
     npaths = dW.shape[0]
 
     X = np.empty((npaths, N + 1, n))
@@ -211,32 +181,34 @@ def _closed_loop_arrays(model: ModelSpec, sol: DeterministicSolution,
     nodes = grid.nodes
     for i in range(N):
         hs = nodes[i + 1] - nodes[i]
+        j = 2 * i  # knot of node i in the table
         Xi, Xhi, Yi = X[:, i], Xhat[:, i], Y[:, i]
-        Ui = _policy_controls(policy, nd, i, Xhi, m)
+        Ui = _policy_controls(policy, sol, i, Xhi, m)
         u[:, i] = Ui
 
         cost += hs * (
-            np.einsum("pi,ij,pj->p", Xi, nd.Q[i], Xi)
-            + 2.0 * np.einsum("pa,ab,pb->p", Ui, nd.S[i], Xi)
-            + np.einsum("pa,ab,pb->p", Ui, nd.R[i], Ui)
-            + 2.0 * Xi @ nd.q[i] + 2.0 * Ui @ nd.r[i]
+            np.einsum("pi,ij,pj->p", Xi, tab.Q[j], Xi)
+            + 2.0 * np.einsum("pa,ab,pb->p", Ui, tab.S[j], Xi)
+            + np.einsum("pa,ab,pb->p", Ui, tab.R[j], Ui)
+            + 2.0 * Xi @ tab.q[j] + 2.0 * Ui @ tab.r[j]
         )
 
-        drift_truth = Xi @ nd.A[i].T + Ui @ nd.B[i].T + nd.a[i]
-        X[:, i + 1] = Xi + hs * drift_truth + dW[:, i] @ nd.C[i].T + dWp[:, i] @ nd.D[i].T
+        drift_truth = Xi @ tab.A[j].T + Ui @ tab.B[j].T + tab.a[j]
+        X[:, i + 1] = (Xi + hs * drift_truth + dW[:, i] @ tab.C[j].T
+                       + dWp[:, i] @ tab.D[j].T)
         # the filter consumes the observation increment itself, not the
         # difference of accumulated levels, so dV carries no cancellation
-        dY = hs * (Xi @ nd.H[i].T + nd.hvec[i]) + dW[:, i] @ nd.K[i].T
+        dY = hs * (Xi @ tab.H[j].T + tab.h[j]) + dW[:, i] @ tab.K[j].T
         Y[:, i + 1] = Yi + dY
-        dV = dY - hs * (Xhi @ nd.H[i].T + nd.hvec[i])
-        drift_filter = Xhi @ nd.A[i].T + Ui @ nd.B[i].T + nd.a[i]
-        Xhat[:, i + 1] = Xhi + hs * drift_filter + dV @ nd.Gain[i].T
+        dV = dY - hs * (Xhi @ tab.H[j].T + tab.h[j])
+        drift_filter = Xhi @ tab.A[j].T + Ui @ tab.B[j].T + tab.a[j]
+        Xhat[:, i + 1] = Xhi + hs * drift_filter + dV @ Gain[i].T
         V[:, i + 1] = V[:, i] + dV
-        Vcheck[:, i + 1] = Vcheck[:, i] + dV @ nd.Kinv[i].T
+        Vcheck[:, i + 1] = Vcheck[:, i] + dV @ tab.Kinv[j].T
         if not np.isfinite(X[:, i + 1]).all() or not np.isfinite(Xhat[:, i + 1]).all():
             raise NonFinite("simulate_closed_loop", i + 1)
 
-    u[:, N] = _policy_controls(policy, nd, N, Xhat[:, N], m)
+    u[:, N] = _policy_controls(policy, sol, N, Xhat[:, N], m)
     XT = X[:, N]
     cost += (np.einsum("pi,ij,pj->p", XT, model.cost.G, XT)
              + 2.0 * XT @ model.cost.g)
@@ -265,7 +237,7 @@ def _error_direct_arrays(model: ModelSpec, sol: DeterministicSolution,
     grid = sol.grid
     n = model.dims.n
     N = grid.steps
-    D = table_at_nodes(grid, model.coeffs.grid, model.coeffs.D)
+    D = sol.table.D[::2]
     Av = sol.curlyA.values
     Dl = sol.Delta.values
     npaths = dW.shape[0]
@@ -296,9 +268,10 @@ def simulate_error_direct(model: ModelSpec, sol: DeterministicSolution,
 def policy_feedback(t: float, xhat: np.ndarray, sol: DeterministicSolution,
                     model: ModelSpec) -> np.ndarray:
     """Optimal control Theta(t) xhat - R^{-1}(B^T phi + r)(t)."""
-    B = interp_table(model.coeffs.grid, model.coeffs.B, t)
-    _, _, R, _, r = sample_cost(model.cost, t)
-    v = B.T @ sol.phi.at(t) + r
+    co, cw = model.coeffs, model.cost
+    B = interp_table(co.grid, co.B, t)
+    R = interp_table(cw.grid, cw.R, t)
+    v = B.T @ sol.phi.at(t) + interp_table(cw.grid, cw.r, t)
     return sol.Theta.at(t) @ np.asarray(xhat, dtype=float) - np.linalg.solve(R, v)
 
 

@@ -8,8 +8,9 @@ equivalent feedback.  By construction
 
     hat_J_floor + tilde_J = optimal_value(...).total
 
-holds to roundoff, since both sides reuse the same integrand arrays.
-All integrals use the composite trapezoid rule on the solution grid.
+holds to roundoff, since both sides are sums of the same parts.
+All integrals use the composite trapezoid rule on the solution grid; the
+integrands read the solution's NodeTable and feed-forward at the nodes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detsolve import DeterministicSolution
-from .model import ModelSpec, interp_table, sample_cost, table_at_nodes
+from .model import ModelSpec, interp_table
+from .model import table_at_nodes  # noqa: F401  bench/tracer.py wraps it here by name
+from .simulate import policy_feedback
 
 __all__ = [
     "ValueBreakdown",
@@ -61,7 +64,9 @@ class ValueBreakdown:
 
 def running_cost(t: float, x: np.ndarray, u: np.ndarray, model: ModelSpec) -> float:
     """<Qx,x> + 2<Sx,u> + <Ru,u> + 2<q,x> + 2<r,u> at time t."""
-    Q, S, R, q, r = sample_cost(model.cost, t)
+    cw = model.cost
+    Q, S, R, q, r = (interp_table(cw.grid, getattr(cw, f), t)
+                     for f in ("Q", "S", "R", "q", "r"))
     return float(x @ (Q @ x) + 2.0 * u @ (S @ x) + u @ (R @ u)
                  + 2.0 * q @ x + 2.0 * r @ u)
 
@@ -71,30 +76,6 @@ def terminal_cost(xT: np.ndarray, model: ModelSpec) -> float:
     return float(xT @ (model.cost.G @ xT) + 2.0 * model.cost.g @ xT)
 
 
-def _integrands(model: ModelSpec, sol: DeterministicSolution):
-    """Per-node values of the five value integrands, in grid order."""
-    grid = sol.grid
-    co, cw = model.coeffs, model.cost
-    C = table_at_nodes(grid, co.grid, co.C)
-    D = table_at_nodes(grid, co.grid, co.D)
-    a = table_at_nodes(grid, co.grid, co.a)
-    B = table_at_nodes(grid, co.grid, co.B)
-    R = table_at_nodes(grid, cw.grid, cw.R)
-    r = table_at_nodes(grid, cw.grid, cw.r)
-    Pi, P = sol.Pi.values, sol.P.values
-    Delta, phi = sol.Delta.values, sol.phi.values
-
-    f_PiD = np.einsum("tac,tab,tbc->t", D, Pi, D)
-    f_PiDelta = np.einsum("tac,tab,tbc->t", Delta, Pi, Delta)
-    DC = Delta + C
-    f_PDeltaC = np.einsum("tac,tab,tbc->t", DC, P, DC)
-    v = np.einsum("tnm,tn->tm", B, phi) + r
-    w = np.linalg.solve(R, v[:, :, None])[:, :, 0]
-    f_Rinv = -np.einsum("tm,tm->t", v, w)
-    f_phia = 2.0 * np.einsum("tn,tn->t", phi, a)
-    return f_PiD, f_PiDelta, f_PDeltaC, f_Rinv, f_phia
-
-
 def optimal_value(model: ModelSpec, sol: DeterministicSolution) -> ValueBreakdown:
     """Value of the optimal policy, split into its additive parts.
 
@@ -102,51 +83,43 @@ def optimal_value(model: ModelSpec, sol: DeterministicSolution) -> ValueBreakdow
     trapezoid rule on the solution grid, so the total converges at O(h^2)
     once the deterministic paths are resolved.
     """
-    nodes = sol.grid.nodes
-    f_PiD, f_PiDelta, f_PDeltaC, f_Rinv, f_phia = _integrands(model, sol)
-    x0 = model.x0
-    quad = float(x0 @ (sol.P.values[0] @ x0))
-    lin = 2.0 * float(sol.phi.values[0] @ x0)
-    parts = (
-        quad,
-        lin,
-        float(np.trapezoid(f_PiD, nodes)),
-        float(np.trapezoid(f_PiDelta, nodes)),
-        float(np.trapezoid(f_PDeltaC, nodes)),
-        float(np.trapezoid(f_Rinv, nodes)),
-        float(np.trapezoid(f_phia, nodes)),
+    tab = sol.table
+    C, D, a, R = tab.C[::2], tab.D[::2], tab.a[::2], tab.R[::2]
+    Pi, P = sol.Pi.values, sol.P.values
+    Delta, phi, ff = sol.Delta.values, sol.phi.values, sol.ff.values
+    DC = Delta + C
+    integrands = (
+        np.einsum("tac,tab,tbc->t", D, Pi, D),
+        np.einsum("tac,tab,tbc->t", Delta, Pi, Delta),
+        np.einsum("tac,tab,tbc->t", DC, P, DC),
+        # -<R^{-1} v, v> with v = B^T phi + r, written through ff = R^{-1} v
+        -np.einsum("ta,tab,tb->t", ff, R, ff),
+        2.0 * np.einsum("tn,tn->t", phi, a),
     )
+    x0 = model.x0
+    parts = (float(x0 @ (P[0] @ x0)), 2.0 * float(phi[0] @ x0),
+             *(float(np.trapezoid(f, sol.grid.nodes)) for f in integrands))
     return ValueBreakdown(*parts, total=float(sum(parts)))
 
 
 def tilde_J(model: ModelSpec, sol: DeterministicSolution) -> float:
     """Irreducible part of the cost: no admissible control goes below
     hat_J_floor + tilde_J, and tilde_J is what observation noise costs."""
-    nodes = sol.grid.nodes
-    f_PiD, f_PiDelta, _, _, _ = _integrands(model, sol)
-    return float(np.trapezoid(f_PiD, nodes)) + float(np.trapezoid(f_PiDelta, nodes))
+    vb = optimal_value(model, sol)
+    return vb.PiD_integral + vb.PiDelta_integral
 
 
 def hat_J_floor(model: ModelSpec, sol: DeterministicSolution) -> float:
     """Floor of the cost seen by the filtered state, attained at the
     optimal feedback."""
-    nodes = sol.grid.nodes
-    _, _, f_PDeltaC, f_Rinv, f_phia = _integrands(model, sol)
-    x0 = model.x0
-    quad = float(x0 @ (sol.P.values[0] @ x0))
-    lin = 2.0 * float(sol.phi.values[0] @ x0)
-    return (quad + lin
-            + float(np.trapezoid(f_PDeltaC, nodes))
-            + float(np.trapezoid(f_Rinv, nodes))
-            + float(np.trapezoid(f_phia, nodes)))
+    vb = optimal_value(model, sol)
+    return (vb.quadratic_term + vb.linear_term + vb.PDeltaC_integral
+            + vb.Rinv_integral + vb.phia_integral)
 
 
 def square_residual(t: float, xhat: np.ndarray, u: np.ndarray,
                     sol: DeterministicSolution, model: ModelSpec) -> float:
     """Penalty <R w, w> for deviating by w from the optimal feedback at
     filtered state xhat; zero exactly at the optimal control."""
-    B = interp_table(model.coeffs.grid, model.coeffs.B, t)
-    _, _, R, _, r = sample_cost(model.cost, t)
-    v = B.T @ sol.phi.at(t) + r
-    w = sol.Theta.at(t) @ xhat - np.linalg.solve(R, v) - u
-    return float(w @ (R @ w))
+    w = policy_feedback(t, xhat, sol, model) - u
+    return float(w @ (interp_table(model.cost.grid, model.cost.R, t) @ w))

@@ -22,7 +22,8 @@ import numpy as np
 
 from .detsolve import DeterministicSolution
 from .errors import InsufficientPaths
-from .model import ModelSpec, TimeGrid, table_at_nodes
+from .model import ModelSpec, TimeGrid
+from .model import table_at_nodes  # noqa: F401  bench/tracer.py wraps it here by name
 from .simulate import (
     ControlPolicy,
     NoiseDraw,
@@ -346,12 +347,10 @@ def decomposition_check(model: ModelSpec, sol: DeterministicSolution,
     if n_paths < 2:
         raise InsufficientPaths(f"need at least 2 paths, got {n_paths}")
     grid = sol.grid
-    cw = model.cost
-    Q = table_at_nodes(grid, cw.grid, cw.Q)[:-1]
-    S = table_at_nodes(grid, cw.grid, cw.S)[:-1]
-    R = table_at_nodes(grid, cw.grid, cw.R)[:-1]
-    qv = table_at_nodes(grid, cw.grid, cw.q)[:-1]
-    rv = table_at_nodes(grid, cw.grid, cw.r)[:-1]
+    cw, tab = model.cost, sol.table
+    # left-endpoint weights: nodes 0..N-1 are the even knots before the last
+    Q, S, R = tab.Q[:-1:2], tab.S[:-1:2], tab.R[:-1:2]
+    qv, rv = tab.q[:-1:2], tab.r[:-1:2]
     hsteps = np.diff(grid.nodes)
 
     policy = ControlPolicy.filter_feedback()
@@ -418,7 +417,7 @@ def expected_discrete_error_cov(model: ModelSpec,
     """
     grid = sol.grid
     n = model.dims.n
-    D = table_at_nodes(grid, model.coeffs.grid, model.coeffs.D)
+    D = sol.table.D[::2]
     out = np.zeros((grid.steps + 1, n, n))
     hsteps = np.diff(grid.nodes)
     eye = np.eye(n)

@@ -21,6 +21,7 @@ from polqg import (
     expected_discrete_error_cov,
     hat_J_floor,
     iter_path_bundles,
+    NodeTable,
     NoiseDraw,
     optimal_value,
     run_batch,
@@ -83,8 +84,9 @@ def probe_reports(bench400, cost_batches):
 def test_criterion_01_deterministic_solver_accuracy():
     model, grid = benchmark_model(1000)
     t0 = time.perf_counter()
-    P = solve_P(model, grid)
-    Sigma = solve_Sigma(model, grid)
+    tab = NodeTable.build(model, grid)
+    P = solve_P(tab)
+    Sigma = solve_Sigma(tab)
     elapsed = time.perf_counter() - t0
     errP = abs(P.values[0, 0, 0] - np.tanh(1.0))
     errS = float(np.abs(Sigma.values[:, 0, 0] - np.tanh(grid.nodes)).max())
@@ -97,7 +99,8 @@ def test_criterion_02_solver_is_fourth_order():
     errs = {}
     for steps in (100, 200):
         model, grid = benchmark_model(steps)
-        errs[steps] = abs(solve_P(model, grid).values[0, 0, 0] - np.tanh(1.0))
+        P = solve_P(NodeTable.build(model, grid))
+        errs[steps] = abs(P.values[0, 0, 0] - np.tanh(1.0))
     ratio = errs[100] / errs[200]
     report(2, ratio >= 12.0,
            f"P(0) error ratio steps 100/200 = {ratio:.1f} (>= 12 expected)")

@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from polqg.cli import main, parse_scenario, serialize_scenario
+from polqg import ToleranceConfig, compute_gain, solve_all
+from polqg.cli import _scaled_sigma_solution, main, parse_scenario, serialize_scenario
 
-from oracles import TOTAL
+from oracles import TOTAL, random_validated_model
 
 
 def bench_doc(**over):
@@ -100,6 +101,15 @@ def test_wrong_format_version(tmp_path, capsys):
 
 def test_missing_file_exits_5(tmp_path, capsys):
     assert main(["validate", "--scenario", str(tmp_path / "nope.json")]) == 5
+
+
+def test_nonfinite_x0_exits_2(tmp_path, capsys):
+    path = write_doc(tmp_path, bench_doc(x0=[float("nan")]))
+    assert main(["validate", "--scenario", path]) == 2
+    out = capsys.readouterr().out
+    assert "x0_finite" in out and "FAIL" in out
+    assert main(["solve", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
+    assert "x0_finite" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- solve
@@ -265,6 +275,23 @@ def test_verify_detects_broken_sigma(tmp_path, capsys):
     assert report["passed"] is False
     failed = [c["name"] for c in report["checks"] if not c["passed"]]
     assert any(n.startswith("error_cov_node") for n in failed)
+
+
+def test_scaled_sigma_by_one_is_the_solution():
+    # the debug path rebuilds the filter side with the function solve_all uses
+    model, grid = random_validated_model(np.random.default_rng(4),
+                                         time_varying=True)
+    tol = ToleranceConfig()
+    sol = solve_all(model, grid, tol)
+    again = _scaled_sigma_solution(model, sol, 1.0, tol)
+    for name in ("Sigma", "Delta", "curlyA", "gain", "Pi", "pi_vec"):
+        np.testing.assert_array_equal(getattr(again, name).values,
+                                      getattr(sol, name).values, err_msg=name)
+    # a scaled Sigma reaches the gain the simulated filter uses
+    scaled = _scaled_sigma_solution(model, sol, 2.0, tol)
+    np.testing.assert_array_equal(scaled.gain.values,
+                                  compute_gain(scaled.Sigma, sol.table).values)
+    assert not np.array_equal(scaled.gain.values, sol.gain.values)
 
 
 def test_verify_degenerate_noiseless_scenario(tmp_path, capsys):

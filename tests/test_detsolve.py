@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from polqg import (
+    NodeTable,
     NonFinite,
     PSDViolation,
     TimeGrid,
     compute_curlyA,
     compute_Delta,
+    compute_gain,
     compute_Theta,
     integrate_matrix_ode,
-    sample,
     solve_all,
     solve_P,
     solve_phi,
@@ -84,12 +85,23 @@ def test_integrator_blowup_raises_nonfinite():
                              "forward")
 
 
+def test_blown_up_P_names_the_equation():
+    # B=0 leaves dP/dt = -2AP - Q; with A=1000 each backward RK4 step
+    # multiplies P by about 8000, which overflows long before t=0
+    model, grid = scalar_model(A=1000.0, B=0.0, G=1.0, steps=100)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFinite) as err:
+        solve_P(NodeTable.build(model, grid))
+    assert err.value.what == "P"
+    assert str(err.value).startswith("P: non-finite value at node ")
+
+
 # ------------------------------------------------------------------- Riccati
 
 def test_P_scalar_riccati_closed_form():
     # A=0, B=R=G=1, Q=0: dP/dt = P^2 with P(1)=1, so P(t) = 1/(2-t)
     model, grid = scalar_model(Q=0.0, G=1.0, steps=200)
-    P = solve_P(model, grid)
+    P = solve_P(NodeTable.build(model, grid))
     np.testing.assert_allclose(P.values[:, 0, 0], 1.0 / (2.0 - grid.nodes),
                                atol=1e-10)
 
@@ -97,39 +109,40 @@ def test_P_scalar_riccati_closed_form():
 def test_P_lyapunov_closed_form():
     # B=0 removes the quadratic term: dP/dt = 2P - 1 with P(1) = 0
     model, grid = scalar_model(A=-1.0, B=0.0, steps=200)
-    P = solve_P(model, grid)
+    P = solve_P(NodeTable.build(model, grid))
     assert abs(P.values[0, 0, 0] - LYAPUNOV_P0) < 1e-10
 
 
 def test_P_benchmark_tanh():
     model, grid = benchmark_model(200)
-    P = solve_P(model, grid)
+    P = solve_P(NodeTable.build(model, grid))
     np.testing.assert_allclose(P.values[:, 0, 0], np.tanh(1.0 - grid.nodes),
                                atol=1e-10)
 
 
 def test_P_zero_when_G_and_Q_zero():
     model, grid = scalar_model(Q=0.0, G=0.0, steps=50)
-    P = solve_P(model, grid)
+    P = solve_P(NodeTable.build(model, grid))
     assert (P.values == 0.0).all()
 
 
 def test_P_rejects_indefinite_terminal():
     model, grid = scalar_model(G=-1e-3, steps=10)
     with pytest.raises(PSDViolation):
-        solve_P(model, grid)
+        solve_P(NodeTable.build(model, grid))
 
 
 def test_P_symmetric_every_node():
     model, grid = random_validated_model(np.random.default_rng(7))
-    P = solve_P(model, grid)
+    P = solve_P(NodeTable.build(model, grid))
     assert np.abs(P.values - P.values.transpose(0, 2, 1)).max() <= 1e-14
 
 
 def test_Theta_benchmark_is_minus_P():
     model, grid = benchmark_model(100)
-    P = solve_P(model, grid)
-    Theta = compute_Theta(P, model)
+    tab = NodeTable.build(model, grid)
+    P = solve_P(tab)
+    Theta = compute_Theta(P, tab)
     np.testing.assert_allclose(Theta.values, -P.values, rtol=0, atol=1e-15)
 
 
@@ -138,16 +151,18 @@ def test_Theta_benchmark_is_minus_P():
 def test_phi_linear_closed_form():
     # A=B=a=0, q=1, g=0: dphi/dt = -1 backward from 0 gives phi = 1 - t
     model, grid = scalar_model(B=0.0, Q=0.0, q=1.0, steps=40)
-    P = solve_P(model, grid)
-    phi = solve_phi(model, compute_Theta(P, model), P, grid)
+    tab = NodeTable.build(model, grid)
+    P = solve_P(tab)
+    phi = solve_phi(tab, compute_Theta(P, tab), P)
     np.testing.assert_allclose(phi.values[:, 0], 1.0 - grid.nodes, atol=1e-14)
 
 
 def test_phi_exponential_closed_form():
     # A=1, B=0, q=0, g=1, P=0: dphi/dt = -phi, phi(1) = 1, so phi = e^{1-t}
     model, grid = scalar_model(A=1.0, B=0.0, Q=0.0, g=1.0, steps=100)
-    P = solve_P(model, grid)
-    phi = solve_phi(model, compute_Theta(P, model), P, grid)
+    tab = NodeTable.build(model, grid)
+    P = solve_P(tab)
+    phi = solve_phi(tab, compute_Theta(P, tab), P)
     np.testing.assert_allclose(phi.values[:, 0], np.exp(1.0 - grid.nodes),
                                atol=1e-8)
 
@@ -163,7 +178,7 @@ def test_phi_zero_benchmark():
 
 def test_Sigma_benchmark_tanh():
     model, grid = benchmark_model(200)
-    Sigma = solve_Sigma(model, grid)
+    Sigma = solve_Sigma(NodeTable.build(model, grid))
     np.testing.assert_allclose(Sigma.values[:, 0, 0], np.tanh(grid.nodes),
                                atol=1e-10)
 
@@ -171,28 +186,28 @@ def test_Sigma_benchmark_tanh():
 def test_Sigma_linear_when_H_zero():
     # no observations: dSigma/dt = DD^T, Sigma(t) = t
     model, grid = scalar_model(H=0.0, steps=30)
-    Sigma = solve_Sigma(model, grid)
+    Sigma = solve_Sigma(NodeTable.build(model, grid))
     np.testing.assert_allclose(Sigma.values[:, 0, 0], grid.nodes, atol=1e-14)
 
 
 def test_Sigma_zero_when_D_zero():
     model, grid = scalar_model(D=0.0, steps=30)
-    Sigma = solve_Sigma(model, grid)
+    Sigma = solve_Sigma(NodeTable.build(model, grid))
     assert np.abs(Sigma.values).max() <= 1e-14
 
 
 def test_Sigma_time_reversal():
     model, grid = benchmark_model(1000)
-    fwd = solve_Sigma(model, grid)
-    co = model.coeffs
+    tab = NodeTable.build(model, grid)
+    fwd = solve_Sigma(tab)
 
-    def rhs(t, Sig):
-        s = sample(co, t)
-        Acl = s.A - s.C @ np.linalg.solve(s.K, s.H)
-        Nmat = s.K @ s.K.T
+    # the Riccati right-hand side from the raw coefficients at each knot
+    def rhs(j, Sig):
+        A, C, D, H, K = tab.A[j], tab.C[j], tab.D[j], tab.H[j], tab.K[j]
+        Acl = A - C @ np.linalg.solve(K, H)
         return (Acl @ Sig + Sig @ Acl.T
-                - Sig @ s.H.T @ np.linalg.solve(Nmat, s.H @ Sig)
-                + s.D @ s.D.T)
+                - Sig @ H.T @ np.linalg.solve(K @ K.T, H @ Sig)
+                + D @ D.T)
 
     back = integrate_matrix_ode(rhs, fwd.values[-1], grid, "backward")
     assert np.abs(back - fwd.values).max() < 1e-9
@@ -201,9 +216,10 @@ def test_Sigma_time_reversal():
 
 def test_Delta_and_curlyA_benchmark():
     model, grid = benchmark_model(100)
-    Sigma = solve_Sigma(model, grid)
-    Delta = compute_Delta(Sigma, model)
-    curlyA = compute_curlyA(model, Sigma)
+    tab = NodeTable.build(model, grid)
+    Sigma = solve_Sigma(tab)
+    Delta = compute_Delta(Sigma, tab)
+    curlyA = compute_curlyA(compute_gain(Sigma, tab), tab)
     np.testing.assert_allclose(Delta.values, Sigma.values, atol=1e-15)
     np.testing.assert_allclose(curlyA.values, -Sigma.values, atol=1e-15)
 
@@ -213,10 +229,11 @@ def test_Delta_and_curlyA_benchmark():
 def test_Pi_linear_when_curlyA_zero():
     # H=0 and A=0 make curlyA = 0: dPi/dt = -Q, Pi(1)=0, so Pi = 1 - t
     model, grid = scalar_model(H=0.0, q=1.0, steps=30)
-    Sigma = solve_Sigma(model, grid)
-    curlyA = compute_curlyA(model, Sigma)
+    tab = NodeTable.build(model, grid)
+    Sigma = solve_Sigma(tab)
+    curlyA = compute_curlyA(compute_gain(Sigma, tab), tab)
     assert np.abs(curlyA.values).max() == 0.0
-    Pi = solve_Pi(model, curlyA, grid)
+    Pi = solve_Pi(tab, curlyA)
     np.testing.assert_allclose(Pi.values[:, 0, 0], 1.0 - grid.nodes,
                                atol=1e-14)
     sol = solve_all(model, grid)

@@ -7,16 +7,17 @@ from polqg import (
     Dimensions,
     EmptyGrid,
     ModelSpec,
+    NodeTable,
     OutOfRange,
     ShapeMismatch,
     TimeGrid,
     ToleranceConfig,
-    sample,
-    sample_cost,
+    resample,
     validate,
 )
+from polqg.model import interp_table
 
-from oracles import benchmark_model
+from oracles import benchmark_model, random_validated_model
 
 
 def test_grid_nodes():
@@ -40,34 +41,74 @@ def test_dimensions_positive():
 
 def test_sample_constant_exact():
     model, grid = benchmark_model(10)
-    for t in (0.0, 0.13, 0.5, 1.0):
-        s = sample(model.coeffs, t)
-        assert s.A[0, 0] == 0.0
-        assert s.B[0, 0] == 1.0
-        assert s.K[0, 0] == 1.0
-        c = sample_cost(model.cost, t)
-        assert c.Q[0, 0] == 1.0 and c.R[0, 0] == 1.0
+    ts = [0.0, 0.13, 0.5, 1.0]
+    assert (resample(grid, model.coeffs.A, ts) == 0.0).all()
+    assert (resample(grid, model.coeffs.B, ts) == 1.0).all()
+    assert (resample(grid, model.coeffs.K, ts) == 1.0).all()
+    assert (resample(grid, model.cost.Q, ts) == 1.0).all()
+    assert (resample(grid, model.cost.R, ts) == 1.0).all()
 
 
 def test_sample_linear_ramp():
     grid = TimeGrid(1.0, 4)
-    co = CoefficientTable.constant(
-        grid, A=[[0.0]], B=[[1.0]], a=[0.0], C=[[0.0]], D=[[1.0]],
-        H=[[1.0]], h=[0.0], K=[[1.0]])
     ramp = grid.nodes.reshape(-1, 1, 1).copy()
-    co = CoefficientTable(grid, ramp, co.B, co.a, co.C, co.D, co.H, co.h, co.K)
     # exact at nodes, linear in between
-    for i, t in enumerate(grid.nodes):
-        assert sample(co, t).A[0, 0] == ramp[i, 0, 0]
-    assert sample(co, 0.375).A[0, 0] == pytest.approx(0.375, abs=1e-15)
+    np.testing.assert_array_equal(resample(grid, ramp, grid.nodes), ramp)
+    assert resample(grid, ramp, [0.375])[0, 0, 0] == pytest.approx(0.375, abs=1e-15)
 
 
 def test_sample_out_of_range():
     model, grid = benchmark_model(10)
-    with pytest.raises(OutOfRange):
-        sample(model.coeffs, -1e-9)
-    with pytest.raises(OutOfRange):
-        sample(model.coeffs, 1.0 + 1e-9)
+    for t in (-1e-9, 1.0 + 1e-9, np.nan):
+        with pytest.raises(OutOfRange):
+            resample(grid, model.coeffs.A, [0.5, t])
+        with pytest.raises(OutOfRange):
+            interp_table(grid, model.coeffs.A, t)
+
+
+def _interp_reference(grid, values, t):
+    """Single-time linear interpolation, bracket and weight spelled out."""
+    i = min(int(t / grid.h), grid.steps - 1)
+    w = (t - grid.nodes[i]) / (grid.nodes[i + 1] - grid.nodes[i])
+    if w == 0.0:
+        return values[i]
+    if w == 1.0:
+        return values[i + 1]
+    return (1.0 - w) * values[i] + w * values[i + 1]
+
+
+@pytest.mark.parametrize("factor", [1, 2])
+def test_node_table_bitwise_at_every_knot(factor):
+    # factor 2 is the step-halving grid that verify solves on
+    model, grid = random_validated_model(np.random.default_rng(5), steps=30,
+                                         time_varying=True)
+    solve_grid = TimeGrid(grid.T, factor * grid.steps)
+    tab = NodeTable.build(model, solve_grid)
+    nodes = solve_grid.nodes
+    np.testing.assert_array_equal(tab.grid.knots[0::2], nodes)
+    np.testing.assert_array_equal(tab.grid.knots[1::2], 0.5 * (nodes[:-1] + nodes[1:]))
+    tables = {f: getattr(model.coeffs, f) for f in CoefficientTable._FIELDS}
+    tables.update({f: getattr(model.cost, f) for f in ("Q", "S", "R", "q", "r")})
+    for name, values in tables.items():
+        knots = getattr(tab, name)
+        assert knots.shape == (2 * solve_grid.steps + 1,) + values.shape[1:]
+        for j, t in enumerate(tab.grid.knots):
+            want = _interp_reference(grid, values, t)
+            np.testing.assert_array_equal(knots[j], want, err_msg=f"{name} knot {j}")
+            np.testing.assert_array_equal(interp_table(grid, values, t), want)
+    # coefficient-only quantities at every knot
+    np.testing.assert_array_equal(tab.KinvH, np.linalg.solve(tab.K, tab.H))
+    np.testing.assert_array_equal(tab.Acl, tab.A - tab.C @ tab.KinvH)
+    np.testing.assert_allclose(tab.Kinv @ tab.K, np.broadcast_to(np.eye(model.dims.d),
+                                                                tab.K.shape), atol=1e-12)
+
+
+def test_node_table_reuses_model_arrays_on_own_grid():
+    model, grid = random_validated_model(np.random.default_rng(6), steps=10,
+                                         time_varying=True)
+    tab = NodeTable.build(model, grid)
+    np.testing.assert_array_equal(tab.A[::2], model.coeffs.A)
+    np.testing.assert_array_equal(tab.R[::2], model.cost.R)
 
 
 def test_validate_benchmark_passes():
@@ -165,6 +206,14 @@ def test_validate_nonfinite_coefficient():
     bad = report.check("A1_coefficients_finite")
     assert not bad.passed
     assert bad.worst_node == 3
+
+
+def test_validate_nonfinite_x0():
+    model, grid = benchmark_model(4)
+    report = validate(ModelSpec(model.dims, model.T, model.coeffs, model.cost,
+                                [np.nan]))
+    assert not report.passed
+    assert not report.check("x0_finite").passed
 
 
 def test_validate_shape_mismatch():
