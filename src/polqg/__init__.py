@@ -70,6 +70,7 @@ from .verify import (
     BatchReport,
     BrownianityReport,
     DecompositionReport,
+    PathStatistics,
     PolicyComparison,
     brownianity_report,
     compare_policies,
@@ -78,6 +79,7 @@ from .verify import (
     expected_discrete_error_cov,
     iter_path_bundles,
     run_batch,
+    simulate_statistics,
 )
 
 __version__ = "0.1.0"

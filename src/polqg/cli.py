@@ -63,6 +63,7 @@ from .verify import (
     default_probe_nodes,
     iter_path_bundles,
     run_batch,
+    simulate_statistics,
 )
 
 __all__ = ["Scenario", "parse_scenario", "serialize_scenario",
@@ -435,9 +436,9 @@ def _run_checks(sc: Scenario, grid: TimeGrid, seed: int, n_paths: int,
                 sigma_scale: float = 1.0) -> tuple[list[dict], list]:
     """All verification checks; returns (check rows, extra series rows).
 
-    Discretization allowances follow a step-halving rule: every estimate
-    that carries an Euler bias is recomputed on a grid with twice the
-    steps and 2x the observed difference is added to the band.
+    One simulate_statistics pass per grid feeds every check.  Every estimate
+    that carries an Euler bias is also read off the grid with twice the
+    steps, and 3x the difference is added to its band (see below).
     """
     model, tol = sc.model, sc.tolerances
     sol = solve_all(model, grid, tol)
@@ -446,9 +447,12 @@ def _run_checks(sc: Scenario, grid: TimeGrid, seed: int, n_paths: int,
     if sigma_scale != 1.0:
         sol = _scaled_sigma_solution(model, sol, sigma_scale, tol)
         sol2 = _scaled_sigma_solution(model, sol2, sigma_scale, tol)
-    vb = optimal_value(model, sol)
     probes = _probe_indices(sc, grid)
-    fb = ControlPolicy.filter_feedback()
+    eps = np.full(model.dims.m, 0.5)
+    pols = [ControlPolicy.zero(), ControlPolicy.perturbed_feedback(eps)]
+    stats = simulate_statistics(model, sol, n_paths, seed, probes, pols)
+    stats2 = simulate_statistics(model, sol2, n_paths, seed,
+                                 [2 * pn for pn in probes], pols)
 
     checks: list[dict] = []
     series: list = []
@@ -458,18 +462,18 @@ def _run_checks(sc: Scenario, grid: TimeGrid, seed: int, n_paths: int,
                        "se": float(se), "target": float(target),
                        "band": float(band), "passed": bool(passed)})
 
-    reports = {pn: run_batch(model, sol, fb, n_paths, seed, pn) for pn in probes}
-    reports2 = {pn: run_batch(model, sol2, fb, n_paths, seed, 2 * pn) for pn in probes}
-    b = reports[probes[0]]
-    b2 = reports2[probes[0]]
+    reports = {pn: run_batch(stats, pn) for pn in probes}
+    reports2 = {pn: run_batch(stats2, 2 * pn) for pn in probes}
+    b, b2 = reports[probes[0]], reports2[probes[0]]
 
     # realized cost against the analytic value
+    value = b.analytic_value
     band = 3.0 * b.cost_se + 3.0 * abs(b.cost_mean - b2.cost_mean) \
-        + _band_floor(vb.total)
-    add("cost_vs_value", b.cost_mean, b.cost_se, vb.total, band,
-        abs(b.cost_mean - vb.total) <= band)
+        + _band_floor(value)
+    add("cost_vs_value", b.cost_mean, b.cost_se, value, band,
+        abs(b.cost_mean - value) <= band)
     series.append(("cost_mean", grid.T, b.cost_mean))
-    series.append(("analytic_value", grid.T, vb.total))
+    series.append(("analytic_value", grid.T, value))
 
     # error covariance and orthogonality at every probe node
     for pn in probes:
@@ -502,7 +506,7 @@ def _run_checks(sc: Scenario, grid: TimeGrid, seed: int, n_paths: int,
     add("innovation_qv_ratio", b.innovation_qv_ratio, se_qv, 1.0, band,
         abs(b.innovation_qv_ratio - 1.0) <= band)
 
-    br = brownianity_report(iter_path_bundles(model, sol, fb, n_paths, seed))
+    br = brownianity_report(stats)
     tdiff = np.abs(br.terminal_var - grid.T)
     tband = 3.0 * br.terminal_var_se + _band_floor(grid.T)
     worst = int(np.argmax(tdiff - tband))
@@ -514,8 +518,8 @@ def _run_checks(sc: Scenario, grid: TimeGrid, seed: int, n_paths: int,
     add("brownianity_lag1", est, br.lag1_band / 3.0, 0.0, band, est <= band)
 
     # cost decomposition
-    dr = decomposition_check(model, sol, n_paths, seed)
-    dr2 = decomposition_check(model, sol2, n_paths, seed)
+    dr = decomposition_check(stats)
+    dr2 = decomposition_check(stats2)
     band = 3.0 * dr.cross_se + _band_floor(0.0)
     add("decomposition_cross", abs(dr.cross_mean), dr.cross_se, 0.0, band,
         abs(dr.cross_mean) <= band)
@@ -526,17 +530,12 @@ def _run_checks(sc: Scenario, grid: TimeGrid, seed: int, n_paths: int,
         abs(dr.tildeJ_mean - dr.tildeJ_analytic) <= band)
 
     # policy comparison under common random numbers
-    m = model.dims.m
-    eps = np.full(m, 0.5)
-    pols = [fb, ControlPolicy.zero(),
-            ControlPolicy.perturbed_feedback(eps)]
-    comp = compare_policies(model, sol, pols, n_paths, seed)
-    comp2 = compare_policies(model, sol2, pols, n_paths, seed)
+    comp = compare_policies(stats)
+    comp2 = compare_policies(stats2)
     for row in comp.rows:
-        if row.excess_mean is None:
-            series.append((f"cost_mean[{row.label}]", grid.T, row.cost_mean))
-            continue
         series.append((f"cost_mean[{row.label}]", grid.T, row.cost_mean))
+        if row.excess_mean is None:
+            continue
         margin = row.excess_mean + 2.0 * row.excess_se + _band_floor(0.0)
         add(f"not_beaten_by_{row.label}", row.excess_mean, row.excess_se,
             0.0, 2.0 * row.excess_se + _band_floor(0.0), margin >= 0.0)

@@ -412,12 +412,13 @@ def validate(model: ModelSpec, tol: ToleranceConfig = ToleranceConfig()) -> Vali
         "A1_coefficients_finite",
         {f: getattr(co, f) for f in CoefficientTable._FIELDS}))
 
-    # condition number cap stands in for uniform invertibility of K
-    conds = np.linalg.cond(co.K)
+    # condition number cap stands in for uniform invertibility of K; a
+    # non-finite node counts as singular (the SVD would not converge)
+    finite_K = np.isfinite(co.K).all(axis=(-2, -1))
+    conds = np.full(finite_K.shape, np.inf)
+    conds[finite_K] = np.linalg.cond(co.K[finite_K])
     worst = int(np.argmax(conds))
     margin = tol.k_cond_bound - float(conds[worst])
-    if not np.isfinite(conds[worst]):
-        margin = float("-inf")
     checks.append(CheckResult("A2_K_invertible", margin >= 0, worst, margin))
 
     checks.append(_finite_check(

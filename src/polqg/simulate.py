@@ -216,6 +216,13 @@ def _closed_loop_arrays(model: ModelSpec, sol: DeterministicSolution,
             "Vcheck": Vcheck, "u": u, "cost": cost}
 
 
+def _bundle(grid: TimeGrid, arrs, p: int) -> PathBundle:
+    """Path p of a _closed_loop_arrays output."""
+    paths = ("X", "Y", "Xhat", "Xtil", "V", "Vcheck", "u")
+    return PathBundle(grid=grid, cost=float(arrs["cost"][p]),
+                      **{f: arrs[f][p] for f in paths})
+
+
 def simulate_closed_loop(model: ModelSpec, sol: DeterministicSolution,
                          policy: ControlPolicy, noise: NoiseDraw) -> PathBundle:
     """Simulate one path of the controlled system and its filter."""
@@ -223,12 +230,7 @@ def simulate_closed_loop(model: ModelSpec, sol: DeterministicSolution,
         raise ShapeMismatch("noise grid does not match the solution grid")
     arrs = _closed_loop_arrays(model, sol, policy,
                                noise.dW[None, ...], noise.dWp[None, ...])
-    return PathBundle(
-        grid=sol.grid,
-        X=arrs["X"][0], Y=arrs["Y"][0], Xhat=arrs["Xhat"][0],
-        Xtil=arrs["Xtil"][0], V=arrs["V"][0], Vcheck=arrs["Vcheck"][0],
-        u=arrs["u"][0], cost=float(arrs["cost"][0]),
-    )
+    return _bundle(sol.grid, arrs, 0)
 
 
 def _error_direct_arrays(model: ModelSpec, sol: DeterministicSolution,

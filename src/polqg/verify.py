@@ -1,14 +1,16 @@
 """Monte Carlo evidence that the deterministic solution is right.
 
-Batches simulate many closed-loop paths (chunked, vectorized over paths)
-and compare empirical statistics against what the theory predicts: the
-realized cost against the analytic value, the empirical error covariance
-against Sigma, orthogonality of error and filter, Brownianity of the
-normalized innovation, and the cost decomposition into filtered cost plus
-irreducible remainder.
+One pass, simulate_statistics, draws each chunk's noise once and runs
+filter feedback and every extra policy on those same increments (common
+random numbers).  It reduces each policy's output to per-path numbers
+before the next policy runs: the costs, and on the feedback paths the
+error statistics at each probe node, the normalized innovation increment
+sums and the cost split along X = Xhat + Xtil.  The reports (run_batch,
+compare_policies, brownianity_report, decomposition_check) only reduce
+these, so one pass feeds every statistic and no path is simulated twice.
 
 All cross-path reductions run sequentially in path-index order, so a
-report is bitwise reproducible for fixed (model, seed, n_paths, policy),
+report is bitwise reproducible for fixed (model, seed, n_paths, policies),
 independent of chunk size or scheduling.  Per-path noise comes from
 draw_noise(seed, path_index), so chunking never changes the draws.
 """
@@ -16,7 +18,7 @@ draw_noise(seed, path_index), so chunking never changes the draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -26,19 +28,21 @@ from .model import ModelSpec, TimeGrid
 from .model import table_at_nodes  # noqa: F401  bench/tracer.py wraps it here by name
 from .simulate import (
     ControlPolicy,
-    NoiseDraw,
     PathBundle,
+    _bundle,
     _closed_loop_arrays,
     draw_noise,
 )
 from .value import optimal_value, tilde_J
 
 __all__ = [
+    "PathStatistics",
     "BatchReport",
     "PolicyCostRow",
     "PolicyComparison",
     "BrownianityReport",
     "DecompositionReport",
+    "simulate_statistics",
     "run_batch",
     "compare_policies",
     "brownianity_report",
@@ -47,6 +51,8 @@ __all__ = [
     "iter_path_bundles",
     "default_probe_nodes",
 ]
+
+_FEEDBACK = ControlPolicy.filter_feedback()
 
 
 # ---------------------------------------------------------------------------
@@ -63,8 +69,6 @@ def _seq_mean_se(a: np.ndarray):
     """Mean and standard error along axis 0, reduced in index order."""
     p = a.shape[0]
     mean = _seq_sum(a) / p
-    if p < 2:
-        return mean, np.full(a.shape[1:], np.nan)
     var = _seq_sum((a - mean) ** 2) / (p - 1)
     return mean, np.sqrt(var / p)
 
@@ -75,7 +79,7 @@ def default_probe_nodes(grid: TimeGrid) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# noise stacking
+# the chunk loop
 
 def _noise_stack(seed: int, j0: int, j1: int, grid, dims):
     dW = np.empty((j1 - j0, grid.steps, dims.d))
@@ -87,23 +91,132 @@ def _noise_stack(seed: int, j0: int, j1: int, grid, dims):
     return dW, dWp
 
 
+def _simulate_chunks(model: ModelSpec, sol: DeterministicSolution,
+                     policies: Sequence[ControlPolicy], n_paths: int,
+                     seed: int, chunk_size: int):
+    """Yield (j0, j1, policy, kernel output) chunk by chunk: each chunk's
+    noise is drawn once and every policy runs on it, in the given order."""
+    for j0 in range(0, n_paths, chunk_size):
+        j1 = min(j0 + chunk_size, n_paths)
+        dW, dWp = _noise_stack(seed, j0, j1, sol.grid, model.dims)
+        for policy in policies:
+            yield j0, j1, policy, _closed_loop_arrays(model, sol, policy, dW, dWp)
+
+
 def iter_path_bundles(model: ModelSpec, sol: DeterministicSolution,
                       policy: ControlPolicy, n_paths: int, seed: int,
                       chunk_size: int = 1024) -> Iterator[PathBundle]:
     """Yield PathBundles for path indices 0..n_paths-1 in order, simulated
     in chunks so memory stays bounded."""
-    grid = sol.grid
-    for j0 in range(0, n_paths, chunk_size):
-        j1 = min(j0 + chunk_size, n_paths)
-        dW, dWp = _noise_stack(seed, j0, j1, grid, model.dims)
-        arrs = _closed_loop_arrays(model, sol, policy, dW, dWp)
+    for j0, j1, _, arrs in _simulate_chunks(model, sol, (policy,), n_paths,
+                                            seed, chunk_size):
         for p in range(j1 - j0):
-            yield PathBundle(
-                grid=grid, X=arrs["X"][p], Y=arrs["Y"][p],
-                Xhat=arrs["Xhat"][p], Xtil=arrs["Xtil"][p], V=arrs["V"][p],
-                Vcheck=arrs["Vcheck"][p], u=arrs["u"][p],
-                cost=float(arrs["cost"][p]),
-            )
+            yield _bundle(sol.grid, arrs, p)
+
+
+# ---------------------------------------------------------------------------
+# the single pass
+
+@dataclass(frozen=True)
+class PathStatistics:
+    """Per-path numbers of one simulate_statistics pass; everything but
+    `costs` comes from the filter feedback paths."""
+
+    sol: DeterministicSolution
+    n_paths: int
+    analytic_value: float          # optimal_value(model, sol).total
+    tildeJ_analytic: float         # tilde_J(model, sol)
+    costs: dict[str, np.ndarray]   # policy label -> (n_paths,), feedback first
+    error_outer: dict[int, np.ndarray]  # probe node -> (n_paths, n, n) Xtil Xtil^T
+    orth: dict[int, np.ndarray]    # probe node -> (n_paths,) <Xtil, Xhat>
+    inc_sums: np.ndarray           # (n_paths, d) sum of the dVcheck
+    inc_sq: np.ndarray             # (n_paths, d) sum of dVcheck**2
+    lag_sums: np.ndarray           # (n_paths, d) sum of dVcheck_i dVcheck_{i+1}
+    qv: np.ndarray                 # (n_paths,) sum of ||dVcheck||^2
+    terminal: np.ndarray           # (n_paths, d) Vcheck(T)
+    hatJ: np.ndarray               # (n_paths,) cost along Xhat
+    tildeJ: np.ndarray             # (n_paths,) cost along Xtil
+
+
+def _record_feedback(model: ModelSpec, arrs, stats: PathStatistics,
+                     rows: slice):
+    """Write the per-path numbers of one chunk of filter feedback paths
+    into rows of stats."""
+    for pn in stats.error_outer:
+        til = arrs["Xtil"][:, pn]
+        stats.error_outer[pn][rows] = til[:, :, None] * til[:, None, :]
+        stats.orth[pn][rows] = np.einsum("pi,pi->p", til, arrs["Xhat"][:, pn])
+    dvc = np.diff(arrs["Vcheck"], axis=1)
+    stats.inc_sums[rows] = dvc.sum(axis=1)
+    stats.inc_sq[rows] = (dvc ** 2).sum(axis=1)
+    stats.lag_sums[rows] = (dvc[:, :-1] * dvc[:, 1:]).sum(axis=1)
+    stats.qv[rows] = np.einsum("ptd,ptd->p", dvc, dvc)
+    stats.terminal[rows] = arrs["Vcheck"][:, -1]
+
+    # split each realized cost along X = Xhat + Xtil; left-endpoint
+    # weights: nodes 0..N-1 are the even knots before the last
+    cw, tab = model.cost, stats.sol.table
+    Q, S, R = tab.Q[:-1:2], tab.S[:-1:2], tab.R[:-1:2]
+    qv, rv = tab.q[:-1:2], tab.r[:-1:2]
+    hsteps = np.diff(stats.sol.grid.nodes)
+    Xh = arrs["Xhat"][:, :-1]
+    Xt = arrs["Xtil"][:, :-1]
+    U = arrs["u"][:, :-1]
+    hatJ = (
+        np.einsum("pti,tij,ptj,t->p", Xh, Q, Xh, hsteps)
+        + 2.0 * np.einsum("pta,tab,ptb,t->p", U, S, Xh, hsteps)
+        + np.einsum("pta,tab,ptb,t->p", U, R, U, hsteps)
+        + 2.0 * np.einsum("pti,ti,t->p", Xh, qv, hsteps)
+        + 2.0 * np.einsum("pta,ta,t->p", U, rv, hsteps)
+    )
+    XhT = arrs["Xhat"][:, -1]
+    hatJ += np.einsum("pi,ij,pj->p", XhT, cw.G, XhT) + 2.0 * XhT @ cw.g
+    tilJ = (
+        np.einsum("pti,tij,ptj,t->p", Xt, Q, Xt, hsteps)
+        + 2.0 * np.einsum("pti,ti,t->p", Xt, qv, hsteps)
+    )
+    XtT = arrs["Xtil"][:, -1]
+    tilJ += np.einsum("pi,ij,pj->p", XtT, cw.G, XtT) + 2.0 * XtT @ cw.g
+    stats.hatJ[rows], stats.tildeJ[rows] = hatJ, tilJ
+
+
+def simulate_statistics(model: ModelSpec, sol: DeterministicSolution,
+                        n_paths: int, seed: int, probes: Sequence[int] = (),
+                        policies: Sequence[ControlPolicy] = (),
+                        chunk_size: int = 2048) -> PathStatistics:
+    """Simulate paths 0..n_paths-1 under filter feedback and, on the same
+    noise, under each extra policy; keep the per-path numbers every report
+    needs, with the error statistics at each probe node."""
+    if n_paths < 2:
+        raise InsufficientPaths(f"need at least 2 paths, got {n_paths}")
+    for pn in probes:
+        if not 0 <= pn <= sol.grid.steps:
+            raise IndexError(f"probe_node {pn} outside 0..{sol.grid.steps}")
+    runs = (_FEEDBACK, *policies)
+    labels = [p.label for p in runs]
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"policy labels must be unique, got {labels}")
+    n, d = model.dims.n, model.dims.d
+
+    stats = PathStatistics(
+        sol=sol, n_paths=n_paths,
+        analytic_value=optimal_value(model, sol).total,
+        tildeJ_analytic=tilde_J(model, sol),
+        costs={lab: np.empty(n_paths) for lab in labels},
+        error_outer={pn: np.empty((n_paths, n, n)) for pn in probes},
+        orth={pn: np.empty(n_paths) for pn in probes},
+        inc_sums=np.empty((n_paths, d)), inc_sq=np.empty((n_paths, d)),
+        lag_sums=np.empty((n_paths, d)), qv=np.empty(n_paths),
+        terminal=np.empty((n_paths, d)),
+        hatJ=np.empty(n_paths), tildeJ=np.empty(n_paths),
+    )
+    for j0, j1, policy, arrs in _simulate_chunks(model, sol, runs, n_paths,
+                                                 seed, chunk_size):
+        stats.costs[policy.label][j0:j1] = arrs["cost"]
+        if policy is _FEEDBACK:
+            _record_feedback(model, arrs, stats, slice(j0, j1))
+        del arrs  # free this output before the next kernel call
+    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -125,59 +238,27 @@ class BatchReport:
     orth_se: float
     innovation_increment_mean: np.ndarray  # (d,)
     innovation_qv_ratio: float    # sum ||dVcheck||^2 / (n_paths * d * T)
-    per_policy_costs: dict
 
 
-def run_batch(model: ModelSpec, sol: DeterministicSolution,
-              policy: ControlPolicy, n_paths: int, seed: int,
-              probe_node: int, chunk_size: int = 2048) -> BatchReport:
-    """Simulate n_paths paths and aggregate the standard statistics."""
-    if n_paths < 2:
-        raise InsufficientPaths(f"need at least 2 paths, got {n_paths}")
-    grid = sol.grid
-    if not 0 <= probe_node <= grid.steps:
-        raise IndexError(f"probe_node {probe_node} outside 0..{grid.steps}")
-    dims = model.dims
-    n, d = dims.n, dims.d
-
-    costs = np.empty(n_paths)
-    outer = np.empty((n_paths, n, n))
-    orth = np.empty(n_paths)
-    inc_sums = np.empty((n_paths, d))
-    qv = np.empty(n_paths)
-
-    for j0 in range(0, n_paths, chunk_size):
-        j1 = min(j0 + chunk_size, n_paths)
-        dW, dWp = _noise_stack(seed, j0, j1, grid, dims)
-        arrs = _closed_loop_arrays(model, sol, policy, dW, dWp)
-        costs[j0:j1] = arrs["cost"]
-        til = arrs["Xtil"][:, probe_node]
-        outer[j0:j1] = til[:, :, None] * til[:, None, :]
-        orth[j0:j1] = np.einsum("pi,pi->p", til, arrs["Xhat"][:, probe_node])
-        dvc = np.diff(arrs["Vcheck"], axis=1)
-        inc_sums[j0:j1] = dvc.sum(axis=1)
-        qv[j0:j1] = np.einsum("ptd,ptd->p", dvc, dvc)
-
-    cost_mean, cost_se = _seq_mean_se(costs)
-    cov_mean, cov_se = _seq_mean_se(outer)
-    orth_mean, orth_se = _seq_mean_se(orth)
-    inc_mean = _seq_sum(inc_sums) / (n_paths * grid.steps)
-    qv_ratio = float(_seq_sum(qv) / (n_paths * d * grid.T))
+def run_batch(stats: PathStatistics, probe_node: int) -> BatchReport:
+    """The feedback statistics at one of the pass's probe nodes (KeyError
+    for a node the pass did not record)."""
+    n_paths, grid = stats.n_paths, stats.sol.grid
+    d = stats.inc_sums.shape[1]
+    cost_mean, cost_se = _seq_mean_se(stats.costs[_FEEDBACK.label])
+    cov_mean, cov_se = _seq_mean_se(stats.error_outer[probe_node])
+    orth_mean, orth_se = _seq_mean_se(stats.orth[probe_node])
+    inc_mean = _seq_sum(stats.inc_sums) / (n_paths * grid.steps)
+    qv_ratio = float(_seq_sum(stats.qv) / (n_paths * d * grid.T))
 
     return BatchReport(
-        n_paths=n_paths,
-        probe_node=probe_node,
-        cost_mean=float(cost_mean),
-        cost_se=float(cost_se),
-        analytic_value=optimal_value(model, sol).total,
-        emp_error_cov=cov_mean,
-        emp_error_cov_se=cov_se,
-        Sigma_at_node=sol.Sigma.values[probe_node].copy(),
-        orth_stat=float(orth_mean),
-        orth_se=float(orth_se),
-        innovation_increment_mean=inc_mean,
-        innovation_qv_ratio=qv_ratio,
-        per_policy_costs={policy.label: (float(cost_mean), float(cost_se))},
+        n_paths=n_paths, probe_node=probe_node,
+        cost_mean=float(cost_mean), cost_se=float(cost_se),
+        analytic_value=stats.analytic_value,
+        emp_error_cov=cov_mean, emp_error_cov_se=cov_se,
+        Sigma_at_node=stats.sol.Sigma.values[probe_node].copy(),
+        orth_stat=float(orth_mean), orth_se=float(orth_se),
+        innovation_increment_mean=inc_mean, innovation_qv_ratio=qv_ratio,
     )
 
 
@@ -189,7 +270,7 @@ class PolicyCostRow:
     label: str
     cost_mean: float
     cost_se: float
-    excess_mean: float | None  # paired mean of cost - baseline cost
+    excess_mean: float | None  # paired mean of cost - feedback cost
     excess_se: float | None
 
 
@@ -197,7 +278,7 @@ class PolicyCostRow:
 class PolicyComparison:
     """Per-policy realized costs under common random numbers, sorted by
     ascending mean.  Excess columns are paired against the filter feedback
-    baseline when one is present."""
+    baseline, which has none."""
 
     n_paths: int
     rows: tuple[PolicyCostRow, ...]
@@ -209,43 +290,18 @@ class PolicyComparison:
         raise KeyError(label)
 
 
-def compare_policies(model: ModelSpec, sol: DeterministicSolution,
-                     policies: Sequence[ControlPolicy], n_paths: int,
-                     seed: int, chunk_size: int = 2048) -> PolicyComparison:
-    """Run every policy on the same noise draws and tabulate costs."""
-    if n_paths < 2:
-        raise InsufficientPaths(f"need at least 2 paths, got {n_paths}")
-    labels = [p.label for p in policies]
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"policy labels must be unique, got {labels}")
-    grid = sol.grid
-    dims = model.dims
-
-    costs = {lab: np.empty(n_paths) for lab in labels}
-    for j0 in range(0, n_paths, chunk_size):
-        j1 = min(j0 + chunk_size, n_paths)
-        dW, dWp = _noise_stack(seed, j0, j1, grid, dims)
-        for pol in policies:
-            arrs = _closed_loop_arrays(model, sol, pol, dW, dWp)
-            costs[pol.label][j0:j1] = arrs["cost"]
-
-    baseline = None
-    for pol in policies:
-        if pol.kind == "filter_feedback":
-            baseline = pol.label
-            break
-
+def compare_policies(stats: PathStatistics) -> PolicyComparison:
+    """Tabulate the costs of every policy of the pass against feedback."""
+    baseline = stats.costs[_FEEDBACK.label]
     rows = []
-    for lab in labels:
-        mean, se = _seq_mean_se(costs[lab])
-        if baseline is not None and lab != baseline:
-            emean, ese = _seq_mean_se(costs[lab] - costs[baseline])
-            rows.append(PolicyCostRow(lab, float(mean), float(se),
-                                      float(emean), float(ese)))
-        else:
-            rows.append(PolicyCostRow(lab, float(mean), float(se), None, None))
+    for lab, costs in stats.costs.items():
+        mean, se = _seq_mean_se(costs)
+        excess = (None, None)
+        if lab != _FEEDBACK.label:
+            excess = tuple(float(v) for v in _seq_mean_se(costs - baseline))
+        rows.append(PolicyCostRow(lab, float(mean), float(se), *excess))
     rows.sort(key=lambda r: r.cost_mean)
-    return PolicyComparison(n_paths=n_paths, rows=tuple(rows))
+    return PolicyComparison(n_paths=stats.n_paths, rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -272,32 +328,13 @@ class BrownianityReport:
     terminal_var_se: np.ndarray    # (d,)
 
 
-def brownianity_report(bundles: Iterable[PathBundle]) -> BrownianityReport:
-    """Aggregate innovation increment statistics over a batch of bundles.
-
-    Accepts any iterable (including a lazy generator) and accumulates in
-    iteration order.
-    """
-    count = 0
-    steps = None
-    T = None
-    inc_sum = inc_sq = lag_sum = None
-    terminals = []
-    for b in bundles:
-        dvc = np.diff(b.Vcheck, axis=0)  # (steps, d)
-        if steps is None:
-            steps = dvc.shape[0]
-            T = b.grid.T
-            inc_sum = np.zeros(dvc.shape[1])
-            inc_sq = np.zeros(dvc.shape[1])
-            lag_sum = np.zeros(dvc.shape[1])
-        inc_sum = inc_sum + dvc.sum(axis=0)
-        inc_sq = inc_sq + (dvc ** 2).sum(axis=0)
-        lag_sum = lag_sum + (dvc[:-1] * dvc[1:]).sum(axis=0)
-        terminals.append(b.Vcheck[-1])
-        count += 1
-    if count < 2:
-        raise InsufficientPaths(f"need at least 2 paths, got {count}")
+def brownianity_report(stats: PathStatistics) -> BrownianityReport:
+    """Pool the feedback paths' innovation increment statistics."""
+    count = stats.n_paths
+    steps, T = stats.sol.grid.steps, stats.sol.grid.T
+    inc_sum = _seq_sum(stats.inc_sums)
+    inc_sq = _seq_sum(stats.inc_sq)
+    lag_sum = _seq_sum(stats.lag_sums)
 
     nobs = count * steps
     inc_mean = inc_sum / nobs
@@ -306,9 +343,8 @@ def brownianity_report(bundles: Iterable[PathBundle]) -> BrownianityReport:
     denom = np.where(inc_sq > 0, inc_sq, 1.0)
     lag1 = np.where(inc_sq > 0, lag_sum / denom * steps / (steps - 1.0), 0.0)
 
-    term = np.stack(terminals)  # (n_paths, d)
-    tmean = _seq_sum(term) / count
-    tvar = _seq_sum((term - tmean) ** 2) / (count - 1)
+    tmean = _seq_sum(stats.terminal) / count
+    tvar = _seq_sum((stats.terminal - tmean) ** 2) / (count - 1)
     tvar_se = tvar * np.sqrt(2.0 / (count - 1))
 
     return BrownianityReport(
@@ -339,62 +375,21 @@ class DecompositionReport:
     cross_se: float
 
 
-def decomposition_check(model: ModelSpec, sol: DeterministicSolution,
-                        n_paths: int, seed: int,
-                        chunk_size: int = 2048) -> DecompositionReport:
-    """Split each realized cost along X = Xhat + Xtil and test that the
-    cross terms average to zero and the Xtil part matches tilde_J."""
-    if n_paths < 2:
-        raise InsufficientPaths(f"need at least 2 paths, got {n_paths}")
-    grid = sol.grid
-    cw, tab = model.cost, sol.table
-    # left-endpoint weights: nodes 0..N-1 are the even knots before the last
-    Q, S, R = tab.Q[:-1:2], tab.S[:-1:2], tab.R[:-1:2]
-    qv, rv = tab.q[:-1:2], tab.r[:-1:2]
-    hsteps = np.diff(grid.nodes)
-
-    policy = ControlPolicy.filter_feedback()
-    costs = np.empty(n_paths)
-    hatJ = np.empty(n_paths)
-    tilJ = np.empty(n_paths)
-
-    for j0 in range(0, n_paths, chunk_size):
-        j1 = min(j0 + chunk_size, n_paths)
-        dW, dWp = _noise_stack(seed, j0, j1, grid, model.dims)
-        arrs = _closed_loop_arrays(model, sol, policy, dW, dWp)
-        costs[j0:j1] = arrs["cost"]
-        Xh = arrs["Xhat"][:, :-1]
-        Xt = arrs["Xtil"][:, :-1]
-        U = arrs["u"][:, :-1]
-        hatJ[j0:j1] = (
-            np.einsum("pti,tij,ptj,t->p", Xh, Q, Xh, hsteps)
-            + 2.0 * np.einsum("pta,tab,ptb,t->p", U, S, Xh, hsteps)
-            + np.einsum("pta,tab,ptb,t->p", U, R, U, hsteps)
-            + 2.0 * np.einsum("pti,ti,t->p", Xh, qv, hsteps)
-            + 2.0 * np.einsum("pta,ta,t->p", U, rv, hsteps)
-        )
-        XhT = arrs["Xhat"][:, -1]
-        hatJ[j0:j1] += (np.einsum("pi,ij,pj->p", XhT, cw.G, XhT)
-                        + 2.0 * XhT @ cw.g)
-        tilJ[j0:j1] = (
-            np.einsum("pti,tij,ptj,t->p", Xt, Q, Xt, hsteps)
-            + 2.0 * np.einsum("pti,ti,t->p", Xt, qv, hsteps)
-        )
-        XtT = arrs["Xtil"][:, -1]
-        tilJ[j0:j1] += (np.einsum("pi,ij,pj->p", XtT, cw.G, XtT)
-                        + 2.0 * XtT @ cw.g)
-
+def decomposition_check(stats: PathStatistics) -> DecompositionReport:
+    """Test that the cross terms of the feedback cost split average to
+    zero and that the Xtil part matches tilde_J."""
+    costs = stats.costs[_FEEDBACK.label]
     cost_mean, cost_se = _seq_mean_se(costs)
-    hat_mean, hat_se = _seq_mean_se(hatJ)
-    til_mean, til_se = _seq_mean_se(tilJ)
-    cross_mean, cross_se = _seq_mean_se(hatJ + tilJ - costs)
+    hat_mean, hat_se = _seq_mean_se(stats.hatJ)
+    til_mean, til_se = _seq_mean_se(stats.tildeJ)
+    cross_mean, cross_se = _seq_mean_se(stats.hatJ + stats.tildeJ - costs)
 
     return DecompositionReport(
-        n_paths=n_paths,
+        n_paths=stats.n_paths,
         cost_mean=float(cost_mean), cost_se=float(cost_se),
         hatJ_mean=float(hat_mean), hatJ_se=float(hat_se),
         tildeJ_mean=float(til_mean), tildeJ_se=float(til_se),
-        tildeJ_analytic=tilde_J(model, sol),
+        tildeJ_analytic=stats.tildeJ_analytic,
         cross_mean=float(cross_mean), cross_se=float(cross_se),
     )
 

@@ -20,13 +20,13 @@ from polqg import (
     draw_noise,
     expected_discrete_error_cov,
     hat_J_floor,
-    iter_path_bundles,
     NodeTable,
     NoiseDraw,
     optimal_value,
     run_batch,
     simulate_closed_loop,
     simulate_error_direct,
+    simulate_statistics,
     solve_all,
     solve_P,
     solve_Sigma,
@@ -39,6 +39,7 @@ from oracles import benchmark_model, random_validated_model
 SEED = 20260
 N_PATHS = 20000
 FEEDBACK = ControlPolicy.filter_feedback()
+PERTURBED = ControlPolicy.perturbed_feedback(np.array([0.5]))
 
 
 def report(num, ok, detail):
@@ -60,25 +61,25 @@ def bench800():
 
 
 @pytest.fixture(scope="module")
-def cost_batches(bench400, bench800):
-    """The two 20000-path cost batches (fine and halved step), timed."""
+def mc_passes(bench400, bench800):
+    """One timed 20000-path pass per grid (fine and halved step).  Both
+    run the perturbed feedback beside the filter feedback; the fine one
+    also runs the zero control and records every probe node."""
     model4, _, sol4 = bench400
     model8, _, sol8 = bench800
     t0 = time.perf_counter()
-    rep4 = run_batch(model4, sol4, FEEDBACK, N_PATHS, SEED, probe_node=400)
-    rep8 = run_batch(model8, sol8, FEEDBACK, N_PATHS, SEED, probe_node=800)
+    st4 = simulate_statistics(model4, sol4, N_PATHS, SEED,
+                              probes=(100, 200, 300, 400),
+                              policies=[ControlPolicy.zero(), PERTURBED])
+    st8 = simulate_statistics(model8, sol8, N_PATHS, SEED, probes=(800,),
+                              policies=[PERTURBED])
     elapsed = time.perf_counter() - t0
-    return rep4, rep8, elapsed
+    return st4, st8, elapsed
 
 
 @pytest.fixture(scope="module")
-def probe_reports(bench400, cost_batches):
-    model, _, sol = bench400
-    reps = {400: cost_batches[0]}
-    for pn in (100, 200, 300):
-        reps[pn] = run_batch(model, sol, FEEDBACK, N_PATHS, SEED,
-                             probe_node=pn)
-    return reps
+def probe_reports(mc_passes):
+    return {pn: run_batch(mc_passes[0], pn) for pn in (100, 200, 300, 400)}
 
 
 def test_criterion_01_deterministic_solver_accuracy():
@@ -122,8 +123,9 @@ def test_criterion_03_filter_error_identity(bench400):
                   f"(<= 1e-10), {elapsed:.2f}s")
 
 
-def test_criterion_04_realized_cost_matches_value(cost_batches):
-    rep4, rep8, elapsed = cost_batches
+def test_criterion_04_realized_cost_matches_value(mc_passes):
+    st4, st8, elapsed = mc_passes
+    rep4, rep8 = run_batch(st4, 400), run_batch(st8, 800)
     total = rep4.analytic_value
     C_h = 2.0 * abs(rep4.cost_mean - rep8.cost_mean)
     gap = abs(rep4.cost_mean - total)
@@ -167,10 +169,9 @@ def test_criterion_06_error_orthogonal_to_filter(probe_reports):
            + f"; worst |stat|/3se {worst:.2f} (<= 1)")
 
 
-def test_criterion_07_innovation_is_brownian(bench400):
+def test_criterion_07_innovation_is_brownian(bench400, mc_passes):
     model, grid, sol = bench400
-    br = brownianity_report(iter_path_bundles(model, sol, FEEDBACK, N_PATHS,
-                                              SEED))
+    br = brownianity_report(mc_passes[0])
     tv_gap = float(np.abs(br.terminal_var - grid.T).max())
     tv_band = float(3.0 * br.terminal_var_se.max())
     lag = float(np.abs(br.lag1_autocorr).max())
@@ -180,14 +181,8 @@ def test_criterion_07_innovation_is_brownian(bench400):
            f"{tv_band:.5f}); lag-1 {lag:.2e} (band {br.lag1_band:.2e})")
 
 
-def test_criterion_08_feedback_beats_alternatives(bench400, bench800):
-    model4, grid4, sol4 = bench400
-    model8, _, sol8 = bench800
-    eps = np.array([0.5])
-    policies = [FEEDBACK, ControlPolicy.zero(),
-                ControlPolicy.perturbed_feedback(eps)]
-    comp4 = compare_policies(model4, sol4, policies, N_PATHS, SEED)
-    comp8 = compare_policies(model8, sol8, policies, N_PATHS, SEED)
+def test_criterion_08_feedback_beats_alternatives(mc_passes):
+    comp4, comp8 = (compare_policies(st) for st in mc_passes[:2])
     pert4, pert8 = (c.row("perturbed_feedback") for c in (comp4, comp8))
     # int <R eps, eps> dt with R = 1, eps = 0.5, T = 1
     pred = 0.25

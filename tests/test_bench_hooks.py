@@ -64,6 +64,9 @@ def test_traced_verify_runs(tmp_path):
             setattr(importlib.import_module(module), name, fn)
     assert code in (0, 4)
     metrics = tracer.layer_metrics(json.loads((tmp_path / "spans.json").read_text()))
-    assert metrics["simulate.kernel_calls"] > 0
+    # one pass per grid runs feedback, zero and perturbed feedback once
+    # each on one noise draw: 2 grids x 3 policies, no path simulated twice
+    assert metrics["simulate.kernel_calls"] == 6
+    assert metrics["simulate.distinct_ratio"] == 1.0
     assert metrics["detsolve.rk4_steps"] > 0
     assert np.isfinite(metrics["verify.reduce_s"])

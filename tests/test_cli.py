@@ -55,6 +55,17 @@ def test_validate_singular_K_exits_2(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_validate_nonfinite_K_exits_2(tmp_path, capsys):
+    doc = bench_doc()
+    doc["coefficients"]["constant"]["K"] = [[float("nan")]]
+    path = write_doc(tmp_path, doc)
+    assert main(["validate", "--scenario", path]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL  A1_coefficients_finite" in out
+    assert "FAIL  A2_K_invertible" in out
+    assert "validation: FAIL" in out
+
+
 def test_validate_asymmetric_G_exits_2(tmp_path, capsys):
     doc = bench_doc()
     doc["dims"] = {"n": 2, "m": 1, "d": 1, "k": 1}

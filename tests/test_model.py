@@ -145,6 +145,18 @@ def test_validate_singular_K_names_node():
     assert bad.worst_node == 2
 
 
+def test_validate_nonfinite_K_is_reported():
+    model, grid = benchmark_model(50)
+    K = np.ones((51, 1, 1))
+    K[3, 0, 0] = np.nan
+    report = validate(_with_K(model, grid, K))
+    assert not report.passed
+    for name in ("A1_coefficients_finite", "A2_K_invertible"):
+        bad = report.check(name)
+        assert not bad.passed
+        assert bad.worst_node == 3
+
+
 def test_validate_ill_conditioned_K():
     model, grid = benchmark_model(4)
     K = np.full((5, 1, 1), 1e-12)

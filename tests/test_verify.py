@@ -4,7 +4,6 @@ import pytest
 from polqg import (
     ControlPolicy,
     InsufficientPaths,
-    NoiseDraw,
     brownianity_report,
     compare_policies,
     decomposition_check,
@@ -14,8 +13,10 @@ from polqg import (
     iter_path_bundles,
     run_batch,
     simulate_closed_loop,
+    simulate_statistics,
     solve_all,
 )
+from polqg import verify
 
 from oracles import TOTAL, benchmark_model, random_validated_model
 
@@ -31,7 +32,8 @@ def bench100():
 @pytest.fixture(scope="module")
 def batch4000(bench100):
     model, grid, sol = bench100
-    return run_batch(model, sol, FEEDBACK, 4000, seed=101, probe_node=100)
+    return run_batch(simulate_statistics(model, sol, 4000, seed=101,
+                                         probes=(100,)), 100)
 
 
 def test_default_probe_nodes():
@@ -42,29 +44,36 @@ def test_default_probe_nodes():
 def test_run_batch_requires_two_paths(bench100):
     model, grid, sol = bench100
     with pytest.raises(InsufficientPaths):
-        run_batch(model, sol, FEEDBACK, 1, seed=0, probe_node=0)
+        simulate_statistics(model, sol, 1, seed=0, probes=(0,))
 
 
 def test_run_batch_probe_bounds(bench100):
     model, grid, sol = bench100
     with pytest.raises(IndexError):
-        run_batch(model, sol, FEEDBACK, 8, seed=0, probe_node=101)
+        simulate_statistics(model, sol, 8, seed=0, probes=(101,))
+    with pytest.raises(KeyError):
+        run_batch(simulate_statistics(model, sol, 8, seed=0, probes=(50,)), 100)
 
 
 def test_run_batch_chunk_invariance(bench100):
-    # the same paths aggregated in different chunkings agree bitwise
+    # the same paths aggregated in different chunkings agree bitwise, in
+    # every report read off the pass
     model, grid, sol = bench100
-    reports = [run_batch(model, sol, FEEDBACK, 100, seed=5, probe_node=50,
-                         chunk_size=cs) for cs in (7, 64, 100)]
-    base = reports[0]
-    for rep in reports[1:]:
-        assert rep.cost_mean == base.cost_mean
-        assert rep.cost_se == base.cost_se
-        assert rep.orth_stat == base.orth_stat
-        assert rep.innovation_qv_ratio == base.innovation_qv_ratio
-        np.testing.assert_array_equal(rep.emp_error_cov, base.emp_error_cov)
-        np.testing.assert_array_equal(rep.innovation_increment_mean,
-                                      base.innovation_increment_mean)
+    alternatives = [ControlPolicy.zero(),
+                    ControlPolicy.perturbed_feedback(np.full(1, 0.5))]
+    passes = [simulate_statistics(model, sol, 100, seed=5, probes=(50,),
+                                  policies=alternatives, chunk_size=cs)
+              for cs in (7, 64, 100)]
+    reports = [(run_batch(st, 50), brownianity_report(st),
+                decomposition_check(st)) for st in passes]
+    comparisons = [compare_policies(st) for st in passes]
+    assert len(comparisons[0].rows) == 3
+    for rep, comp in zip(reports[1:], comparisons[1:]):
+        assert comp == comparisons[0]
+        for got, want in zip(rep, reports[0]):
+            for field in got.__dataclass_fields__:
+                np.testing.assert_array_equal(getattr(got, field),
+                                              getattr(want, field), field)
 
 
 def test_iter_path_bundles_matches_single_simulation(bench100):
@@ -82,8 +91,10 @@ def test_iter_path_bundles_matches_single_simulation(bench100):
 
 def test_se_shrinks_like_sqrt_n(bench100):
     model, grid, sol = bench100
-    small = run_batch(model, sol, FEEDBACK, 400, seed=1, probe_node=50)
-    large = run_batch(model, sol, FEEDBACK, 6400, seed=1, probe_node=50)
+    small = run_batch(simulate_statistics(model, sol, 400, seed=1,
+                                          probes=(50,)), 50)
+    large = run_batch(simulate_statistics(model, sol, 6400, seed=1,
+                                          probes=(50,)), 50)
     ratio = large.cost_se / small.cost_se
     assert 0.20 <= ratio <= 0.31  # ideal 0.25
 
@@ -121,11 +132,10 @@ def test_innovation_statistics(batch4000):
 
 def test_compare_policies_rows(bench100):
     model, grid, sol = bench100
-    comp = compare_policies(
-        model, sol,
-        [FEEDBACK, ControlPolicy.zero(),
-         ControlPolicy.perturbed_feedback(np.zeros(1), label="same")],
-        n_paths=600, seed=23)
+    comp = compare_policies(simulate_statistics(
+        model, sol, 600, seed=23,
+        policies=[ControlPolicy.zero(),
+                  ControlPolicy.perturbed_feedback(np.zeros(1), label="same")]))
     means = [r.cost_mean for r in comp.rows]
     assert means == sorted(means)
     assert comp.row("filter_feedback").excess_mean is None
@@ -137,8 +147,8 @@ def test_compare_policies_rows(bench100):
 
 def test_compare_policies_zero_control_strictly_worse(bench100):
     model, grid, sol = bench100
-    comp = compare_policies(model, sol, [FEEDBACK, ControlPolicy.zero()],
-                            n_paths=2000, seed=29)
+    comp = compare_policies(simulate_statistics(
+        model, sol, 2000, seed=29, policies=[ControlPolicy.zero()]))
     zero = comp.row("zero")
     assert zero.excess_mean >= 2.0 * zero.excess_se
     assert comp.rows[0].label == "filter_feedback"
@@ -146,18 +156,22 @@ def test_compare_policies_zero_control_strictly_worse(bench100):
 
 def test_compare_policies_duplicate_labels(bench100):
     model, grid, sol = bench100
+    # feedback always runs, so an extra policy may not take its label
     with pytest.raises(ValueError):
-        compare_policies(model, sol, [FEEDBACK, FEEDBACK], 10, seed=0)
+        simulate_statistics(model, sol, 10, seed=0, policies=[FEEDBACK])
+    with pytest.raises(ValueError):
+        simulate_statistics(model, sol, 10, seed=0,
+                            policies=[ControlPolicy.zero()] * 2)
     with pytest.raises(InsufficientPaths):
-        compare_policies(model, sol, [FEEDBACK], 1, seed=0)
+        simulate_statistics(model, sol, 1, seed=0,
+                            policies=[ControlPolicy.zero()])
 
 
 # --------------------------------------------------------------- brownianity
 
 def test_brownianity_real_noise(bench100):
     model, grid, sol = bench100
-    rep = brownianity_report(iter_path_bundles(model, sol, FEEDBACK, 400,
-                                               seed=41))
+    rep = brownianity_report(simulate_statistics(model, sol, 400, seed=41))
     assert rep.n_paths == 400 and rep.steps == 100
     assert np.abs(rep.increment_mean).max() <= 3.5 * rep.increment_mean_se.max()
     assert np.abs(rep.increment_var / grid.h - 1.0).max() <= 0.05
@@ -165,13 +179,16 @@ def test_brownianity_real_noise(bench100):
     assert (np.abs(rep.terminal_var - grid.T) <= 3.5 * rep.terminal_var_se).all()
 
 
-def test_brownianity_zero_noise_degenerates_cleanly(bench100):
+def test_brownianity_zero_noise_degenerates_cleanly(bench100, monkeypatch):
     model, grid, sol = bench100
-    zero = NoiseDraw(grid, np.zeros((grid.steps, 1)),
-                     np.zeros((grid.steps, 1)))
-    bundles = [simulate_closed_loop(model, sol, FEEDBACK, zero)
-               for _ in range(3)]
-    rep = brownianity_report(bundles)
+
+    def zero_noise(seed, j0, j1, grid, dims):
+        return (np.zeros((j1 - j0, grid.steps, dims.d)),
+                np.zeros((j1 - j0, grid.steps, dims.k)))
+
+    # the pass draws its increments through the module's _noise_stack
+    monkeypatch.setattr(verify, "_noise_stack", zero_noise)
+    rep = brownianity_report(simulate_statistics(model, sol, 3, seed=0))
     assert (rep.increment_mean == 0.0).all()
     assert (rep.increment_var == 0.0).all()
     assert (rep.lag1_autocorr == 0.0).all()
@@ -181,17 +198,15 @@ def test_brownianity_zero_noise_degenerates_cleanly(bench100):
 
 def test_brownianity_requires_two_paths(bench100):
     model, grid, sol = bench100
-    noise = draw_noise(0, 0, grid, model.dims)
-    bundle = simulate_closed_loop(model, sol, FEEDBACK, noise)
     with pytest.raises(InsufficientPaths):
-        brownianity_report([bundle])
+        brownianity_report(simulate_statistics(model, sol, 1, seed=0))
 
 
 # ------------------------------------------------------------- decomposition
 
 def test_decomposition_cross_terms_vanish(bench100):
     model, grid, sol = bench100
-    rep = decomposition_check(model, sol, 2000, seed=47)
+    rep = decomposition_check(simulate_statistics(model, sol, 2000, seed=47))
     assert abs(rep.cross_mean) <= 3.5 * rep.cross_se
     assert abs(rep.tildeJ_mean - rep.tildeJ_analytic) <= (
         3.5 * rep.tildeJ_se + 0.05)
@@ -203,7 +218,7 @@ def test_decomposition_random_model():
     rng = np.random.default_rng(53)
     model, grid = random_validated_model(rng, steps=80)
     sol = solve_all(model, grid)
-    rep = decomposition_check(model, sol, 1500, seed=59)
+    rep = decomposition_check(simulate_statistics(model, sol, 1500, seed=59))
     assert abs(rep.cross_mean) <= 4.0 * rep.cross_se + 1e-10
 
 
@@ -231,8 +246,8 @@ def test_discrete_cov_matches_empirical_on_coarse_grid():
     # and the empirical covariance follows the chain, not Sigma
     model, grid = benchmark_model(20)
     sol = solve_all(model, grid)
-    rep = run_batch(model, sol, FEEDBACK, 4000, seed=61,
-                    probe_node=grid.steps)
+    rep = run_batch(simulate_statistics(model, sol, 4000, seed=61,
+                                        probes=(grid.steps,)), grid.steps)
     chain = expected_discrete_error_cov(model, sol)[-1]
     assert (np.abs(rep.emp_error_cov - chain)
             <= 3.5 * rep.emp_error_cov_se).all()
