@@ -51,9 +51,7 @@ from .value import (
     ValueBreakdown,
     hat_J_floor,
     optimal_value,
-    running_cost,
-    square_residual,
-    terminal_cost,
+    path_cost,
     tilde_J,
 )
 from .simulate import (
@@ -62,7 +60,6 @@ from .simulate import (
     PathBundle,
     bundle_to_csv,
     draw_noise,
-    policy_feedback,
     simulate_closed_loop,
     simulate_error_direct,
 )

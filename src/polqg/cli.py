@@ -66,8 +66,8 @@ from .verify import (
     simulate_statistics,
 )
 
-__all__ = ["Scenario", "parse_scenario", "serialize_scenario",
-           "cmd_validate", "cmd_solve", "cmd_simulate", "cmd_verify", "main"]
+__all__ = ["Scenario", "parse_scenario", "cmd_validate", "cmd_solve",
+           "cmd_simulate", "cmd_verify", "main"]
 
 FORMAT_VERSION = 1
 ENV_SEED = "POLQG_SEED"
@@ -240,44 +240,6 @@ def parse_scenario(text: str) -> Scenario:
     return Scenario(model=model, grid=grid, policy=policy, n_paths=n_paths,
                     seed=seed, probe_times=probe_times, out_dir=out_dir,
                     formats=formats, tolerances=tol)
-
-
-def serialize_scenario(sc: Scenario) -> str:
-    """Scenario back to JSON text (always table form, lossless)."""
-    co, cw = sc.model.coeffs, sc.model.cost
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "dims": {"n": sc.model.dims.n, "m": sc.model.dims.m,
-                 "d": sc.model.dims.d, "k": sc.model.dims.k},
-        "T": sc.grid.T,
-        "steps": sc.grid.steps,
-        "x0": sc.model.x0.tolist(),
-        "coefficients": {"table": {f: getattr(co, f).tolist() for f in _COEFF_FIELDS}},
-        "cost": {"G": cw.G.tolist(), "g": cw.g.tolist(),
-                 "table": {f: getattr(cw, f).tolist() for f in _COST_RUN_FIELDS}},
-        "delta": cw.delta,
-        "tolerances": {"psd_tol": sc.tolerances.psd_tol,
-                       "sym_tol": sc.tolerances.sym_tol,
-                       "k_cond_bound": sc.tolerances.k_cond_bound},
-        "policy": _policy_to_spec(sc.policy),
-        "mc": {"n_paths": sc.n_paths, "seed": sc.seed},
-    }
-    if sc.probe_times is not None:
-        doc["mc"]["probe_times"] = list(sc.probe_times)
-    if sc.out_dir is not None:
-        doc["output"] = {"directory": sc.out_dir, "formats": list(sc.formats)}
-    return json.dumps(doc, indent=1)
-
-
-def _policy_to_spec(policy: ControlPolicy) -> dict:
-    spec = {"kind": policy.kind}
-    if policy.kind == "open_loop":
-        spec["table"] = policy.table.tolist()
-    elif policy.kind == "perturbed_feedback":
-        spec["offset"] = policy.table.tolist()
-    if policy.label != policy.kind:
-        spec["label"] = policy.label
-    return spec
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,9 @@ from .model import (
     TimeGrid,
     ToleranceConfig,
     at_knots,
-    interp_table,
     solve_stack,
 )
+from .model import interp_table  # noqa: F401  bench/tracer.py counts its calls here by name
 from .model import table_at_nodes  # noqa: F401  bench/tracer.py wraps it here by name
 
 __all__ = [
@@ -66,9 +66,6 @@ class MatrixPath:
 
     grid: TimeGrid
     values: np.ndarray  # (steps+1, ...)
-
-    def at(self, t: float) -> np.ndarray:
-        return interp_table(self.grid, self.values, t)
 
     def knots(self) -> np.ndarray:
         """Values at the knots of the grid, for the RK4 stages of a later
@@ -110,7 +107,8 @@ def integrate_matrix_ode(
     """Classical fixed-step RK4 over the grid, either direction.
 
     rhs(j, y) is evaluated at knot j of the grid (see TimeGrid.knots):
-    step i uses knots 2i, 2i+1 (twice) and 2i+2.
+    the step between t_i and t_{i+1} uses knots 2i, 2i+1 (twice) and 2i+2,
+    in reverse order and with a negative step when integrating backward.
     forward: boundary is the value at t_0, integrate up to t_N.
     backward: boundary is the value at t_N, integrate down to t_0.
     The boundary node stores `boundary` unchanged.  Raises NonFinite,
@@ -122,37 +120,22 @@ def integrate_matrix_ode(
     nodes = grid.nodes
     y = np.array(boundary, dtype=float)
     out = np.empty((grid.steps + 1,) + y.shape)
-
-    if direction == "forward":
-        out[0] = y
-        for i in range(grid.steps):
-            hs = nodes[i + 1] - nodes[i]
-            j = 2 * i
-            k1 = rhs(j, y)
-            k2 = rhs(j + 1, y + (0.5 * hs) * k1)
-            k3 = rhs(j + 1, y + (0.5 * hs) * k2)
-            k4 = rhs(j + 2, y + hs * k3)
-            y = y + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if post_step is not None:
-                y = post_step(y)
-            if not np.isfinite(y).all():
-                raise NonFinite(what, i + 1)
-            out[i + 1] = y
-    else:
-        out[grid.steps] = y
-        for i in range(grid.steps - 1, -1, -1):
-            hs = nodes[i + 1] - nodes[i]
-            j = 2 * i
-            k1 = rhs(j + 2, y)
-            k2 = rhs(j + 1, y - (0.5 * hs) * k1)
-            k3 = rhs(j + 1, y - (0.5 * hs) * k2)
-            k4 = rhs(j, y - hs * k3)
-            y = y - (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if post_step is not None:
-                y = post_step(y)
-            if not np.isfinite(y).all():
-                raise NonFinite(what, i)
-            out[i] = y
+    forward = direction == "forward"
+    out[0 if forward else grid.steps] = y
+    for i in (range(grid.steps) if forward else range(grid.steps - 1, -1, -1)):
+        # one step from node a to node b, hs signed; knot a + b is the midpoint
+        a, b = (i, i + 1) if forward else (i + 1, i)
+        hs = nodes[b] - nodes[a]
+        k1 = rhs(2 * a, y)
+        k2 = rhs(a + b, y + (0.5 * hs) * k1)
+        k3 = rhs(a + b, y + (0.5 * hs) * k2)
+        k4 = rhs(2 * b, y + hs * k3)
+        y = y + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if post_step is not None:
+            y = post_step(y)
+        if not np.isfinite(y).all():
+            raise NonFinite(what, b)
+        out[b] = y
     return out
 
 

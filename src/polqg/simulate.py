@@ -9,11 +9,13 @@ One step, all left-endpoint coefficients, in this exact order:
   Xhat_{i+1} = Xhat_i + (A Xhat_i + B u_i + a) h + (Sigma H^T + C K^T) N^{-1} dV_i
   Vcheck_{i+1} = Vcheck_i + K^{-1} dV_i
 
-Policies only ever see the filtered state, never the truth.  Realized cost
-is the left Riemann sum of the running cost along the true path plus the
-terminal cost.  Noise comes from a counter-based generator keyed by
-(seed, path_index), so any path can be regenerated on its own and batches
-are bitwise independent of scheduling.
+Policies only ever see the filtered state, never the truth; the control
+law, the optimal u = Theta Xhat - R^{-1}(B^T phi + r) and its variants,
+lives only in _policy_controls.  The realized cost is computed after
+stepping, by value.path_cost on the true path: the left Riemann sum of the
+running cost plus the terminal cost.  Noise comes from a counter-based
+generator keyed by (seed, path_index), so any path can be regenerated on
+its own and batches are bitwise independent of scheduling.
 
 The stepping kernel is vectorized over a leading path axis; the public
 single-path functions run it with one path, so batch and single-path
@@ -30,8 +32,10 @@ import numpy as np
 
 from .detsolve import DeterministicSolution
 from .errors import NonFinite, ShapeMismatch
-from .model import ModelSpec, Dimensions, TimeGrid, interp_table
+from .model import ModelSpec, Dimensions, TimeGrid
+from .model import interp_table  # noqa: F401  bench/tracer.py counts its calls here by name
 from .model import table_at_nodes  # noqa: F401  bench/tracer.py wraps it here by name
+from .value import path_cost
 
 __all__ = [
     "NoiseDraw",
@@ -40,7 +44,6 @@ __all__ = [
     "draw_noise",
     "simulate_closed_loop",
     "simulate_error_direct",
-    "policy_feedback",
     "bundle_to_csv",
 ]
 
@@ -170,7 +173,6 @@ def _closed_loop_arrays(model: ModelSpec, sol: DeterministicSolution,
     V = np.empty((npaths, N + 1, d))
     Vcheck = np.empty((npaths, N + 1, d))
     u = np.empty((npaths, N + 1, m))
-    cost = np.zeros(npaths)
 
     X[:, 0] = model.x0
     Xhat[:, 0] = model.x0
@@ -185,14 +187,6 @@ def _closed_loop_arrays(model: ModelSpec, sol: DeterministicSolution,
         Xi, Xhi, Yi = X[:, i], Xhat[:, i], Y[:, i]
         Ui = _policy_controls(policy, sol, i, Xhi, m)
         u[:, i] = Ui
-
-        cost += hs * (
-            np.einsum("pi,ij,pj->p", Xi, tab.Q[j], Xi)
-            + 2.0 * np.einsum("pa,ab,pb->p", Ui, tab.S[j], Xi)
-            + np.einsum("pa,ab,pb->p", Ui, tab.R[j], Ui)
-            + 2.0 * Xi @ tab.q[j] + 2.0 * Ui @ tab.r[j]
-        )
-
         drift_truth = Xi @ tab.A[j].T + Ui @ tab.B[j].T + tab.a[j]
         X[:, i + 1] = (Xi + hs * drift_truth + dW[:, i] @ tab.C[j].T
                        + dWp[:, i] @ tab.D[j].T)
@@ -209,11 +203,8 @@ def _closed_loop_arrays(model: ModelSpec, sol: DeterministicSolution,
             raise NonFinite("simulate_closed_loop", i + 1)
 
     u[:, N] = _policy_controls(policy, sol, N, Xhat[:, N], m)
-    XT = X[:, N]
-    cost += (np.einsum("pi,ij,pj->p", XT, model.cost.G, XT)
-             + 2.0 * XT @ model.cost.g)
     return {"X": X, "Y": Y, "Xhat": Xhat, "Xtil": X - Xhat, "V": V,
-            "Vcheck": Vcheck, "u": u, "cost": cost}
+            "Vcheck": Vcheck, "u": u, "cost": path_cost(tab, X, u)}
 
 
 def _bundle(grid: TimeGrid, arrs, p: int) -> PathBundle:
@@ -265,16 +256,6 @@ def simulate_error_direct(model: ModelSpec, sol: DeterministicSolution,
     if noise.grid.steps != sol.grid.steps or noise.grid.T != sol.grid.T:
         raise ShapeMismatch("noise grid does not match the solution grid")
     return _error_direct_arrays(model, sol, noise.dW[None, ...], noise.dWp[None, ...])[0]
-
-
-def policy_feedback(t: float, xhat: np.ndarray, sol: DeterministicSolution,
-                    model: ModelSpec) -> np.ndarray:
-    """Optimal control Theta(t) xhat - R^{-1}(B^T phi + r)(t)."""
-    co, cw = model.coeffs, model.cost
-    B = interp_table(co.grid, co.B, t)
-    R = interp_table(cw.grid, cw.R, t)
-    v = B.T @ sol.phi.at(t) + interp_table(cw.grid, cw.r, t)
-    return sol.Theta.at(t) @ np.asarray(xhat, dtype=float) - np.linalg.solve(R, v)
 
 
 def bundle_to_csv(bundle: PathBundle, fileobj):

@@ -1,4 +1,13 @@
-"""Cost functionals and the closed-form value of the optimal policy.
+"""The cost functional and the closed-form value of the optimal policy.
+
+path_cost is the one place the paper's cost functional
+
+    J(u) = <G X_T, X_T> + 2 <g, X_T>
+           + int <Q X, X> + 2 <S X, u> + <R u, u> + 2 <q, X> + 2 <r, u> dt
+
+is evaluated: on whole simulated paths, as a left Riemann sum over the
+nodes of the solution grid.  The simulator's realized cost and both halves
+of the split along X = Xhat + Xtil read it.
 
 The optimal value splits into a quadratic and linear part in the initial
 state plus five time integrals.  Two of the integrals (the Pi terms) make
@@ -20,18 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detsolve import DeterministicSolution
-from .model import ModelSpec, interp_table
+from .model import ModelSpec, NodeTable
+from .model import interp_table  # noqa: F401  bench/tracer.py counts its calls here by name
 from .model import table_at_nodes  # noqa: F401  bench/tracer.py wraps it here by name
-from .simulate import policy_feedback
 
 __all__ = [
     "ValueBreakdown",
-    "running_cost",
-    "terminal_cost",
+    "path_cost",
     "optimal_value",
     "tilde_J",
     "hat_J_floor",
-    "square_residual",
 ]
 
 
@@ -62,18 +69,31 @@ class ValueBreakdown:
         }
 
 
-def running_cost(t: float, x: np.ndarray, u: np.ndarray, model: ModelSpec) -> float:
-    """<Qx,x> + 2<Sx,u> + <Ru,u> + 2<q,x> + 2<r,u> at time t."""
-    cw = model.cost
-    Q, S, R, q, r = (interp_table(cw.grid, getattr(cw, f), t)
-                     for f in ("Q", "S", "R", "q", "r"))
-    return float(x @ (Q @ x) + 2.0 * u @ (S @ x) + u @ (R @ u)
-                 + 2.0 * q @ x + 2.0 * r @ u)
+def path_cost(tab: NodeTable, X: np.ndarray, U) -> np.ndarray:
+    """Cost of each path: X is (paths, N+1, n) on the nodes of tab's grid,
+    U the controls, (paths, N+1, m) or anything that broadcasts to it.
 
-
-def terminal_cost(xT: np.ndarray, model: ModelSpec) -> float:
-    """<G x_T, x_T> + 2 <g, x_T>."""
-    return float(xT @ (model.cost.G @ xT) + 2.0 * model.cost.g @ xT)
+    The running cost is a left Riemann sum over nodes 0..N-1 with the cost
+    weights at those nodes; the controls at node N are never read.  Each
+    term is one contraction over (time, components), so the cost never
+    materializes a (paths, N) array.
+    """
+    U = np.broadcast_to(U, X.shape[:2] + (tab.dims.m,))
+    # left-endpoint weights: nodes 0..N-1 are the even knots before the last
+    Q, S, R = tab.Q[:-1:2], tab.S[:-1:2], tab.R[:-1:2]
+    q, r = tab.q[:-1:2], tab.r[:-1:2]
+    hsteps = np.diff(tab.grid.nodes)
+    Xs, Us = X[:, :-1], U[:, :-1]
+    running = (
+        np.einsum("pti,tij,ptj,t->p", Xs, Q, Xs, hsteps)
+        + 2.0 * np.einsum("pta,tab,ptb,t->p", Us, S, Xs, hsteps)
+        + np.einsum("pta,tab,ptb,t->p", Us, R, Us, hsteps)
+        + 2.0 * np.einsum("pti,ti,t->p", Xs, q, hsteps)
+        + 2.0 * np.einsum("pta,ta,t->p", Us, r, hsteps)
+    )
+    XT = X[:, -1]
+    terminal = np.einsum("pi,ij,pj->p", XT, tab.G, XT) + 2.0 * XT @ tab.g
+    return running + terminal
 
 
 def optimal_value(model: ModelSpec, sol: DeterministicSolution) -> ValueBreakdown:
@@ -115,11 +135,3 @@ def hat_J_floor(model: ModelSpec, sol: DeterministicSolution) -> float:
     vb = optimal_value(model, sol)
     return (vb.quadratic_term + vb.linear_term + vb.PDeltaC_integral
             + vb.Rinv_integral + vb.phia_integral)
-
-
-def square_residual(t: float, xhat: np.ndarray, u: np.ndarray,
-                    sol: DeterministicSolution, model: ModelSpec) -> float:
-    """Penalty <R w, w> for deviating by w from the optimal feedback at
-    filtered state xhat; zero exactly at the optimal control."""
-    w = policy_feedback(t, xhat, sol, model) - u
-    return float(w @ (interp_table(model.cost.grid, model.cost.R, t) @ w))

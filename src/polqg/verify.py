@@ -33,7 +33,7 @@ from .simulate import (
     _closed_loop_arrays,
     draw_noise,
 )
-from .value import optimal_value, tilde_J
+from .value import optimal_value, path_cost, tilde_J
 
 __all__ = [
     "PathStatistics",
@@ -138,10 +138,11 @@ class PathStatistics:
     tildeJ: np.ndarray             # (n_paths,) cost along Xtil
 
 
-def _record_feedback(model: ModelSpec, arrs, stats: PathStatistics,
-                     rows: slice):
+def _record_feedback(arrs, stats: PathStatistics, rows: slice):
     """Write the per-path numbers of one chunk of filter feedback paths
-    into rows of stats."""
+    into rows of stats: the probe statistics, the innovation increment
+    sums, and the cost split along X = Xhat + Xtil, where value.path_cost
+    prices Xhat with the applied controls and Xtil with none."""
     for pn in stats.error_outer:
         til = arrs["Xtil"][:, pn]
         stats.error_outer[pn][rows] = til[:, :, None] * til[:, None, :]
@@ -152,32 +153,9 @@ def _record_feedback(model: ModelSpec, arrs, stats: PathStatistics,
     stats.lag_sums[rows] = (dvc[:, :-1] * dvc[:, 1:]).sum(axis=1)
     stats.qv[rows] = np.einsum("ptd,ptd->p", dvc, dvc)
     stats.terminal[rows] = arrs["Vcheck"][:, -1]
-
-    # split each realized cost along X = Xhat + Xtil; left-endpoint
-    # weights: nodes 0..N-1 are the even knots before the last
-    cw, tab = model.cost, stats.sol.table
-    Q, S, R = tab.Q[:-1:2], tab.S[:-1:2], tab.R[:-1:2]
-    qv, rv = tab.q[:-1:2], tab.r[:-1:2]
-    hsteps = np.diff(stats.sol.grid.nodes)
-    Xh = arrs["Xhat"][:, :-1]
-    Xt = arrs["Xtil"][:, :-1]
-    U = arrs["u"][:, :-1]
-    hatJ = (
-        np.einsum("pti,tij,ptj,t->p", Xh, Q, Xh, hsteps)
-        + 2.0 * np.einsum("pta,tab,ptb,t->p", U, S, Xh, hsteps)
-        + np.einsum("pta,tab,ptb,t->p", U, R, U, hsteps)
-        + 2.0 * np.einsum("pti,ti,t->p", Xh, qv, hsteps)
-        + 2.0 * np.einsum("pta,ta,t->p", U, rv, hsteps)
-    )
-    XhT = arrs["Xhat"][:, -1]
-    hatJ += np.einsum("pi,ij,pj->p", XhT, cw.G, XhT) + 2.0 * XhT @ cw.g
-    tilJ = (
-        np.einsum("pti,tij,ptj,t->p", Xt, Q, Xt, hsteps)
-        + 2.0 * np.einsum("pti,ti,t->p", Xt, qv, hsteps)
-    )
-    XtT = arrs["Xtil"][:, -1]
-    tilJ += np.einsum("pi,ij,pj->p", XtT, cw.G, XtT) + 2.0 * XtT @ cw.g
-    stats.hatJ[rows], stats.tildeJ[rows] = hatJ, tilJ
+    tab = stats.sol.table
+    stats.hatJ[rows] = path_cost(tab, arrs["Xhat"], arrs["u"])
+    stats.tildeJ[rows] = path_cost(tab, arrs["Xtil"], 0.0)
 
 
 def simulate_statistics(model: ModelSpec, sol: DeterministicSolution,
@@ -214,7 +192,7 @@ def simulate_statistics(model: ModelSpec, sol: DeterministicSolution,
                                                  seed, chunk_size):
         stats.costs[policy.label][j0:j1] = arrs["cost"]
         if policy is _FEEDBACK:
-            _record_feedback(model, arrs, stats, slice(j0, j1))
+            _record_feedback(arrs, stats, slice(j0, j1))
         del arrs  # free this output before the next kernel call
     return stats
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from polqg import ToleranceConfig, compute_gain, solve_all
-from polqg.cli import _scaled_sigma_solution, main, parse_scenario, serialize_scenario
+from polqg.cli import _scaled_sigma_solution, main, parse_scenario
 
 from oracles import TOTAL, random_validated_model
 
@@ -314,23 +314,18 @@ def test_verify_degenerate_noiseless_scenario(tmp_path, capsys):
     assert main(["verify", "--scenario", path, "--out", str(out)]) == 0
 
 
-# ----------------------------------------------------------------- roundtrip
+# -------------------------------------------------------------------- parse
 
-def test_scenario_roundtrip(tmp_path):
+def test_scenario_parses_policy_and_mc():
     doc = bench_doc(policy={"kind": "perturbed_feedback", "offset": [0.5],
                             "label": "nudge"},
                     mc={"n_paths": 12, "seed": 4, "probe_times": [0.25, 1.0]})
     sc = parse_scenario(json.dumps(doc))
-    sc2 = parse_scenario(serialize_scenario(sc))
-    assert sc2.n_paths == sc.n_paths and sc2.seed == sc.seed
-    assert sc2.probe_times == sc.probe_times
-    assert sc2.policy.kind == "perturbed_feedback"
-    assert sc2.policy.label == "nudge"
-    np.testing.assert_array_equal(sc2.policy.table, sc.policy.table)
-    np.testing.assert_array_equal(sc2.model.coeffs.A, sc.model.coeffs.A)
-    np.testing.assert_array_equal(sc2.model.cost.R, sc.model.cost.R)
-    np.testing.assert_array_equal(sc2.model.x0, sc.model.x0)
-    assert sc2.grid == sc.grid
+    assert sc.n_paths == 12 and sc.seed == 4
+    assert sc.probe_times == (0.25, 1.0)
+    assert sc.policy.kind == "perturbed_feedback"
+    assert sc.policy.label == "nudge"
+    np.testing.assert_array_equal(sc.policy.table, [0.5])
 
 
 def test_scenario_defaults():

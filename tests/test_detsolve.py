@@ -285,13 +285,3 @@ def test_solve_all_single_step_grid():
     sol = solve_all(model, grid)
     assert np.isfinite(sol.P.values).all()
     assert sol.P.values.shape == (2, 1, 1)
-
-
-def test_path_interpolation():
-    model, grid = benchmark_model(10)
-    sol = solve_all(model, grid)
-    mid = 0.5 * (grid.nodes[3] + grid.nodes[4])
-    expect = 0.5 * (sol.P.values[3] + sol.P.values[4])
-    np.testing.assert_allclose(sol.P.at(mid), expect, rtol=1e-15)
-    np.testing.assert_array_equal(sol.P.at(float(grid.nodes[3])),
-                                  sol.P.values[3])

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -10,12 +11,10 @@ from polqg import (
     TimeGrid,
     bundle_to_csv,
     draw_noise,
-    policy_feedback,
-    running_cost,
     simulate_closed_loop,
     simulate_error_direct,
     solve_all,
-    terminal_cost,
+    validate,
 )
 
 from oracles import benchmark_model, random_validated_model
@@ -29,6 +28,21 @@ def zero_noise(grid, dims):
 @pytest.fixture(scope="module")
 def bench():
     model, grid = benchmark_model(200)
+    return model, grid, solve_all(model, grid)
+
+
+@pytest.fixture(scope="module")
+def tv():
+    # time-varying coefficients and cost weights, nonzero S, q and r, n=3, m=2
+    model, grid = random_validated_model(np.random.default_rng(100), steps=120,
+                                         time_varying=True)
+    w = 1.0 + grid.nodes[:, None]  # a positive ramp keeps the weights valid
+    cw = model.cost
+    cost = dataclasses.replace(cw, Q=cw.Q * w[..., None], S=cw.S * w[..., None],
+                               R=cw.R * w[..., None], q=cw.q * w, r=cw.r * w)
+    model = dataclasses.replace(model, cost=cost)
+    assert validate(model).passed
+    assert model.dims.n >= 2 and model.coeffs.grid == model.cost.grid == grid
     return model, grid, solve_all(model, grid)
 
 
@@ -142,14 +156,18 @@ def test_innovation_increments(bench):
 
 # ------------------------------------------------------------------ policies
 
-def test_policy_feedback_matches_kernel(bench):
-    model, grid, sol = bench
-    noise = draw_noise(2, 7, grid, model.dims)
-    bundle = simulate_closed_loop(model, sol, ControlPolicy.filter_feedback(),
-                                  noise)
-    for i in (0, 57, grid.steps):
-        want = policy_feedback(float(grid.nodes[i]), bundle.Xhat[i], sol, model)
-        np.testing.assert_allclose(bundle.u[i], want, rtol=1e-12, atol=1e-14)
+def test_policy_feedback_matches_kernel(bench, tv):
+    # u_i = Theta_i xhat_i - R_i^{-1}(B_i^T phi_i + r_i) from the model's own
+    # tables at the nodes, not from the solution's feed-forward
+    for model, grid, sol in (bench, tv):
+        noise = draw_noise(2, 7, grid, model.dims)
+        bundle = simulate_closed_loop(model, sol, ControlPolicy.filter_feedback(),
+                                      noise)
+        co, cw = model.coeffs, model.cost
+        for i in (0, 57, grid.steps):
+            v = co.B[i].T @ sol.phi.values[i] + cw.r[i]
+            want = sol.Theta.values[i] @ bundle.Xhat[i] - np.linalg.solve(cw.R[i], v)
+            np.testing.assert_allclose(bundle.u[i], want, rtol=1e-12, atol=1e-14)
 
 
 def test_zero_policy_controls(bench):
@@ -222,17 +240,21 @@ def test_grid_mismatch_rejected(bench):
 
 # ---------------------------------------------------------------------- cost
 
-def test_cost_is_left_riemann_plus_terminal(bench):
-    model, grid, sol = bench
-    noise = draw_noise(31, 6, grid, model.dims)
-    bundle = simulate_closed_loop(model, sol, ControlPolicy.filter_feedback(),
-                                  noise)
-    acc = 0.0
-    for i in range(grid.steps):
-        acc += grid.h * running_cost(float(grid.nodes[i]), bundle.X[i],
-                                     bundle.u[i], model)
-    acc += terminal_cost(bundle.X[-1], model)
-    assert bundle.cost == pytest.approx(acc, rel=1e-12)
+def test_cost_is_left_riemann_plus_terminal(bench, tv):
+    for model, grid, sol in (bench, tv):
+        noise = draw_noise(31, 6, grid, model.dims)
+        bundle = simulate_closed_loop(model, sol, ControlPolicy.filter_feedback(),
+                                      noise)
+        cw = model.cost
+        acc = 0.0
+        for i in range(grid.steps):
+            x, u = bundle.X[i], bundle.u[i]
+            acc += grid.h * (x @ cw.Q[i] @ x + 2.0 * u @ cw.S[i] @ x
+                             + u @ cw.R[i] @ u + 2.0 * cw.q[i] @ x
+                             + 2.0 * cw.r[i] @ u)
+        xT = bundle.X[-1]
+        acc += xT @ cw.G @ xT + 2.0 * cw.g @ xT
+        assert bundle.cost == pytest.approx(acc, rel=1e-12)
 
 
 # ----------------------------------------------------------------------- csv

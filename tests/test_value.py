@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from polqg import (
+    ControlPolicy,
+    NodeTable,
     hat_J_floor,
+    iter_path_bundles,
     optimal_value,
-    running_cost,
+    path_cost,
     solve_all,
-    square_residual,
-    terminal_cost,
     tilde_J,
 )
 
@@ -38,19 +39,47 @@ def test_oracle_constants_reproducible():
     assert abs(HAT_FLOOR - (np.tanh(1.0) + PDELTAC_INT)) < 1e-15
 
 
+def constant_paths(grid, x, u):
+    return (np.full((1, grid.steps + 1, 1), x), np.full((1, grid.steps + 1, 1), u))
+
+
 def test_running_cost_by_hand():
-    model, _ = benchmark_model(10)
-    # Q=R=1, S=q=r=0: cost is x^2 + u^2
-    assert running_cost(0.3, np.array([2.0]), np.array([3.0]), model) == 13.0
-    assert terminal_cost(np.array([5.0]), model) == 0.0
+    model, grid = benchmark_model(10, T=2.0)
+    X, U = constant_paths(grid, 2.0, 3.0)
+    # Q=R=1, S=q=r=0, G=g=0: x^2 + u^2 = 13 per unit time, no terminal cost
+    cost = path_cost(NodeTable.build(model, grid), X, U)
+    assert cost.shape == (1,)
+    assert cost[0] == pytest.approx(13.0 * 2.0, rel=1e-14)
 
 
 def test_running_cost_cross_terms():
-    model, _ = scalar_model(S=0.5, q=2.0, r=-1.0)
-    x, u = np.array([2.0]), np.array([3.0])
-    # x^2 + 2*0.5*x*u + u^2 + 2*2*x - 2*u
-    expect = 4.0 + 6.0 + 9.0 + 8.0 - 6.0
-    assert running_cost(0.0, x, u, model) == pytest.approx(expect, rel=1e-15)
+    model, grid = scalar_model(S=0.5, q=2.0, r=-1.0, G=3.0, g=0.5, T=2.0)
+    X, U = constant_paths(grid, 2.0, 3.0)
+    # x^2 + 2*0.5*x*u + u^2 + 2*2*x - 2*u = 21 per unit time, plus the
+    # terminal 3*x^2 + 2*0.5*x = 14
+    running = 4.0 + 6.0 + 9.0 + 8.0 - 6.0
+    cost = path_cost(NodeTable.build(model, grid), X, U)
+    assert cost[0] == pytest.approx(running * 2.0 + 14.0, rel=1e-14)
+
+
+def test_path_cost_independent_of_batch_size():
+    model, grid = benchmark_model(100)
+    sol = solve_all(model, grid)
+    bundles = list(iter_path_bundles(model, sol, ControlPolicy.filter_feedback(),
+                                     300, seed=4))
+    X = np.stack([b.X for b in bundles])
+    U = np.stack([b.u for b in bundles])
+    Xtil = np.stack([b.Xtil for b in bundles])
+    whole = path_cost(sol.table, X, U)
+    np.testing.assert_array_equal(whole, [b.cost for b in bundles])
+    whole_til = path_cost(sol.table, Xtil, 0.0)
+    for size in (1, 7, 64):
+        parts = [path_cost(sol.table, X[j:j + size], U[j:j + size])
+                 for j in range(0, 300, size)]
+        np.testing.assert_array_equal(np.concatenate(parts), whole)
+        parts = [path_cost(sol.table, Xtil[j:j + size], 0.0)
+                 for j in range(0, 300, size)]
+        np.testing.assert_array_equal(np.concatenate(parts), whole_til)
 
 
 def test_benchmark_values_match_oracles():
@@ -117,31 +146,3 @@ def test_tilde_zero_without_state_noise():
     model, grid = benchmark_model(100, D=0.0)
     sol = solve_all(model, grid)
     assert tilde_J(model, sol) == 0.0
-
-
-def test_square_residual():
-    model, grid = benchmark_model(100)
-    sol = solve_all(model, grid)
-    xhat = np.array([0.7])
-    for t in (0.0, 0.33, 1.0):
-        u_star = sol.Theta.at(t) @ xhat
-        assert square_residual(t, xhat, u_star, sol, model) <= 1e-30
-        off = square_residual(t, xhat, u_star + 0.5, sol, model)
-        # R = 1: penalty is exactly the squared offset
-        assert off == pytest.approx(0.25, rel=1e-12)
-
-
-def test_square_residual_uses_R_metric():
-    rng = np.random.default_rng(9)
-    model, grid = random_validated_model(rng)
-    sol = solve_all(model, grid)
-    m = model.dims.m
-    xhat = rng.standard_normal(model.dims.n)
-    w = rng.standard_normal(m)
-    t = 0.5
-    B = model.coeffs.B[0]
-    R = model.cost.R[0]
-    r = model.cost.r[0]
-    u = sol.Theta.at(t) @ xhat - np.linalg.solve(R, B.T @ sol.phi.at(t) + r) - w
-    assert square_residual(t, xhat, u, sol, model) == pytest.approx(
-        float(w @ R @ w), rel=1e-10)
