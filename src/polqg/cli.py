@@ -277,26 +277,31 @@ def _value_document(vb: ValueBreakdown) -> dict:
 
 
 def _series_rows(sol: DeterministicSolution):
-    """Long-format (series, t, value) rows for the main solution paths."""
-    rows = []
+    """Long-format rows for the main solution paths, as one block per
+    matrix (see _write_series_csv), entries in row-major order."""
     ts = sol.grid.nodes
-    named = [("P", sol.P.values), ("Sigma", sol.Sigma.values),
-             ("Theta", sol.Theta.values)]
-    for name, vals in named:
+    blocks = []
+    for name, vals in (("P", sol.P.values), ("Sigma", sol.Sigma.values),
+                       ("Theta", sol.Theta.values)):
         p, q = vals.shape[1], vals.shape[2]
-        for i in range(sol.grid.steps + 1):
-            for r in range(p):
-                for c in range(q):
-                    rows.append((f"{name}[{r},{c}]", float(ts[i]),
-                                 float(vals[i, r, c])))
-    return rows
+        names = [f"{name}[{r},{c}]" for r in range(p) for c in range(q)]
+        blocks.append((names, ts, vals.reshape(len(ts), p * q)))
+    return blocks
 
 
-def _write_series_csv(path: str, rows):
+def _write_series_csv(path: str, blocks):
+    """Write (names, t, values) blocks as series,t,value rows: for each
+    time t[i], one row per name k with the value values[i, k].  Each block
+    is formatted by one %.17g template repeated over its times."""
     with open(path, "w") as f:
         f.write("series,t,value\n")
-        for name, t, v in rows:
-            f.write(f"{name},{t:.17g},{v:.17g}\n")
+        for names, t, values in blocks:
+            t = np.asarray(t, dtype=float)
+            row = "".join(f"{nm},%.17g,%.17g\n" for nm in names)
+            args = np.empty((len(t), len(names), 2))
+            args[:, :, 0] = t[:, None]
+            args[:, :, 1] = values
+            f.write((row * len(t)) % tuple(args.ravel().tolist()))
 
 
 def _write_json(path: str, doc: dict):
@@ -538,7 +543,8 @@ def cmd_verify(args) -> int:
             for c in checks:
                 f.write(f"{c['name']},{c['estimate']:.17g},{c['se']:.17g},"
                         f"{c['target']:.17g},{c['band']:.17g},{c['passed']}\n")
-        _write_series_csv(os.path.join(out, "series.csv"), series)
+        _write_series_csv(os.path.join(out, "series.csv"),
+                          [([name], [t], [[v]]) for name, t, v in series])
     for c in checks:
         status = "pass" if c["passed"] else "FAIL"
         print(f"{status:4s}  {c['name']:32s} estimate={c['estimate']:.6g} "

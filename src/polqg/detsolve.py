@@ -15,11 +15,25 @@ RK4 (no adaptivity, so reruns are bitwise reproducible):
   ff     feed-forward R^{-1}(B^T phi + r) of the optimal control
 
 All of them read one NodeTable: the model's coefficients resampled once
-onto the nodes of the solve grid and the RK4 midpoints between them.  An
-RK4 stage indexes the table by knot; a path already computed on the grid
-enters the stages of a later equation the same way, its midpoint values
-interpolated linearly between nodes.  Symmetric matrices are
+onto the nodes of the solve grid and the RK4 midpoints between them,
+together with every operator the RK4 stages need, so no stage solves a
+linear system.  solve_all steps the five ODEs in three RK4 loops:
+
+  1. P and Sigma together, on a stacked (2, n, n) array with Sigma in
+     reversed time (_solve_riccati); both have the right-hand side
+     -(Y F + (Y F)^T - Y M Y + C) for knot arrays F, M and C.
+  2. phi, on its own, from the knot arrays -(A + B Theta)^T and
+     -Theta^T r - P a - q (solve_phi).
+  3. Pi and pi together, on Y = [Pi | pi] of shape (n, n+1), inside
+     solve_filter_side, so a rescaled Sigma rebuilds both.
+
+An RK4 stage indexes the table by knot; a path already computed on the
+grid enters the stages of a later equation the same way, its midpoint
+values interpolated linearly between nodes.  Symmetric matrices are
 re-symmetrized after every step so roundoff cannot accumulate skew.
+For callers that need one path, solve_P and solve_Sigma run loop 1 on
+that equation alone, and solve_Pi and solve_pi return their part of
+loop 3; solve_all calls none of them.
 """
 
 from __future__ import annotations
@@ -29,7 +43,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .errors import NonFinite, PSDViolation, SingularMatrix
+from .errors import NonFinite, PSDViolation
 from .model import (
     ModelSpec,
     NodeTable,
@@ -93,7 +107,7 @@ class DeterministicSolution:
 
 
 def _symmetrize(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + M.mT)
 
 
 def integrate_matrix_ode(
@@ -102,7 +116,7 @@ def integrate_matrix_ode(
     grid: TimeGrid,
     direction: Literal["forward", "backward"],
     post_step: Callable[[np.ndarray], np.ndarray] | None = None,
-    what: str = "integrate_matrix_ode",
+    what: str | Callable[[np.ndarray, int], NonFinite] = "integrate_matrix_ode",
 ) -> np.ndarray:
     """Classical fixed-step RK4 over the grid, either direction.
 
@@ -111,9 +125,10 @@ def integrate_matrix_ode(
     in reverse order and with a negative step when integrating backward.
     forward: boundary is the value at t_0, integrate up to t_N.
     backward: boundary is the value at t_N, integrate down to t_0.
-    The boundary node stores `boundary` unchanged.  Raises NonFinite,
-    naming `what` and the node, as soon as a step produces a NaN or
-    infinity.
+    The boundary node stores `boundary` unchanged.  As soon as a step
+    produces a NaN or infinity at node i it raises NonFinite(what, i), or,
+    when `what` is callable, what(y, i), so a stacked solve can name the
+    equation that blew up.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
@@ -134,7 +149,7 @@ def integrate_matrix_ode(
         if post_step is not None:
             y = post_step(y)
         if not np.isfinite(y).all():
-            raise NonFinite(what, b)
+            raise what(y, b) if callable(what) else NonFinite(what, b)
         out[b] = y
     return out
 
@@ -148,27 +163,60 @@ def _assert_psd(name: str, values: np.ndarray, psd_tol: float):
         raise PSDViolation(name, i, float(eigmin[i]), float(floor[i]))
 
 
-def _solve(mat: np.ndarray, rhs: np.ndarray, name: str, t: float) -> np.ndarray:
-    try:
-        return np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError:
-        raise SingularMatrix(name, t) from None
+def _riccati_operators(tab: NodeTable, name: str):
+    """Knot arrays (F, M, C) of P or Sigma, stepped backward from t_N as
+    dY/dt = -(Y F + (Y F)^T - Y M Y + C):
+
+    P:     dP/dt = -(P Abar + Abar^T P - P B R^{-1} B^T P + Qbar).
+    Sigma runs forward from t_0, so its slot at node i holds
+    Sigma(t_{N-i}) and its arrays are reversed in knot order; in reversed
+    time dSigma/dt = Acl Sigma + Sigma Acl^T - Sigma H^T N^{-1} H Sigma + D D^T
+    takes the same form with F = Acl^T, M = H^T N^{-1} H and C = D D^T.
+    """
+    if name == "P":
+        return tab.Abar, tab.BRBt, tab.Qbar
+    return tab.Acl.mT[::-1], tab.HNH[::-1], tab.DDt[::-1]
+
+
+def _solve_riccati(tab: NodeTable, names=("P", "Sigma"),
+                   tol: ToleranceConfig = ToleranceConfig()) -> dict[str, MatrixPath]:
+    """The Riccati paths named in `names` ("P", "Sigma" or both) in one RK4
+    loop over a stacked (len(names), n, n) array.
+
+    P ends at G and Sigma starts at 0, both stored bitwise; every step is
+    symmetrized, and each path is checked positive semidefinite at every
+    node.  A blow-up raises NonFinite naming the equation and its node.
+    """
+    N, n = tab.grid.steps, tab.dims.n
+    F, M_half, minus_C = (np.stack(ops, axis=1)
+                          for ops in zip(*(_riccati_operators(tab, nm) for nm in names)))
+    M_half *= 0.5
+    np.negative(minus_C, out=minus_C)
+
+    def rhs(j, Y):
+        # two products: Y F + (Y F)^T - Y M Y = Z + Z^T for Z = Y (F - M Y / 2)
+        Z = Y @ (F[j] - M_half[j] @ Y)
+        return minus_C[j] - (Z + Z.mT)
+
+    def blowup(Y, i):
+        k = int(np.argmin(np.isfinite(Y).all(axis=(1, 2))))
+        return NonFinite(names[k], i if names[k] == "P" else N - i)
+
+    boundary = np.stack([tab.G if nm == "P" else np.zeros((n, n)) for nm in names])
+    out = integrate_matrix_ode(rhs, boundary, tab.grid, "backward",
+                               post_step=_symmetrize, what=blowup)
+    paths = {}
+    for k, nm in enumerate(names):
+        values = np.ascontiguousarray(out[:, k] if nm == "P" else out[::-1, k])
+        _assert_psd(nm, values, tol.psd_tol)
+        paths[nm] = MatrixPath(tab.grid, values)
+    return paths
 
 
 def solve_P(tab: NodeTable, tol: ToleranceConfig = ToleranceConfig()) -> MatrixPath:
     """Backward Riccati path with terminal value G, symmetrized each step
     and checked positive semidefinite at every node."""
-
-    def rhs(j, P):
-        A = tab.A[j]
-        BtPS = tab.B[j].T @ P + tab.S[j]
-        return (-(P @ A) - A.T @ P - tab.Q[j]
-                + BtPS.T @ _solve(tab.R[j], BtPS, "R", float(tab.grid.knots[j])))
-
-    values = integrate_matrix_ode(rhs, tab.G, tab.grid, "backward",
-                                  post_step=_symmetrize, what="P")
-    _assert_psd("P", values, tol.psd_tol)
-    return MatrixPath(tab.grid, values)
+    return _solve_riccati(tab, ("P",), tol)["P"]
 
 
 def compute_Theta(P: MatrixPath, tab: NodeTable) -> MatrixPath:
@@ -178,15 +226,14 @@ def compute_Theta(P: MatrixPath, tab: NodeTable) -> MatrixPath:
 
 
 def solve_phi(tab: NodeTable, Theta: MatrixPath, P: MatrixPath) -> MatrixPath:
-    """Backward affine offset with terminal value g."""
+    """Backward affine offset with terminal value g:
+    dphi/dt = -(A + B Theta)^T phi - Theta^T r - P a - q, whose matrix and
+    constant term are built at every knot before the loop."""
     Th_k, P_k = Theta.knots(), P.knots()
-
-    def rhs(j, phi):
-        Th = Th_k[j]
-        return (-(tab.A[j] + tab.B[j] @ Th).T @ phi - Th.T @ tab.r[j]
-                - P_k[j] @ tab.a[j] - tab.q[j])
-
-    values = integrate_matrix_ode(rhs, tab.g, tab.grid, "backward", what="phi")
+    F = -(tab.A + tab.B @ Th_k).mT
+    c = -(Th_k.mT @ tab.r[..., None] + P_k @ tab.a[..., None])[..., 0] - tab.q
+    values = integrate_matrix_ode(lambda j, phi: F[j] @ phi + c[j], tab.g,
+                                  tab.grid, "backward", what="phi")
     return MatrixPath(tab.grid, values)
 
 
@@ -199,18 +246,7 @@ def compute_ff(phi: MatrixPath, tab: NodeTable) -> MatrixPath:
 
 def solve_Sigma(tab: NodeTable, tol: ToleranceConfig = ToleranceConfig()) -> MatrixPath:
     """Forward filter error covariance from Sigma(0) = 0."""
-
-    def rhs(j, Sig):
-        Acl, H = tab.Acl[j], tab.H[j]
-        SH = Sig @ H.T
-        SHNHS = SH @ _solve(tab.N[j], H @ Sig, "N", float(tab.grid.knots[j]))
-        return Acl @ Sig + Sig @ Acl.T - SHNHS + tab.DDt[j]
-
-    n = tab.dims.n
-    values = integrate_matrix_ode(rhs, np.zeros((n, n)), tab.grid, "forward",
-                                  post_step=_symmetrize, what="Sigma")
-    _assert_psd("Sigma", values, tol.psd_tol)
-    return MatrixPath(tab.grid, values)
+    return _solve_riccati(tab, ("Sigma",), tol)["Sigma"]
 
 
 def compute_Delta(Sigma: MatrixPath, tab: NodeTable) -> MatrixPath:
@@ -230,56 +266,80 @@ def compute_curlyA(gain: MatrixPath, tab: NodeTable) -> MatrixPath:
     return MatrixPath(gain.grid, tab.A[::2] - gain.values @ tab.H[::2])
 
 
+def _solve_Pi_pi(tab: NodeTable, curlyA: MatrixPath) -> tuple[MatrixPath, MatrixPath]:
+    """Pi (terminal value G) and pi (terminal value g) in one backward RK4
+    loop over Y = [Pi | pi], shape (n, n+1):
+
+        dY/dt = -(curlyA^T Y + Y W + [Q | q]),  W = [[curlyA, 0], [0, 0]],
+
+    whose first n columns are dPi/dt = -(Pi curlyA + curlyA^T Pi + Q) and
+    whose last is dpi/dt = -(curlyA^T pi + q).  The Pi block is
+    symmetrized each step.
+    """
+    n = tab.dims.n
+    Av = curlyA.knots()
+    AvT = np.ascontiguousarray(Av.mT)
+    W = np.zeros((len(Av), n + 1, n + 1))
+    W[:, :n, :n] = Av
+    minus_Qq = -np.concatenate((tab.Q, tab.q[..., None]), axis=-1)
+
+    def rhs(j, Y):
+        return minus_Qq[j] - (AvT[j] @ Y + Y @ W[j])
+
+    def symmetrize_Pi(Y):
+        Y[:, :n] = _symmetrize(Y[:, :n])
+        return Y
+
+    def blowup(Y, i):
+        return NonFinite("pi" if np.isfinite(Y[:, :n]).all() else "Pi", i)
+
+    boundary = np.concatenate((tab.G, tab.g[:, None]), axis=1)
+    out = integrate_matrix_ode(rhs, boundary, tab.grid, "backward",
+                               post_step=symmetrize_Pi, what=blowup)
+    return (MatrixPath(tab.grid, np.ascontiguousarray(out[:, :, :n])),
+            MatrixPath(tab.grid, np.ascontiguousarray(out[:, :, n])))
+
+
 def solve_Pi(tab: NodeTable, curlyA: MatrixPath,
              tol: ToleranceConfig = ToleranceConfig()) -> MatrixPath:
-    """Backward Lyapunov path with terminal value G."""
-    Av_k = curlyA.knots()
-
-    def rhs(j, Pi):
-        Av = Av_k[j]
-        return -(Pi @ Av) - Av.T @ Pi - tab.Q[j]
-
-    values = integrate_matrix_ode(rhs, tab.G, tab.grid, "backward",
-                                  post_step=_symmetrize, what="Pi")
-    _assert_psd("Pi", values, tol.psd_tol)
-    return MatrixPath(tab.grid, values)
+    """Backward Lyapunov path with terminal value G, checked positive
+    semidefinite at every node."""
+    Pi, _ = _solve_Pi_pi(tab, curlyA)
+    _assert_psd("Pi", Pi.values, tol.psd_tol)
+    return Pi
 
 
 def solve_pi(tab: NodeTable, curlyA: MatrixPath) -> MatrixPath:
     """Backward linear offset with terminal value g."""
-    Av_k = curlyA.knots()
-
-    def rhs(j, piv):
-        return -Av_k[j].T @ piv - tab.q[j]
-
-    values = integrate_matrix_ode(rhs, tab.g, tab.grid, "backward", what="pi")
-    return MatrixPath(tab.grid, values)
+    return _solve_Pi_pi(tab, curlyA)[1]
 
 
 def solve_filter_side(Sigma: MatrixPath, tab: NodeTable,
                       tol: ToleranceConfig = ToleranceConfig()) -> dict[str, MatrixPath]:
     """Every path that depends on Sigma: Delta, the gain, curlyA, Pi and pi,
-    keyed by their DeterministicSolution field names (Sigma included)."""
+    keyed by their DeterministicSolution field names (Sigma included).
+    Pi and pi share one RK4 loop."""
     gain = compute_gain(Sigma, tab)
     curlyA = compute_curlyA(gain, tab)
+    Pi, pi_vec = _solve_Pi_pi(tab, curlyA)
+    _assert_psd("Pi", Pi.values, tol.psd_tol)
     return {"Sigma": Sigma, "Delta": compute_Delta(Sigma, tab), "gain": gain,
-            "curlyA": curlyA, "Pi": solve_Pi(tab, curlyA, tol),
-            "pi_vec": solve_pi(tab, curlyA)}
+            "curlyA": curlyA, "Pi": Pi, "pi_vec": pi_vec}
 
 
 def solve_all(model: ModelSpec, grid: TimeGrid,
               tol: ToleranceConfig = ToleranceConfig()) -> DeterministicSolution:
     """Solve every deterministic path on one grid from one NodeTable.
 
-    Control side first (P, then Theta, then phi and the feed-forward),
-    filter side second (Sigma, then Delta, the gain and curlyA, then Pi
-    and pi).
+    P and Sigma first, in one loop; then Theta, phi and the feed-forward;
+    then Delta, the gain and curlyA, and Pi and pi in one loop.
     """
     tab = NodeTable.build(model, grid)
-    P = solve_P(tab, tol)
+    riccati = _solve_riccati(tab, ("P", "Sigma"), tol)
+    P = riccati["P"]
     Theta = compute_Theta(P, tab)
     phi = solve_phi(tab, Theta, P)
     return DeterministicSolution(
         grid=grid, table=tab, P=P, Theta=Theta, phi=phi, ff=compute_ff(phi, tab),
-        **solve_filter_side(solve_Sigma(tab, tol), tab, tol),
+        **solve_filter_side(riccati["Sigma"], tab, tol),
     )

@@ -12,10 +12,14 @@ the usual definiteness conditions on the cost weights.
 
 A solve works on a NodeTable: every coefficient and cost weight resampled
 once onto the knots of the solve grid (its nodes and the RK4 midpoints
-between them), together with what depends on the coefficients alone
-(K^{-1}, K^{-1} H, the filter drift A - C K^{-1} H, N = K K^T and D D^T).
-`resample` does all interpolation in one vectorized pass with the bracket
-and weight arithmetic of `interp_table`, so both give the same bits.
+between them), together with what depends on the model alone: K^{-1},
+K^{-1} H, N = K K^T and D D^T, and the operators of the two Riccati
+equations, A - B R^{-1} S, B R^{-1} B^T and Q - S^T R^{-1} S for the
+control side, the filter drift A - C K^{-1} H and H^T N^{-1} H for the
+filter side.  Each is computed for all knots at once, by stacked solves,
+so no RK4 stage solves a linear system.  `resample` does all interpolation in
+one vectorized pass with the bracket and weight arithmetic of
+`interp_table`, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -251,7 +255,9 @@ class NodeTable:
     Every per-time field has a leading axis of 2N+1 knots: knot 2i is node
     t_i and knot 2i+1 the RK4 midpoint 0.5*(t_i + t_{i+1}), so field[j]
     feeds RK4 stage j and field[::2] holds the node values.  The derived
-    fields depend on the coefficients alone.
+    fields depend on the model alone; with them P and Sigma share the
+    right-hand side -(Y F + (Y F)^T - Y M Y + C) for knot arrays F, M and
+    C (see detsolve._riccati_operators).
     """
 
     grid: TimeGrid
@@ -276,6 +282,10 @@ class NodeTable:
     Acl: np.ndarray    # A - C K^{-1} H, the filter drift
     N: np.ndarray      # K K^T
     DDt: np.ndarray    # D D^T
+    Abar: np.ndarray   # A - B R^{-1} S, the control drift of P
+    BRBt: np.ndarray   # B R^{-1} B^T
+    Qbar: np.ndarray   # Q - S^T R^{-1} S
+    HNH: np.ndarray    # H^T N^{-1} H = (K^{-1} H)^T K^{-1} H
 
     @classmethod
     def build(cls, model: "ModelSpec", grid: TimeGrid) -> "NodeTable":
@@ -287,6 +297,11 @@ class NodeTable:
         K, times = f["K"], grid.knots
         eye_d = np.broadcast_to(np.eye(model.dims.d), K.shape)
         KinvH = solve_stack(K, f["H"], "K", times)
+        # R^{-1} [B^T | S] in one stacked solve
+        n = model.dims.n
+        B, S = f["B"], f["S"]
+        RinvBS = solve_stack(f["R"], np.concatenate((B.mT, S), axis=-1), "R", times)
+        RinvBt, RinvS = RinvBS[..., :n], RinvBS[..., n:]
         return cls(
             grid, model.dims, **f, G=cw.G, g=cw.g,
             Kinv=solve_stack(K, eye_d, "K", times),
@@ -294,6 +309,10 @@ class NodeTable:
             Acl=f["A"] - f["C"] @ KinvH,
             N=K @ K.mT,
             DDt=f["D"] @ f["D"].mT,
+            Abar=f["A"] - B @ RinvS,
+            BRBt=B @ RinvBt,
+            Qbar=f["Q"] - S.mT @ RinvS,
+            HNH=KinvH.mT @ KinvH,
         )
 
 

@@ -260,8 +260,9 @@ def simulate_error_direct(model: ModelSpec, sol: DeterministicSolution,
 
 def bundle_to_csv(bundle: PathBundle, fileobj):
     """Write one path as CSV: a row per node, 17 significant digits, and a
-    trailing comment record with the realized cost.  No timestamps, so
-    identical bundles serialize byte-identically."""
+    trailing comment record with the realized cost.  One %.17g row
+    template is applied over the whole (N+1, columns) block.  No
+    timestamps, so identical bundles serialize byte-identically."""
     n = bundle.X.shape[1]
     d = bundle.Y.shape[1]
     m = bundle.u.shape[1]
@@ -273,10 +274,8 @@ def bundle_to_csv(bundle: PathBundle, fileobj):
             + [f"V{j+1}" for j in range(d)]
             + [f"u{j+1}" for j in range(m)])
     fileobj.write(",".join(cols) + "\n")
-    nodes = bundle.grid.nodes
-    for i in range(bundle.grid.steps + 1):
-        row = np.concatenate(([nodes[i]], bundle.X[i], bundle.Y[i],
-                              bundle.Xhat[i], bundle.Xtil[i], bundle.V[i],
-                              bundle.u[i]))
-        fileobj.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    block = np.concatenate((bundle.grid.nodes[:, None], bundle.X, bundle.Y,
+                            bundle.Xhat, bundle.Xtil, bundle.V, bundle.u), axis=1)
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    fileobj.write((row * len(block)) % tuple(block.ravel().tolist()))
     fileobj.write(f"# cost,{bundle.cost:.17g}\n")

@@ -100,7 +100,9 @@ def benchmark_model(steps, T=1.0, D=1.0, C=0.0):
 
 def random_validated_model(rng, steps=60, time_varying=False):
     """Random model satisfying every assumption by construction
-    (R = LL^T + eps I, Q = S^T R^{-1} S + MM^T, stable-ish A)."""
+    (R = LL^T + eps I, Q = S^T R^{-1} S + MM^T, stable-ish A).  With
+    time_varying, every coefficient and every running cost weight moves
+    linearly between two such draws."""
     n = int(rng.integers(1, 4))
     m = int(rng.integers(1, 3))
     d = int(rng.integers(1, 3))
@@ -143,18 +145,36 @@ def random_validated_model(rng, steps=60, time_varying=False):
     if worst > 3.0:
         return random_validated_model(rng, steps, time_varying)
 
-    L = 0.5 * rng.standard_normal((m, m))
-    R = L @ L.T + (0.2 + rng.random()) * np.eye(m)
-    S = 0.4 * rng.standard_normal((m, n))
-    M = 0.5 * rng.standard_normal((n, n))
-    Q = S.T @ np.linalg.solve(R, S) + M @ M.T + 0.1 * rng.random() * np.eye(n)
-    Q = 0.5 * (Q + Q.T)
+    def running_weights():
+        L = 0.5 * rng.standard_normal((m, m))
+        R = L @ L.T + (0.2 + rng.random()) * np.eye(m)
+        S = 0.4 * rng.standard_normal((m, n))
+        M = 0.5 * rng.standard_normal((n, n))
+        Q = S.T @ np.linalg.solve(R, S) + M @ M.T + 0.1 * rng.random() * np.eye(n)
+        return {"Q": 0.5 * (Q + Q.T), "S": S, "R": R}
+
+    weights = running_weights()
     LG = 0.5 * rng.standard_normal((n, n))
     G = LG @ LG.T
-    cw = CostWeights.constant(
-        grid, G=G, g=0.3 * rng.standard_normal(n), Q=Q, S=S, R=R,
-        q=0.3 * rng.standard_normal(n), r=0.3 * rng.standard_normal(m))
-    model = ModelSpec(Dimensions(n, m, d, k), 1.0, co, cw,
-                      rng.standard_normal(n))
+    g = 0.3 * rng.standard_normal(n)
+    # q and r after G and g: this order fixes the draws the tests rely on
+    weights["q"] = 0.3 * rng.standard_normal(n)
+    weights["r"] = 0.3 * rng.standard_normal(m)
+    x0 = rng.standard_normal(n)
+    if time_varying:
+        # linear drift to a second admissible draw; [[Q, S^T], [S, R]] is
+        # positive semidefinite at both ends, so at every mix of them too
+        end = running_weights()
+        end["q"] = 0.3 * rng.standard_normal(n)
+        end["r"] = 0.3 * rng.standard_normal(m)
+        w = np.linspace(0.0, 1.0, steps + 1)
+        ramps = {}
+        for name, v0 in weights.items():
+            wgt = w.reshape((-1,) + (1,) * v0.ndim)
+            ramps[name] = (1.0 - wgt) * v0 + wgt * end[name]
+        cw = CostWeights(grid, G=G, g=g, **ramps)
+    else:
+        cw = CostWeights.constant(grid, G=G, g=g, **weights)
+    model = ModelSpec(Dimensions(n, m, d, k), 1.0, co, cw, x0)
     assert validate(model).passed
     return model, grid

@@ -68,5 +68,7 @@ def test_traced_verify_runs(tmp_path):
     # each on one noise draw: 2 grids x 3 policies, no path simulated twice
     assert metrics["simulate.kernel_calls"] == 6
     assert metrics["simulate.distinct_ratio"] == 1.0
-    assert metrics["detsolve.rk4_steps"] > 0
+    # three RK4 loops per solve (P with Sigma, phi, Pi with pi) on the 20-
+    # and 40-step grids, and the Pi/pi loop again on both for the scaled Sigma
+    assert metrics["detsolve.rk4_steps"] == 3 * (20 + 40) + (20 + 40)
     assert np.isfinite(metrics["verify.reduce_s"])

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from polqg import ToleranceConfig, compute_gain, solve_all
-from polqg.cli import _scaled_sigma_solution, main, parse_scenario
+from polqg.cli import (
+    _scaled_sigma_solution,
+    _series_rows,
+    _write_series_csv,
+    main,
+    parse_scenario,
+)
 
 from oracles import TOTAL, random_validated_model
 
@@ -149,6 +155,29 @@ def test_solve_outputs(tmp_path, capsys):
     series = (out / "series.csv").read_text().splitlines()
     assert series[0] == "series,t,value"
     assert len(series) == 1 + 3 * 101
+
+
+def test_series_csv_matches_per_value_reference(tmp_path):
+    model, grid = random_validated_model(np.random.default_rng(100),
+                                         time_varying=True)
+    assert model.dims.n >= 2 and model.dims.m >= 2
+    sol = solve_all(model, grid)
+    # a row per (node, entry), each value formatted on its own
+    want = ["series,t,value\n"]
+    for name, vals in (("P", sol.P.values), ("Sigma", sol.Sigma.values),
+                       ("Theta", sol.Theta.values)):
+        for i, t in enumerate(grid.nodes):
+            for r in range(vals.shape[1]):
+                for c in range(vals.shape[2]):
+                    v = float(vals[i, r, c])
+                    want.append(f"{name}[{r},{c}],{float(t):.17g},{v:.17g}\n")
+    # verify's extra rows are one-row blocks
+    extra = [("cost_mean[zero]", 1.0, -1.0 / 3.0), ("emp_error_cov[0,0]", 0.25, 1e-300)]
+    want += [f"{name},{t:.17g},{v:.17g}\n" for name, t, v in extra]
+    path = tmp_path / "series.csv"
+    _write_series_csv(str(path), _series_rows(sol)
+                      + [([name], [t], [[v]]) for name, t, v in extra])
+    assert path.read_bytes() == "".join(want).encode()
 
 
 def test_solve_steps_override(tmp_path, capsys):

@@ -16,6 +16,7 @@ from polqg import (
     solve_phi,
     solve_Pi,
     solve_Sigma,
+    tilde_J,
 )
 
 from oracles import (
@@ -278,6 +279,109 @@ def test_solve_all_symmetry_random_models():
         for path in (sol.P, sol.Sigma, sol.Pi):
             v = path.values
             assert np.abs(v - v.transpose(0, 2, 1)).max() <= 1e-13
+
+
+def _knots(values):
+    """Node values and the midpoints between them, linear in between."""
+    out = np.empty((2 * len(values) - 1,) + values.shape[1:])
+    out[0::2] = values
+    out[1::2] = 0.5 * (values[:-1] + values[1:])
+    return out
+
+
+def _per_equation_reference(model, grid):
+    """Every solve_all path, each equation on its own RK4 loop with its
+    right-hand side written from the raw knot coefficients and a linear
+    solve at every stage."""
+    tab = NodeTable.build(model, grid)
+    n = model.dims.n
+
+    def sym(M):
+        return 0.5 * (M + M.T)
+
+    def rhs_P(j, P):
+        A, B, S = tab.A[j], tab.B[j], tab.S[j]
+        BtPS = B.T @ P + S
+        return -(P @ A) - A.T @ P - tab.Q[j] + BtPS.T @ np.linalg.solve(tab.R[j], BtPS)
+
+    def rhs_Sigma(j, Sig):
+        A, C, D, H, K = tab.A[j], tab.C[j], tab.D[j], tab.H[j], tab.K[j]
+        Acl = A - C @ np.linalg.solve(K, H)
+        return (Acl @ Sig + Sig @ Acl.T
+                - Sig @ H.T @ np.linalg.solve(K @ K.T, H @ Sig) + D @ D.T)
+
+    P = integrate_matrix_ode(rhs_P, model.cost.G, grid, "backward", post_step=sym)
+    Sigma = integrate_matrix_ode(rhs_Sigma, np.zeros((n, n)), grid, "forward",
+                                 post_step=sym)
+    B, S, R = tab.B[::2], tab.S[::2], tab.R[::2]
+    Th_k, P_k = _knots(-np.linalg.solve(R, B.mT @ P + S)), _knots(P)
+
+    def rhs_phi(j, phi):
+        Th = Th_k[j]
+        return (-(tab.A[j] + tab.B[j] @ Th).T @ phi - Th.T @ tab.r[j]
+                - P_k[j] @ tab.a[j] - tab.q[j])
+
+    C, H, K = tab.C[::2], tab.H[::2], tab.K[::2]
+    gain = np.linalg.solve(K @ K.mT, (Sigma @ H.mT + C @ K.mT).mT).mT
+    Av_k = _knots(tab.A[::2] - gain @ H)
+
+    def rhs_Pi(j, Pi):
+        return -(Pi @ Av_k[j]) - Av_k[j].T @ Pi - tab.Q[j]
+
+    def rhs_pi(j, piv):
+        return -Av_k[j].T @ piv - tab.q[j]
+
+    return {
+        "P": P, "Sigma": Sigma,
+        "phi": integrate_matrix_ode(rhs_phi, model.cost.g, grid, "backward"),
+        "Pi": integrate_matrix_ode(rhs_Pi, model.cost.G, grid, "backward",
+                                   post_step=sym),
+        "pi_vec": integrate_matrix_ode(rhs_pi, model.cost.g, grid, "backward"),
+    }
+
+
+@pytest.mark.parametrize("seed", [100, 101, 102, 103])
+def test_fused_loops_match_per_equation_reference(seed):
+    # time-varying coefficients and cost weights, so an operator read at
+    # the wrong knot shows
+    model, grid = random_validated_model(np.random.default_rng(seed),
+                                         time_varying=True)
+    sol = solve_all(model, grid)
+    for name, ref in _per_equation_reference(model, grid).items():
+        got = getattr(sol, name).values
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+
+@pytest.mark.parametrize("seed", [None, 100, 101, 102, 103])
+def test_duality_residual_is_second_order(seed):
+    # d/dt tr(Pi Sigma) integrates to tilde_J = int tr(Q Sigma) dt + tr(G Sigma(T));
+    # the two sides differ only by the trapezoid error of the value integrals
+    residual = {}
+    for steps in (100, 400):
+        if seed is None:
+            model, grid = benchmark_model(steps)
+        else:
+            model, grid = random_validated_model(np.random.default_rng(seed),
+                                                 steps=steps, time_varying=True)
+        sol = solve_all(model, grid)
+        tJ = tilde_J(model, sol)
+        Sigma = sol.Sigma.values
+        dual = (np.trapezoid(np.einsum("tij,tji->t", sol.table.Q[::2], Sigma), grid.nodes)
+                + np.trace(model.cost.G @ Sigma[-1]))
+        residual[steps] = abs(tJ - dual)
+        assert residual[steps] <= grid.h ** 2 * (1.0 + abs(tJ))
+    assert 12.0 <= residual[100] / residual[400] <= 20.0
+
+
+def test_fused_blowup_names_Sigma_and_its_node():
+    # C = -1000 makes the filter drift 1000: Sigma overflows going forward
+    # while P, stepped in the same loop, stays finite
+    model, grid = scalar_model(C=-1000.0, steps=100)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFinite) as err:
+        solve_all(model, grid)
+    assert err.value.what == "Sigma"
+    assert err.value.node == 4
 
 
 def test_solve_all_single_step_grid():

@@ -259,6 +259,26 @@ def test_cost_is_left_riemann_plus_terminal(bench, tv):
 
 # ----------------------------------------------------------------------- csv
 
+def test_csv_matches_per_value_reference(tv):
+    model, grid, sol = tv
+    bundle = simulate_closed_loop(model, sol, ControlPolicy.filter_feedback(),
+                                  draw_noise(8, 0, grid, model.dims))
+    n, d, m = model.dims.n, model.dims.d, model.dims.m
+    cols = (["t"] + [f"X{j+1}" for j in range(n)] + [f"Y{j+1}" for j in range(d)]
+            + [f"Xhat{j+1}" for j in range(n)] + [f"Xtil{j+1}" for j in range(n)]
+            + [f"V{j+1}" for j in range(d)] + [f"u{j+1}" for j in range(m)])
+    # a row per node, each value formatted on its own
+    want = [",".join(cols) + "\n"]
+    for i, t in enumerate(grid.nodes):
+        vals = [t, *bundle.X[i], *bundle.Y[i], *bundle.Xhat[i], *bundle.Xtil[i],
+                *bundle.V[i], *bundle.u[i]]
+        want.append(",".join(f"{float(v):.17g}" for v in vals) + "\n")
+    want.append(f"# cost,{bundle.cost:.17g}\n")
+    buf = io.StringIO()
+    bundle_to_csv(bundle, buf)
+    assert buf.getvalue() == "".join(want)
+
+
 def test_csv_layout_and_determinism(bench):
     model, grid, sol = bench
     bundle = simulate_closed_loop(model, sol, ControlPolicy.filter_feedback(),
