@@ -32,7 +32,6 @@ from .model import (
 )
 from .detsolve import (
     DeterministicSolution,
-    MatrixPath,
     integrate_matrix_ode,
     solve_P,
     compute_Theta,

@@ -18,17 +18,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
 
-from .detsolve import (
-    DeterministicSolution,
-    MatrixPath,
-    solve_all,
-    solve_filter_side,
-)
+from .detsolve import DeterministicSolution, solve_all, solve_filter_side
 # bench/tracer.py wraps these names here; the calls go through solve_filter_side
 from .detsolve import compute_curlyA, compute_Delta, solve_Pi, solve_pi  # noqa: F401
 from .errors import (
@@ -45,6 +40,8 @@ from .errors import (
     ValidationFailure,
 )
 from .model import (
+    _COEFF_SHAPES,
+    _COST_SHAPES,
     CoefficientTable,
     CostWeights,
     Dimensions,
@@ -97,10 +94,6 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # scenario schema
 
-_COEFF_FIELDS = ("A", "B", "a", "C", "D", "H", "h", "K")
-_COST_RUN_FIELDS = ("Q", "S", "R", "q", "r")
-
-
 def _expect(obj, where, allowed, required=()):
     if not isinstance(obj, dict):
         raise ScenarioSyntaxError(f"{where}: expected an object")
@@ -135,6 +128,18 @@ def _policy_from_spec(spec) -> ControlPolicy:
     raise ScenarioSyntaxError(f"policy: unknown kind {kind!r}")
 
 
+def _per_node_fields(spec, where, grid, cls, shapes, **terminal):
+    """The per-node fields of the coefficients or cost section, given as
+    exactly one of 'constant' (one value for every node) or 'table' (one
+    value per node)."""
+    if ("constant" in spec) == ("table" in spec):
+        raise ScenarioSyntaxError(f"{where}: give exactly one of 'constant' or 'table'")
+    form = "constant" if "constant" in spec else "table"
+    _expect(spec[form], f"{where}.{form}", allowed=shapes, required=shapes)
+    make = cls.constant if form == "constant" else cls
+    return make(grid, **terminal, **spec[form])
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document.
 
@@ -162,40 +167,14 @@ def parse_scenario(text: str) -> Scenario:
     grid = TimeGrid(float(doc["T"]), int(doc["steps"]))
     x0 = np.asarray(doc["x0"], dtype=float)
 
-    cspec = doc["coefficients"]
+    cspec, wspec = doc["coefficients"], doc["cost"]
     _expect(cspec, "coefficients", allowed=("constant", "table"))
-    if ("constant" in cspec) == ("table" in cspec):
-        raise ScenarioSyntaxError(
-            "coefficients: give exactly one of 'constant' or 'table'")
-    if "constant" in cspec:
-        _expect(cspec["constant"], "coefficients.constant",
-                allowed=_COEFF_FIELDS, required=_COEFF_FIELDS)
-        vals = {k: np.asarray(v, dtype=float) for k, v in cspec["constant"].items()}
-        coeffs = CoefficientTable.constant(grid, **vals)
-    else:
-        _expect(cspec["table"], "coefficients.table",
-                allowed=_COEFF_FIELDS, required=_COEFF_FIELDS)
-        vals = {k: np.asarray(v, dtype=float) for k, v in cspec["table"].items()}
-        coeffs = CoefficientTable(grid, **vals)
-
-    wspec = doc["cost"]
+    coeffs = _per_node_fields(cspec, "coefficients", grid, CoefficientTable, _COEFF_SHAPES)
     _expect(wspec, "cost", allowed=("G", "g", "constant", "table"),
             required=("G", "g"))
-    if ("constant" in wspec) == ("table" in wspec):
-        raise ScenarioSyntaxError("cost: give exactly one of 'constant' or 'table'")
-    delta = float(doc.get("delta", 1e-6))
-    G = np.asarray(wspec["G"], dtype=float)
-    gvec = np.asarray(wspec["g"], dtype=float)
-    if "constant" in wspec:
-        _expect(wspec["constant"], "cost.constant",
-                allowed=_COST_RUN_FIELDS, required=_COST_RUN_FIELDS)
-        vals = {k: np.asarray(v, dtype=float) for k, v in wspec["constant"].items()}
-        cost = CostWeights.constant(grid, G=G, g=gvec, delta=delta, **vals)
-    else:
-        _expect(wspec["table"], "cost.table",
-                allowed=_COST_RUN_FIELDS, required=_COST_RUN_FIELDS)
-        vals = {k: np.asarray(v, dtype=float) for k, v in wspec["table"].items()}
-        cost = CostWeights(grid, G=G, g=gvec, delta=delta, **vals)
+    cost = _per_node_fields(wspec, "cost", grid, CostWeights, _COST_SHAPES,
+                            G=wspec["G"], g=wspec["g"],
+                            delta=float(doc.get("delta", 1e-6)))
 
     tol = ToleranceConfig()
     if "tolerances" in doc:
@@ -250,21 +229,10 @@ def _meta() -> dict:
 
 
 def _solution_document(sol: DeterministicSolution) -> dict:
-    nodes = []
-    ts = sol.grid.nodes
-    for i in range(sol.grid.steps + 1):
-        nodes.append({
-            "index": i,
-            "t": float(ts[i]),
-            "P": sol.P.values[i].tolist(),
-            "Theta": sol.Theta.values[i].tolist(),
-            "phi": sol.phi.values[i].tolist(),
-            "Sigma": sol.Sigma.values[i].tolist(),
-            "Delta": sol.Delta.values[i].tolist(),
-            "curlyA": sol.curlyA.values[i].tolist(),
-            "Pi": sol.Pi.values[i].tolist(),
-            "pi_vec": sol.pi_vec.values[i].tolist(),
-        })
+    paths = {name: getattr(sol, name).tolist() for name in
+             ("P", "Theta", "phi", "Sigma", "Delta", "curlyA", "Pi", "pi_vec")}
+    nodes = [{"index": i, "t": t, **{name: v[i] for name, v in paths.items()}}
+             for i, t in enumerate(sol.grid.nodes.tolist())]
     return {"format_version": FORMAT_VERSION, "kind": "solution",
             "meta": _meta(),
             "grid": {"T": sol.grid.T, "steps": sol.grid.steps},
@@ -273,7 +241,7 @@ def _solution_document(sol: DeterministicSolution) -> dict:
 
 def _value_document(vb: ValueBreakdown) -> dict:
     return {"format_version": FORMAT_VERSION, "kind": "value",
-            "meta": _meta(), "breakdown": vb.parts()}
+            "meta": _meta(), "breakdown": asdict(vb)}
 
 
 def _series_rows(sol: DeterministicSolution):
@@ -281,8 +249,7 @@ def _series_rows(sol: DeterministicSolution):
     matrix (see _write_series_csv), entries in row-major order."""
     ts = sol.grid.nodes
     blocks = []
-    for name, vals in (("P", sol.P.values), ("Sigma", sol.Sigma.values),
-                       ("Theta", sol.Theta.values)):
+    for name, vals in (("P", sol.P), ("Sigma", sol.Sigma), ("Theta", sol.Theta)):
         p, q = vals.shape[1], vals.shape[2]
         names = [f"{name}[{r},{c}]" for r in range(p) for c in range(q)]
         blocks.append((names, ts, vals.reshape(len(ts), p * q)))
@@ -320,6 +287,14 @@ def _resolve_seed(args, sc: Scenario) -> int:
     if env is not None:
         return int(env)
     return sc.seed
+
+
+def _output_dir(args, sc: Scenario) -> str:
+    """--out, else the scenario's output.directory, else the working
+    directory; created if missing."""
+    out = args.out or sc.out_dir or "."
+    os.makedirs(out, exist_ok=True)
+    return out
 
 
 def _load_scenario(args) -> tuple[Scenario, TimeGrid, int, int]:
@@ -361,8 +336,7 @@ def cmd_solve(args) -> int:
     sol = solve_all(sc.model, grid, sc.tolerances)
     vb = optimal_value(sc.model, sol)
     print(f"total optimal value: {vb.total:.17g}")
-    out = args.out
-    os.makedirs(out, exist_ok=True)
+    out = _output_dir(args, sc)
     if "json" in sc.formats:
         _write_json(os.path.join(out, "solution.json"), _solution_document(sol))
         _write_json(os.path.join(out, "value.json"), _value_document(vb))
@@ -374,8 +348,7 @@ def cmd_solve(args) -> int:
 def cmd_simulate(args) -> int:
     sc, grid, seed, n_paths = _load_scenario(args)
     sol = solve_all(sc.model, grid, sc.tolerances)
-    out = args.out
-    os.makedirs(out, exist_ok=True)
+    out = _output_dir(args, sc)
     count = 0
     for j, bundle in enumerate(
             iter_path_bundles(sc.model, sol, sc.policy, n_paths, seed)):
@@ -386,12 +359,11 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _scaled_sigma_solution(model, sol, scale, tol) -> DeterministicSolution:
+def _scaled_sigma_solution(sol, scale, tol) -> DeterministicSolution:
     """Rebuild the paths that depend on Sigma, the filter gain included,
     from a scaled Sigma (debug aid: the result is deliberately inconsistent
     and verification should fail)."""
-    Sigma = MatrixPath(sol.grid, sol.Sigma.values * scale)
-    return replace(sol, **solve_filter_side(Sigma, sol.table, tol))
+    return replace(sol, **solve_filter_side(sol.Sigma * scale, sol.table, tol))
 
 
 def _band_floor(target: float) -> float:
@@ -412,8 +384,8 @@ def _run_checks(sc: Scenario, grid: TimeGrid, seed: int, n_paths: int,
     grid2 = TimeGrid(grid.T, 2 * grid.steps)
     sol2 = solve_all(model, grid2, tol)
     if sigma_scale != 1.0:
-        sol = _scaled_sigma_solution(model, sol, sigma_scale, tol)
-        sol2 = _scaled_sigma_solution(model, sol2, sigma_scale, tol)
+        sol = _scaled_sigma_solution(sol, sigma_scale, tol)
+        sol2 = _scaled_sigma_solution(sol2, sigma_scale, tol)
     probes = _probe_indices(sc, grid)
     eps = np.full(model.dims.m, 0.5)
     pols = [ControlPolicy.zero(), ControlPolicy.perturbed_feedback(eps)]
@@ -527,8 +499,7 @@ def cmd_verify(args) -> int:
     sc, grid, seed, n_paths = _load_scenario(args)
     sigma_scale = getattr(args, "debug_scale_sigma", None) or 1.0
     checks, series = _run_checks(sc, grid, seed, n_paths, sigma_scale)
-    out = args.out
-    os.makedirs(out, exist_ok=True)
+    out = _output_dir(args, sc)
     passed = all(c["passed"] for c in checks)
     doc = {"format_version": FORMAT_VERSION, "kind": "verify_report",
            "meta": _meta(),
@@ -564,7 +535,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, paths_flag=True):
         p.add_argument("--scenario", required=True, help="scenario JSON file")
-        p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--out", default=None,
+                       help="output directory (default: the scenario's "
+                            "output.directory, else .)")
         p.add_argument("--seed", type=int, default=None,
                        help=f"noise seed (overrides {ENV_SEED} and the scenario)")
         p.add_argument("--steps", type=int, default=None,

@@ -27,10 +27,12 @@ linear system.  solve_all steps the five ODEs in three RK4 loops:
   3. Pi and pi together, on Y = [Pi | pi] of shape (n, n+1), inside
      solve_filter_side, so a rescaled Sigma rebuilds both.
 
-An RK4 stage indexes the table by knot; a path already computed on the
-grid enters the stages of a later equation the same way, its midpoint
-values interpolated linearly between nodes.  Symmetric matrices are
-re-symmetrized after every step so roundoff cannot accumulate skew.
+Every path is a plain (N+1, ...) array of its values at the nodes of
+table.grid.  An RK4 stage indexes the table by knot; a path already
+computed on the grid enters the stages of a later equation the same way,
+its midpoint values interpolated linearly between nodes.  Symmetric
+matrices are re-symmetrized after every step so roundoff cannot
+accumulate skew.
 For callers that need one path, solve_P and solve_Sigma run loop 1 on
 that equation alone, and solve_Pi and solve_pi return their part of
 loop 3; solve_all calls none of them.
@@ -56,7 +58,6 @@ from .model import interp_table  # noqa: F401  bench/tracer.py counts its calls 
 from .model import table_at_nodes  # noqa: F401  bench/tracer.py wraps it here by name
 
 __all__ = [
-    "MatrixPath",
     "DeterministicSolution",
     "integrate_matrix_ode",
     "solve_P",
@@ -75,35 +76,26 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class MatrixPath:
-    """Matrix- or vector-valued function of time stored at grid nodes."""
-
-    grid: TimeGrid
-    values: np.ndarray  # (steps+1, ...)
-
-    def knots(self) -> np.ndarray:
-        """Values at the knots of the grid, for the RK4 stages of a later
-        equation."""
-        return at_knots(self.grid, self.grid, self.values)
-
-
-@dataclass(frozen=True)
 class DeterministicSolution:
     """All deterministic paths on one grid, and the table they were solved
-    from; boundary nodes hold the boundary data bitwise."""
+    from.  Each path is an (N+1, ...) array of node values on table.grid;
+    boundary nodes hold the boundary data bitwise."""
 
-    grid: TimeGrid
     table: NodeTable
-    P: MatrixPath       # (n, n)
-    Theta: MatrixPath   # (m, n)
-    phi: MatrixPath     # (n,)
-    ff: MatrixPath      # (m,)
-    Sigma: MatrixPath   # (n, n)
-    Delta: MatrixPath   # (n, d)
-    gain: MatrixPath    # (n, d)
-    curlyA: MatrixPath  # (n, n)
-    Pi: MatrixPath      # (n, n)
-    pi_vec: MatrixPath  # (n,)
+    P: np.ndarray       # (N+1, n, n)
+    Theta: np.ndarray   # (N+1, m, n)
+    phi: np.ndarray     # (N+1, n)
+    ff: np.ndarray      # (N+1, m)
+    Sigma: np.ndarray   # (N+1, n, n)
+    Delta: np.ndarray   # (N+1, n, d)
+    gain: np.ndarray    # (N+1, n, d)
+    curlyA: np.ndarray  # (N+1, n, n)
+    Pi: np.ndarray      # (N+1, n, n)
+    pi_vec: np.ndarray  # (N+1, n)
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.table.grid
 
 
 def _symmetrize(M: np.ndarray) -> np.ndarray:
@@ -179,7 +171,7 @@ def _riccati_operators(tab: NodeTable, name: str):
 
 
 def _solve_riccati(tab: NodeTable, names=("P", "Sigma"),
-                   tol: ToleranceConfig = ToleranceConfig()) -> dict[str, MatrixPath]:
+                   tol: ToleranceConfig = ToleranceConfig()) -> dict[str, np.ndarray]:
     """The Riccati paths named in `names` ("P", "Sigma" or both) in one RK4
     loop over a stacked (len(names), n, n) array.
 
@@ -207,66 +199,62 @@ def _solve_riccati(tab: NodeTable, names=("P", "Sigma"),
                                post_step=_symmetrize, what=blowup)
     paths = {}
     for k, nm in enumerate(names):
-        values = np.ascontiguousarray(out[:, k] if nm == "P" else out[::-1, k])
-        _assert_psd(nm, values, tol.psd_tol)
-        paths[nm] = MatrixPath(tab.grid, values)
+        paths[nm] = np.ascontiguousarray(out[:, k] if nm == "P" else out[::-1, k])
+        _assert_psd(nm, paths[nm], tol.psd_tol)
     return paths
 
 
-def solve_P(tab: NodeTable, tol: ToleranceConfig = ToleranceConfig()) -> MatrixPath:
+def solve_P(tab: NodeTable, tol: ToleranceConfig = ToleranceConfig()) -> np.ndarray:
     """Backward Riccati path with terminal value G, symmetrized each step
     and checked positive semidefinite at every node."""
     return _solve_riccati(tab, ("P",), tol)["P"]
 
 
-def compute_Theta(P: MatrixPath, tab: NodeTable) -> MatrixPath:
-    """Feedback gain -R^{-1}(B^T P + S) at every node of P's grid."""
+def compute_Theta(P: np.ndarray, tab: NodeTable) -> np.ndarray:
+    """Feedback gain -R^{-1}(B^T P + S) at every node."""
     B, S, R = tab.B[::2], tab.S[::2], tab.R[::2]
-    return MatrixPath(P.grid, -solve_stack(R, B.mT @ P.values + S, "R", P.grid.nodes))
+    return -solve_stack(R, B.mT @ P + S, "R", tab.grid.nodes)
 
 
-def solve_phi(tab: NodeTable, Theta: MatrixPath, P: MatrixPath) -> MatrixPath:
+def solve_phi(tab: NodeTable, Theta: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Backward affine offset with terminal value g:
     dphi/dt = -(A + B Theta)^T phi - Theta^T r - P a - q, whose matrix and
     constant term are built at every knot before the loop."""
-    Th_k, P_k = Theta.knots(), P.knots()
+    Th_k, P_k = (at_knots(tab.grid, tab.grid, v) for v in (Theta, P))
     F = -(tab.A + tab.B @ Th_k).mT
     c = -(Th_k.mT @ tab.r[..., None] + P_k @ tab.a[..., None])[..., 0] - tab.q
-    values = integrate_matrix_ode(lambda j, phi: F[j] @ phi + c[j], tab.g,
-                                  tab.grid, "backward", what="phi")
-    return MatrixPath(tab.grid, values)
+    return integrate_matrix_ode(lambda j, phi: F[j] @ phi + c[j], tab.g,
+                                tab.grid, "backward", what="phi")
 
 
-def compute_ff(phi: MatrixPath, tab: NodeTable) -> MatrixPath:
+def compute_ff(phi: np.ndarray, tab: NodeTable) -> np.ndarray:
     """Feed-forward R^{-1}(B^T phi + r) of the optimal control at every node."""
-    v = np.einsum("tnm,tn->tm", tab.B[::2], phi.values) + tab.r[::2]
-    ff = solve_stack(tab.R[::2], v[:, :, None], "R", phi.grid.nodes)[:, :, 0]
-    return MatrixPath(phi.grid, ff)
+    v = np.einsum("tnm,tn->tm", tab.B[::2], phi) + tab.r[::2]
+    return solve_stack(tab.R[::2], v[:, :, None], "R", tab.grid.nodes)[:, :, 0]
 
 
-def solve_Sigma(tab: NodeTable, tol: ToleranceConfig = ToleranceConfig()) -> MatrixPath:
+def solve_Sigma(tab: NodeTable, tol: ToleranceConfig = ToleranceConfig()) -> np.ndarray:
     """Forward filter error covariance from Sigma(0) = 0."""
     return _solve_riccati(tab, ("Sigma",), tol)["Sigma"]
 
 
-def compute_Delta(Sigma: MatrixPath, tab: NodeTable) -> MatrixPath:
+def compute_Delta(Sigma: np.ndarray, tab: NodeTable) -> np.ndarray:
     """Error diffusion loading Sigma (K^{-1} H)^T at every node."""
-    return MatrixPath(Sigma.grid, Sigma.values @ tab.KinvH[::2].mT)
+    return Sigma @ tab.KinvH[::2].mT
 
 
-def compute_gain(Sigma: MatrixPath, tab: NodeTable) -> MatrixPath:
+def compute_gain(Sigma: np.ndarray, tab: NodeTable) -> np.ndarray:
     """Kalman-Bucy gain (Sigma H^T + C K^T) N^{-1} at every node."""
-    Lam = Sigma.values @ tab.H[::2].mT + tab.C[::2] @ tab.K[::2].mT
-    gain = solve_stack(tab.N[::2], Lam.mT, "N", Sigma.grid.nodes).mT
-    return MatrixPath(Sigma.grid, gain)
+    Lam = Sigma @ tab.H[::2].mT + tab.C[::2] @ tab.K[::2].mT
+    return solve_stack(tab.N[::2], Lam.mT, "N", tab.grid.nodes).mT
 
 
-def compute_curlyA(gain: MatrixPath, tab: NodeTable) -> MatrixPath:
+def compute_curlyA(gain: np.ndarray, tab: NodeTable) -> np.ndarray:
     """Closed-loop error drift A - gain H at every node."""
-    return MatrixPath(gain.grid, tab.A[::2] - gain.values @ tab.H[::2])
+    return tab.A[::2] - gain @ tab.H[::2]
 
 
-def _solve_Pi_pi(tab: NodeTable, curlyA: MatrixPath) -> tuple[MatrixPath, MatrixPath]:
+def _solve_Pi_pi(tab: NodeTable, curlyA: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pi (terminal value G) and pi (terminal value g) in one backward RK4
     loop over Y = [Pi | pi], shape (n, n+1):
 
@@ -277,7 +265,7 @@ def _solve_Pi_pi(tab: NodeTable, curlyA: MatrixPath) -> tuple[MatrixPath, Matrix
     symmetrized each step.
     """
     n = tab.dims.n
-    Av = curlyA.knots()
+    Av = at_knots(tab.grid, tab.grid, curlyA)
     AvT = np.ascontiguousarray(Av.mT)
     W = np.zeros((len(Av), n + 1, n + 1))
     W[:, :n, :n] = Av
@@ -296,33 +284,32 @@ def _solve_Pi_pi(tab: NodeTable, curlyA: MatrixPath) -> tuple[MatrixPath, Matrix
     boundary = np.concatenate((tab.G, tab.g[:, None]), axis=1)
     out = integrate_matrix_ode(rhs, boundary, tab.grid, "backward",
                                post_step=symmetrize_Pi, what=blowup)
-    return (MatrixPath(tab.grid, np.ascontiguousarray(out[:, :, :n])),
-            MatrixPath(tab.grid, np.ascontiguousarray(out[:, :, n])))
+    return np.ascontiguousarray(out[:, :, :n]), np.ascontiguousarray(out[:, :, n])
 
 
-def solve_Pi(tab: NodeTable, curlyA: MatrixPath,
-             tol: ToleranceConfig = ToleranceConfig()) -> MatrixPath:
+def solve_Pi(tab: NodeTable, curlyA: np.ndarray,
+             tol: ToleranceConfig = ToleranceConfig()) -> np.ndarray:
     """Backward Lyapunov path with terminal value G, checked positive
     semidefinite at every node."""
     Pi, _ = _solve_Pi_pi(tab, curlyA)
-    _assert_psd("Pi", Pi.values, tol.psd_tol)
+    _assert_psd("Pi", Pi, tol.psd_tol)
     return Pi
 
 
-def solve_pi(tab: NodeTable, curlyA: MatrixPath) -> MatrixPath:
+def solve_pi(tab: NodeTable, curlyA: np.ndarray) -> np.ndarray:
     """Backward linear offset with terminal value g."""
     return _solve_Pi_pi(tab, curlyA)[1]
 
 
-def solve_filter_side(Sigma: MatrixPath, tab: NodeTable,
-                      tol: ToleranceConfig = ToleranceConfig()) -> dict[str, MatrixPath]:
+def solve_filter_side(Sigma: np.ndarray, tab: NodeTable,
+                      tol: ToleranceConfig = ToleranceConfig()) -> dict[str, np.ndarray]:
     """Every path that depends on Sigma: Delta, the gain, curlyA, Pi and pi,
     keyed by their DeterministicSolution field names (Sigma included).
     Pi and pi share one RK4 loop."""
     gain = compute_gain(Sigma, tab)
     curlyA = compute_curlyA(gain, tab)
     Pi, pi_vec = _solve_Pi_pi(tab, curlyA)
-    _assert_psd("Pi", Pi.values, tol.psd_tol)
+    _assert_psd("Pi", Pi, tol.psd_tol)
     return {"Sigma": Sigma, "Delta": compute_Delta(Sigma, tab), "gain": gain,
             "curlyA": curlyA, "Pi": Pi, "pi_vec": pi_vec}
 
@@ -340,6 +327,6 @@ def solve_all(model: ModelSpec, grid: TimeGrid,
     Theta = compute_Theta(P, tab)
     phi = solve_phi(tab, Theta, P)
     return DeterministicSolution(
-        grid=grid, table=tab, P=P, Theta=Theta, phi=phi, ff=compute_ff(phi, tab),
+        table=tab, P=P, Theta=Theta, phi=phi, ff=compute_ff(phi, tab),
         **solve_filter_side(riccati["Sigma"], tab, tol),
     )

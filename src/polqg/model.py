@@ -92,11 +92,13 @@ class Dimensions:
                 raise ValueError(f"dimension {name} must be >= 1")
 
 
-def _as_table(v, shape, name) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != shape:
-        raise ShapeMismatch(f"{name}: expected shape {shape}, got {arr.shape}")
-    return arr
+# name -> shape after the node axis: the only declaration of the per-node
+# fields, from which every other field list is derived
+_COEFF_SHAPES = {
+    "A": ("n", "n"), "B": ("n", "m"), "a": ("n",), "C": ("n", "d"),
+    "D": ("n", "k"), "H": ("d", "n"), "h": ("d",), "K": ("d", "d"),
+}
+_COST_SHAPES = {"Q": ("n", "n"), "S": ("m", "n"), "R": ("m", "m"), "q": ("n",), "r": ("m",)}
 
 
 def _tile(v, nnodes) -> np.ndarray:
@@ -121,7 +123,7 @@ class CoefficientTable:
     h: np.ndarray  # (N+1, d)
     K: np.ndarray  # (N+1, d, d)
 
-    _FIELDS = ("A", "B", "a", "C", "D", "H", "h", "K")
+    _FIELDS = tuple(_COEFF_SHAPES)
 
     def __post_init__(self):
         for name in self._FIELDS:
@@ -152,7 +154,7 @@ class CostWeights:
     r: np.ndarray  # (N+1, m)
     delta: float = 1e-6  # uniform definiteness floor for R
 
-    _FIELDS = ("G", "g", "Q", "S", "R", "q", "r")
+    _FIELDS = ("G", "g", *_COST_SHAPES)
 
     def __post_init__(self):
         for name in self._FIELDS:
@@ -293,7 +295,7 @@ class NodeTable:
         f = {name: at_knots(grid, co.grid, getattr(co, name))
              for name in CoefficientTable._FIELDS}
         f.update({name: at_knots(grid, cw.grid, getattr(cw, name))
-                  for name in ("Q", "S", "R", "q", "r")})
+                  for name in _COST_SHAPES})
         K, times = f["K"], grid.knots
         eye_d = np.broadcast_to(np.eye(model.dims.d), K.shape)
         KinvH = solve_stack(K, f["H"], "K", times)
@@ -350,13 +352,6 @@ class ValidationReport:
             status = "pass" if c.passed else "FAIL"
             lines.append(f"{status:4s}  {c.name:24s} worst_node={node:>4s}  margin={c.margin:.6e}")
         return "\n".join(lines)
-
-
-_COEFF_SHAPES = {
-    "A": ("n", "n"), "B": ("n", "m"), "a": ("n",), "C": ("n", "d"),
-    "D": ("n", "k"), "H": ("d", "n"), "h": ("d",), "K": ("d", "d"),
-}
-_COST_SHAPES = {"Q": ("n", "n"), "S": ("m", "n"), "R": ("m", "m"), "q": ("n",), "r": ("m",)}
 
 
 def _check_shapes(model: ModelSpec):
@@ -442,7 +437,7 @@ def validate(model: ModelSpec, tol: ToleranceConfig = ToleranceConfig()) -> Vali
 
     checks.append(_finite_check(
         "A3_cost_finite",
-        {f: getattr(cw, f) for f in ("G", "g", "Q", "S", "R", "q", "r")}))
+        {f: getattr(cw, f) for f in CostWeights._FIELDS}))
 
     g_sym = tol.sym_tol - float(_sym_slack(cw.G))
     checks.append(CheckResult("A3_G_symmetric", g_sym >= 0, None, g_sym))

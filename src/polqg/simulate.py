@@ -137,7 +137,7 @@ def _policy_controls(policy: ControlPolicy, sol: DeterministicSolution, i: int,
         return np.zeros((npaths, m))
     if policy.kind == "open_loop":
         return np.broadcast_to(policy.table[i], (npaths, m)).copy()
-    u = Xhat @ sol.Theta.values[i].T - sol.ff.values[i]
+    u = Xhat @ sol.Theta[i].T - sol.ff[i]
     if policy.kind == "perturbed_feedback":
         off = policy.table if policy.table.ndim == 1 else policy.table[i]
         u = u + off
@@ -164,7 +164,7 @@ def _closed_loop_arrays(model: ModelSpec, sol: DeterministicSolution,
     N = grid.steps
     _check_policy_table(policy, grid, m)
     tab = sol.table
-    Gain = sol.gain.values
+    Gain = sol.gain
     npaths = dW.shape[0]
 
     X = np.empty((npaths, N + 1, n))
@@ -231,8 +231,8 @@ def _error_direct_arrays(model: ModelSpec, sol: DeterministicSolution,
     n = model.dims.n
     N = grid.steps
     D = sol.table.D[::2]
-    Av = sol.curlyA.values
-    Dl = sol.Delta.values
+    Av = sol.curlyA
+    Dl = sol.Delta
     npaths = dW.shape[0]
     Xt = np.zeros((npaths, N + 1, n))
     nodes = grid.nodes

@@ -56,18 +56,6 @@ class ValueBreakdown:
     phia_integral: float    # int 2 <phi, a>
     total: float
 
-    def parts(self) -> dict[str, float]:
-        return {
-            "quadratic_term": self.quadratic_term,
-            "linear_term": self.linear_term,
-            "PiD_integral": self.PiD_integral,
-            "PiDelta_integral": self.PiDelta_integral,
-            "PDeltaC_integral": self.PDeltaC_integral,
-            "Rinv_integral": self.Rinv_integral,
-            "phia_integral": self.phia_integral,
-            "total": self.total,
-        }
-
 
 def path_cost(tab: NodeTable, X: np.ndarray, U) -> np.ndarray:
     """Cost of each path: X is (paths, N+1, n) on the nodes of tab's grid,
@@ -105,8 +93,7 @@ def optimal_value(model: ModelSpec, sol: DeterministicSolution) -> ValueBreakdow
     """
     tab = sol.table
     C, D, a, R = tab.C[::2], tab.D[::2], tab.a[::2], tab.R[::2]
-    Pi, P = sol.Pi.values, sol.P.values
-    Delta, phi, ff = sol.Delta.values, sol.phi.values, sol.ff.values
+    Pi, P, Delta, phi, ff = sol.Pi, sol.P, sol.Delta, sol.phi, sol.ff
     DC = Delta + C
     integrands = (
         np.einsum("tac,tab,tbc->t", D, Pi, D),

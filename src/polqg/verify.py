@@ -234,7 +234,7 @@ def run_batch(stats: PathStatistics, probe_node: int) -> BatchReport:
         cost_mean=float(cost_mean), cost_se=float(cost_se),
         analytic_value=stats.analytic_value,
         emp_error_cov=cov_mean, emp_error_cov_se=cov_se,
-        Sigma_at_node=stats.sol.Sigma.values[probe_node].copy(),
+        Sigma_at_node=stats.sol.Sigma[probe_node].copy(),
         orth_stat=float(orth_mean), orth_se=float(orth_se),
         innovation_increment_mean=inc_mean, innovation_qv_ratio=qv_ratio,
     )
@@ -396,7 +396,7 @@ def expected_discrete_error_cov(model: ModelSpec,
     eye = np.eye(n)
     for i in range(grid.steps):
         hs = hsteps[i]
-        F = eye + hs * sol.curlyA.values[i]
-        Dl = sol.Delta.values[i]
+        F = eye + hs * sol.curlyA[i]
+        Dl = sol.Delta[i]
         out[i + 1] = F @ out[i] @ F.T + hs * (Dl @ Dl.T + D[i] @ D[i].T)
     return out

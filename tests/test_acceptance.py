@@ -89,8 +89,8 @@ def test_criterion_01_deterministic_solver_accuracy():
     P = solve_P(tab)
     Sigma = solve_Sigma(tab)
     elapsed = time.perf_counter() - t0
-    errP = abs(P.values[0, 0, 0] - np.tanh(1.0))
-    errS = float(np.abs(Sigma.values[:, 0, 0] - np.tanh(grid.nodes)).max())
+    errP = abs(P[0, 0, 0] - np.tanh(1.0))
+    errS = float(np.abs(Sigma[:, 0, 0] - np.tanh(grid.nodes)).max())
     ok = errP <= 1e-8 and errS <= 1e-8 and elapsed < 1.0
     report(1, ok, f"steps=1000 P(0) err {errP:.2e}, max Sigma err {errS:.2e}, "
                   f"{elapsed:.2f}s")
@@ -101,7 +101,7 @@ def test_criterion_02_solver_is_fourth_order():
     for steps in (100, 200):
         model, grid = benchmark_model(steps)
         P = solve_P(NodeTable.build(model, grid))
-        errs[steps] = abs(P.values[0, 0, 0] - np.tanh(1.0))
+        errs[steps] = abs(P[0, 0, 0] - np.tanh(1.0))
     ratio = errs[100] / errs[200]
     report(2, ratio >= 12.0,
            f"P(0) error ratio steps 100/200 = {ratio:.1f} (>= 12 expected)")
@@ -220,7 +220,7 @@ def test_criterion_09_value_decomposition_identity():
 def test_criterion_10_degenerate_noise_cases():
     model, grid = benchmark_model(200, D=0.0)
     sol = solve_all(model, grid)
-    sig_max = float(np.abs(sol.Sigma.values).max())
+    sig_max = float(np.abs(sol.Sigma).max())
     tj = tilde_J(model, sol)
 
     model1, grid1 = benchmark_model(200)

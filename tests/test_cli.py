@@ -1,5 +1,6 @@
 import copy
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -33,6 +34,28 @@ def bench_doc(**over):
     }
     doc.update(copy.deepcopy(over))
     return doc
+
+
+COEFF_NAMES = ("A", "B", "a", "C", "D", "H", "h", "K")
+COST_NAMES = ("Q", "S", "R", "q", "r")
+
+
+def model_doc(model, grid, form="table"):
+    """Scenario document of a model tabulated on the scenario grid: every
+    per-node field as a table, or as its node-0 value when form="constant"."""
+    def section(tables, names):
+        return {form: {f: (getattr(tables, f) if form == "table"
+                           else getattr(tables, f)[0]).tolist() for f in names}}
+    cw = model.cost
+    return {
+        "format_version": 1,
+        "dims": asdict(model.dims),
+        "T": grid.T,
+        "steps": grid.steps,
+        "x0": model.x0.tolist(),
+        "coefficients": section(model.coeffs, COEFF_NAMES),
+        "cost": {"G": cw.G.tolist(), "g": cw.g.tolist(), **section(cw, COST_NAMES)},
+    }
 
 
 def write_doc(tmp_path, doc, name="scenario.json"):
@@ -164,8 +187,8 @@ def test_series_csv_matches_per_value_reference(tmp_path):
     sol = solve_all(model, grid)
     # a row per (node, entry), each value formatted on its own
     want = ["series,t,value\n"]
-    for name, vals in (("P", sol.P.values), ("Sigma", sol.Sigma.values),
-                       ("Theta", sol.Theta.values)):
+    for name, vals in (("P", sol.P), ("Sigma", sol.Sigma),
+                       ("Theta", sol.Theta)):
         for i, t in enumerate(grid.nodes):
             for r in range(vals.shape[1]):
                 for c in range(vals.shape[2]):
@@ -178,6 +201,28 @@ def test_series_csv_matches_per_value_reference(tmp_path):
     _write_series_csv(str(path), _series_rows(sol)
                       + [([name], [t], [[v]]) for name, t, v in extra])
     assert path.read_bytes() == "".join(want).encode()
+
+
+def test_solution_json_is_the_solver_output(tmp_path, capsys):
+    # JSON round-trips floats exactly, so every entry equals solve_all's bits
+    model, grid = random_validated_model(np.random.default_rng(100),
+                                         time_varying=True)
+    assert model.dims.n >= 2
+    path = write_doc(tmp_path, model_doc(model, grid))
+    out = tmp_path / "out"
+    assert main(["solve", "--scenario", path, "--out", str(out)]) == 0
+    sol = solve_all(model, grid)
+    doc = json.loads((out / "solution.json").read_text())
+    assert doc["grid"] == {"T": grid.T, "steps": grid.steps}
+    names = ("P", "Theta", "phi", "Sigma", "Delta", "curlyA", "Pi", "pi_vec")
+    assert len(doc["nodes"]) == grid.steps + 1
+    for i, node in enumerate(doc["nodes"]):
+        assert list(node) == ["index", "t", *names]
+        assert node["index"] == i
+        assert node["t"] == grid.nodes[i]
+        for name in names:
+            np.testing.assert_array_equal(node[name], getattr(sol, name)[i],
+                                          err_msg=f"{name} node {i}")
 
 
 def test_solve_steps_override(tmp_path, capsys):
@@ -205,6 +250,26 @@ def test_unwritable_out_exits_5(tmp_path, capsys):
     blocker.write_text("")
     assert main(["solve", "--scenario", path, "--out",
                  str(blocker / "sub")]) == 5
+
+
+def test_output_directory_from_scenario(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "from_scenario"
+    path = write_doc(tmp_path, bench_doc(output={"directory": str(target)}))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["solve", "--scenario", path]) == 0
+    assert (target / "solution.json").exists()
+    assert list(work.iterdir()) == []
+
+
+def test_out_flag_overrides_output_directory(tmp_path, capsys):
+    target = tmp_path / "from_scenario"
+    path = write_doc(tmp_path, bench_doc(output={"directory": str(target)}))
+    out = tmp_path / "out"
+    assert main(["solve", "--scenario", path, "--out", str(out)]) == 0
+    assert (out / "solution.json").exists()
+    assert not target.exists()
 
 
 # ------------------------------------------------------------------ simulate
@@ -323,15 +388,15 @@ def test_scaled_sigma_by_one_is_the_solution():
                                          time_varying=True)
     tol = ToleranceConfig()
     sol = solve_all(model, grid, tol)
-    again = _scaled_sigma_solution(model, sol, 1.0, tol)
+    again = _scaled_sigma_solution(sol, 1.0, tol)
     for name in ("Sigma", "Delta", "curlyA", "gain", "Pi", "pi_vec"):
-        np.testing.assert_array_equal(getattr(again, name).values,
-                                      getattr(sol, name).values, err_msg=name)
+        np.testing.assert_array_equal(getattr(again, name),
+                                      getattr(sol, name), err_msg=name)
     # a scaled Sigma reaches the gain the simulated filter uses
-    scaled = _scaled_sigma_solution(model, sol, 2.0, tol)
-    np.testing.assert_array_equal(scaled.gain.values,
-                                  compute_gain(scaled.Sigma, sol.table).values)
-    assert not np.array_equal(scaled.gain.values, sol.gain.values)
+    scaled = _scaled_sigma_solution(sol, 2.0, tol)
+    np.testing.assert_array_equal(scaled.gain,
+                                  compute_gain(scaled.Sigma, sol.table))
+    assert not np.array_equal(scaled.gain, sol.gain)
 
 
 def test_verify_degenerate_noiseless_scenario(tmp_path, capsys):
@@ -363,3 +428,33 @@ def test_scenario_defaults():
     assert sc.formats == ("json", "csv")
     assert sc.out_dir is None
     assert sc.probe_times is None
+
+
+@pytest.mark.parametrize("form", ["constant", "table"])
+def test_scenario_forms_give_the_constructed_model(form):
+    model, grid = random_validated_model(np.random.default_rng(100),
+                                         time_varying=form == "table")
+    sc = parse_scenario(json.dumps(model_doc(model, grid, form)))
+    assert sc.model.dims == model.dims
+    assert sc.model.cost.delta == model.cost.delta
+    np.testing.assert_array_equal(sc.model.x0, model.x0)
+    for tables, names in (("coeffs", COEFF_NAMES), ("cost", ("G", "g") + COST_NAMES)):
+        for f in names:
+            np.testing.assert_array_equal(getattr(getattr(sc.model, tables), f),
+                                          getattr(getattr(model, tables), f),
+                                          err_msg=f)
+
+
+@pytest.mark.parametrize("section", ["coefficients", "cost"])
+@pytest.mark.parametrize("forms", ["both", "neither"])
+def test_scenario_needs_exactly_one_form(tmp_path, capsys, section, forms):
+    doc = bench_doc()
+    given = doc[section]["constant"]
+    if forms == "both":
+        doc[section]["table"] = {f: [v] * 101 for f, v in given.items()}
+    else:
+        del doc[section]["constant"]
+    path = write_doc(tmp_path, doc)
+    assert main(["validate", "--scenario", path]) == 2
+    assert (f"{section}: give exactly one of 'constant' or 'table'"
+            in capsys.readouterr().err)

@@ -103,7 +103,7 @@ def test_P_scalar_riccati_closed_form():
     # A=0, B=R=G=1, Q=0: dP/dt = P^2 with P(1)=1, so P(t) = 1/(2-t)
     model, grid = scalar_model(Q=0.0, G=1.0, steps=200)
     P = solve_P(NodeTable.build(model, grid))
-    np.testing.assert_allclose(P.values[:, 0, 0], 1.0 / (2.0 - grid.nodes),
+    np.testing.assert_allclose(P[:, 0, 0], 1.0 / (2.0 - grid.nodes),
                                atol=1e-10)
 
 
@@ -111,20 +111,20 @@ def test_P_lyapunov_closed_form():
     # B=0 removes the quadratic term: dP/dt = 2P - 1 with P(1) = 0
     model, grid = scalar_model(A=-1.0, B=0.0, steps=200)
     P = solve_P(NodeTable.build(model, grid))
-    assert abs(P.values[0, 0, 0] - LYAPUNOV_P0) < 1e-10
+    assert abs(P[0, 0, 0] - LYAPUNOV_P0) < 1e-10
 
 
 def test_P_benchmark_tanh():
     model, grid = benchmark_model(200)
     P = solve_P(NodeTable.build(model, grid))
-    np.testing.assert_allclose(P.values[:, 0, 0], np.tanh(1.0 - grid.nodes),
+    np.testing.assert_allclose(P[:, 0, 0], np.tanh(1.0 - grid.nodes),
                                atol=1e-10)
 
 
 def test_P_zero_when_G_and_Q_zero():
     model, grid = scalar_model(Q=0.0, G=0.0, steps=50)
     P = solve_P(NodeTable.build(model, grid))
-    assert (P.values == 0.0).all()
+    assert (P == 0.0).all()
 
 
 def test_P_rejects_indefinite_terminal():
@@ -136,7 +136,7 @@ def test_P_rejects_indefinite_terminal():
 def test_P_symmetric_every_node():
     model, grid = random_validated_model(np.random.default_rng(7))
     P = solve_P(NodeTable.build(model, grid))
-    assert np.abs(P.values - P.values.transpose(0, 2, 1)).max() <= 1e-14
+    assert np.abs(P - P.transpose(0, 2, 1)).max() <= 1e-14
 
 
 def test_Theta_benchmark_is_minus_P():
@@ -144,7 +144,7 @@ def test_Theta_benchmark_is_minus_P():
     tab = NodeTable.build(model, grid)
     P = solve_P(tab)
     Theta = compute_Theta(P, tab)
-    np.testing.assert_allclose(Theta.values, -P.values, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(Theta, -P, rtol=0, atol=1e-15)
 
 
 # ----------------------------------------------------------------- phi paths
@@ -155,7 +155,7 @@ def test_phi_linear_closed_form():
     tab = NodeTable.build(model, grid)
     P = solve_P(tab)
     phi = solve_phi(tab, compute_Theta(P, tab), P)
-    np.testing.assert_allclose(phi.values[:, 0], 1.0 - grid.nodes, atol=1e-14)
+    np.testing.assert_allclose(phi[:, 0], 1.0 - grid.nodes, atol=1e-14)
 
 
 def test_phi_exponential_closed_form():
@@ -164,15 +164,15 @@ def test_phi_exponential_closed_form():
     tab = NodeTable.build(model, grid)
     P = solve_P(tab)
     phi = solve_phi(tab, compute_Theta(P, tab), P)
-    np.testing.assert_allclose(phi.values[:, 0], np.exp(1.0 - grid.nodes),
+    np.testing.assert_allclose(phi[:, 0], np.exp(1.0 - grid.nodes),
                                atol=1e-8)
 
 
 def test_phi_zero_benchmark():
     model, grid = benchmark_model(50)
     sol = solve_all(model, grid)
-    assert (sol.phi.values == 0.0).all()
-    assert (sol.pi_vec.values == 0.0).all()
+    assert (sol.phi == 0.0).all()
+    assert (sol.pi_vec == 0.0).all()
 
 
 # -------------------------------------------------------------- filter paths
@@ -180,7 +180,7 @@ def test_phi_zero_benchmark():
 def test_Sigma_benchmark_tanh():
     model, grid = benchmark_model(200)
     Sigma = solve_Sigma(NodeTable.build(model, grid))
-    np.testing.assert_allclose(Sigma.values[:, 0, 0], np.tanh(grid.nodes),
+    np.testing.assert_allclose(Sigma[:, 0, 0], np.tanh(grid.nodes),
                                atol=1e-10)
 
 
@@ -188,13 +188,13 @@ def test_Sigma_linear_when_H_zero():
     # no observations: dSigma/dt = DD^T, Sigma(t) = t
     model, grid = scalar_model(H=0.0, steps=30)
     Sigma = solve_Sigma(NodeTable.build(model, grid))
-    np.testing.assert_allclose(Sigma.values[:, 0, 0], grid.nodes, atol=1e-14)
+    np.testing.assert_allclose(Sigma[:, 0, 0], grid.nodes, atol=1e-14)
 
 
 def test_Sigma_zero_when_D_zero():
     model, grid = scalar_model(D=0.0, steps=30)
     Sigma = solve_Sigma(NodeTable.build(model, grid))
-    assert np.abs(Sigma.values).max() <= 1e-14
+    assert np.abs(Sigma).max() <= 1e-14
 
 
 def test_Sigma_time_reversal():
@@ -210,8 +210,8 @@ def test_Sigma_time_reversal():
                 - Sig @ H.T @ np.linalg.solve(K @ K.T, H @ Sig)
                 + D @ D.T)
 
-    back = integrate_matrix_ode(rhs, fwd.values[-1], grid, "backward")
-    assert np.abs(back - fwd.values).max() < 1e-9
+    back = integrate_matrix_ode(rhs, fwd[-1], grid, "backward")
+    assert np.abs(back - fwd).max() < 1e-9
     assert abs(back[0, 0, 0]) < 1e-9
 
 
@@ -221,8 +221,8 @@ def test_Delta_and_curlyA_benchmark():
     Sigma = solve_Sigma(tab)
     Delta = compute_Delta(Sigma, tab)
     curlyA = compute_curlyA(compute_gain(Sigma, tab), tab)
-    np.testing.assert_allclose(Delta.values, Sigma.values, atol=1e-15)
-    np.testing.assert_allclose(curlyA.values, -Sigma.values, atol=1e-15)
+    np.testing.assert_allclose(Delta, Sigma, atol=1e-15)
+    np.testing.assert_allclose(curlyA, -Sigma, atol=1e-15)
 
 
 # ----------------------------------------------------------------- Pi and pi
@@ -233,20 +233,20 @@ def test_Pi_linear_when_curlyA_zero():
     tab = NodeTable.build(model, grid)
     Sigma = solve_Sigma(tab)
     curlyA = compute_curlyA(compute_gain(Sigma, tab), tab)
-    assert np.abs(curlyA.values).max() == 0.0
+    assert np.abs(curlyA).max() == 0.0
     Pi = solve_Pi(tab, curlyA)
-    np.testing.assert_allclose(Pi.values[:, 0, 0], 1.0 - grid.nodes,
+    np.testing.assert_allclose(Pi[:, 0, 0], 1.0 - grid.nodes,
                                atol=1e-14)
     sol = solve_all(model, grid)
-    np.testing.assert_allclose(sol.pi_vec.values[:, 0], 1.0 - grid.nodes,
+    np.testing.assert_allclose(sol.pi_vec[:, 0], 1.0 - grid.nodes,
                                atol=1e-14)
 
 
 def test_Pi_benchmark_closed_form():
     model, grid = benchmark_model(1000)
     sol = solve_all(model, grid)
-    assert abs(sol.Pi.values[0, 0, 0] - np.tanh(1.0)) < 1e-7
-    np.testing.assert_allclose(sol.Pi.values[:, 0, 0],
+    assert abs(sol.Pi[0, 0, 0] - np.tanh(1.0)) < 1e-7
+    np.testing.assert_allclose(sol.Pi[:, 0, 0],
                                closed_form_Pi(grid.nodes), atol=1e-7)
 
 
@@ -255,20 +255,20 @@ def test_Pi_benchmark_closed_form():
 def test_solve_all_benchmark_consistency():
     model, grid = benchmark_model(200)
     sol = solve_all(model, grid)
-    np.testing.assert_allclose(sol.Theta.values, -sol.P.values, atol=1e-15)
-    np.testing.assert_allclose(sol.Delta.values, sol.Sigma.values, atol=1e-15)
-    np.testing.assert_allclose(sol.curlyA.values, -sol.Sigma.values,
+    np.testing.assert_allclose(sol.Theta, -sol.P, atol=1e-15)
+    np.testing.assert_allclose(sol.Delta, sol.Sigma, atol=1e-15)
+    np.testing.assert_allclose(sol.curlyA, -sol.Sigma,
                                atol=1e-15)
 
 
 def test_solve_all_boundaries_bitwise():
     model, grid = random_validated_model(np.random.default_rng(3))
     sol = solve_all(model, grid)
-    np.testing.assert_array_equal(sol.P.values[-1], model.cost.G)
-    np.testing.assert_array_equal(sol.Pi.values[-1], model.cost.G)
-    np.testing.assert_array_equal(sol.phi.values[-1], model.cost.g)
-    np.testing.assert_array_equal(sol.pi_vec.values[-1], model.cost.g)
-    assert (sol.Sigma.values[0] == 0.0).all()
+    np.testing.assert_array_equal(sol.P[-1], model.cost.G)
+    np.testing.assert_array_equal(sol.Pi[-1], model.cost.G)
+    np.testing.assert_array_equal(sol.phi[-1], model.cost.g)
+    np.testing.assert_array_equal(sol.pi_vec[-1], model.cost.g)
+    assert (sol.Sigma[0] == 0.0).all()
 
 
 def test_solve_all_symmetry_random_models():
@@ -277,7 +277,7 @@ def test_solve_all_symmetry_random_models():
         model, grid = random_validated_model(rng, time_varying=True)
         sol = solve_all(model, grid)
         for path in (sol.P, sol.Sigma, sol.Pi):
-            v = path.values
+            v = path
             assert np.abs(v - v.transpose(0, 2, 1)).max() <= 1e-13
 
 
@@ -348,7 +348,7 @@ def test_fused_loops_match_per_equation_reference(seed):
                                          time_varying=True)
     sol = solve_all(model, grid)
     for name, ref in _per_equation_reference(model, grid).items():
-        got = getattr(sol, name).values
+        got = getattr(sol, name)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
 
 
@@ -365,7 +365,7 @@ def test_duality_residual_is_second_order(seed):
                                                  steps=steps, time_varying=True)
         sol = solve_all(model, grid)
         tJ = tilde_J(model, sol)
-        Sigma = sol.Sigma.values
+        Sigma = sol.Sigma
         dual = (np.trapezoid(np.einsum("tij,tji->t", sol.table.Q[::2], Sigma), grid.nodes)
                 + np.trace(model.cost.G @ Sigma[-1]))
         residual[steps] = abs(tJ - dual)
@@ -387,5 +387,5 @@ def test_fused_blowup_names_Sigma_and_its_node():
 def test_solve_all_single_step_grid():
     model, grid = benchmark_model(1)
     sol = solve_all(model, grid)
-    assert np.isfinite(sol.P.values).all()
-    assert sol.P.values.shape == (2, 1, 1)
+    assert np.isfinite(sol.P).all()
+    assert sol.P.shape == (2, 1, 1)

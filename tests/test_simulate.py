@@ -165,8 +165,8 @@ def test_policy_feedback_matches_kernel(bench, tv):
                                       noise)
         co, cw = model.coeffs, model.cost
         for i in (0, 57, grid.steps):
-            v = co.B[i].T @ sol.phi.values[i] + cw.r[i]
-            want = sol.Theta.values[i] @ bundle.Xhat[i] - np.linalg.solve(cw.R[i], v)
+            v = co.B[i].T @ sol.phi[i] + cw.r[i]
+            want = sol.Theta[i] @ bundle.Xhat[i] - np.linalg.solve(cw.R[i], v)
             np.testing.assert_allclose(bundle.u[i], want, rtol=1e-12, atol=1e-14)
 
 

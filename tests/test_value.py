@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -104,7 +106,7 @@ def test_total_is_sum_of_parts():
         model, grid = random_validated_model(rng)
         sol = solve_all(model, grid)
         bd = optimal_value(model, sol)
-        s = sum(v for k, v in bd.parts().items() if k != "total")
+        s = sum(v for k, v in asdict(bd).items() if k != "total")
         assert bd.total == pytest.approx(s, rel=1e-14, abs=1e-14)
 
 

@@ -237,7 +237,7 @@ def test_discrete_cov_converges_to_Sigma_first_order():
         model, grid = benchmark_model(steps)
         sol = solve_all(model, grid)
         chain = expected_discrete_error_cov(model, sol)
-        gaps[steps] = abs(chain[-1, 0, 0] - sol.Sigma.values[-1, 0, 0])
+        gaps[steps] = abs(chain[-1, 0, 0] - sol.Sigma[-1, 0, 0])
     assert 1.6 <= gaps[50] / gaps[100] <= 2.4
 
 
@@ -251,7 +251,7 @@ def test_discrete_cov_matches_empirical_on_coarse_grid():
     chain = expected_discrete_error_cov(model, sol)[-1]
     assert (np.abs(rep.emp_error_cov - chain)
             <= 3.5 * rep.emp_error_cov_se).all()
-    gap = abs(chain[0, 0] - sol.Sigma.values[-1, 0, 0])
+    gap = abs(chain[0, 0] - sol.Sigma[-1, 0, 0])
     if gap > 6.0 * rep.emp_error_cov_se[0, 0]:
-        assert (np.abs(rep.emp_error_cov - sol.Sigma.values[-1])
+        assert (np.abs(rep.emp_error_cov - sol.Sigma[-1])
                 > 3.0 * rep.emp_error_cov_se).any()
