@@ -397,9 +397,14 @@ def _sym_slack(M: np.ndarray) -> np.ndarray:
 
 
 def _eig_floor(M: np.ndarray, psd_tol: float) -> np.ndarray:
-    """Slack of the PSD check: eigmin + psd_tol*(1 + ||M||), on the symmetric part."""
-    eigmin = np.linalg.eigvalsh(0.5 * (M + M.mT))[..., 0]
-    return eigmin + psd_tol * (1.0 + np.linalg.norm(M, axis=(-2, -1)))
+    """Slack of the PSD check: eigmin + psd_tol*(1 + ||M||), on the symmetric
+    part; -inf at a non-finite node, whose eigenvalues would not converge."""
+    finite = np.isfinite(M).all(axis=(-2, -1))
+    Mf = M[finite]
+    slack = np.full(finite.shape, -np.inf)
+    slack[finite] = (np.linalg.eigvalsh(0.5 * (Mf + Mf.mT))[..., 0]
+                     + psd_tol * (1.0 + np.linalg.norm(Mf, axis=(-2, -1))))
+    return slack
 
 
 def _worst_node(name: str, slacks: np.ndarray) -> CheckResult:
@@ -450,10 +455,12 @@ def validate(model: ModelSpec, tol: ToleranceConfig = ToleranceConfig()) -> Vali
     checks.append(_worst_node("A3_R_uniformly_definite",
                               _eig_floor(cw.R, tol.psd_tol) - cw.delta))
 
-    # Q - S^T R^{-1} S with the symmetric part of R; a singular R fails the
-    # node outright and is swapped for I so the stacked solve goes through
+    # Q - S^T R^{-1} S with the symmetric part of R; a singular or non-finite
+    # R fails the node outright and is swapped for I so the stacked solve
+    # goes through (a non-finite Q or S fails it in _eig_floor)
     Rs = 0.5 * (cw.R + cw.R.mT)
-    singular = np.linalg.det(Rs) == 0.0
+    singular = ~np.isfinite(Rs).all(axis=(-2, -1))
+    singular[~singular] = np.linalg.det(Rs[~singular]) == 0.0
     Rs[singular] = np.eye(model.dims.m)
     M = cw.Q - cw.S.mT @ np.linalg.solve(Rs, cw.S)
     slacks = np.where(singular, -np.inf, _eig_floor(M, tol.psd_tol))

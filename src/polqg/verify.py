@@ -5,9 +5,19 @@ filter feedback and every extra policy on those same increments (common
 random numbers).  It reduces each policy's output to per-path numbers
 before the next policy runs: the costs, and on the feedback paths the
 error statistics at each probe node, the normalized innovation increment
-sums and the cost split along X = Xhat + Xtil.  The reports (run_batch,
-compare_policies, brownianity_report, decomposition_check) only reduce
+sums and the cost split along X = Xhat + Xtil.  The reports only reduce
 these, so one pass feeds every statistic and no path is simulated twice.
+Each statistic is reduced in exactly one report:
+
+    compare_policies     every policy's cost mean and SE, and the paired
+                         excess over filter feedback
+    run_batch            error covariance and <Xtil, Xhat> at a probe node
+    brownianity_report   innovation increment mean, quadratic-variation
+                         ratio, lag-1 autocorrelation, Vcheck(T) variance
+    decomposition_check  the cross term and the Xtil cost tildeJ
+
+The analytic targets (optimal value, tilde_J) live on PathStatistics,
+and Sigma on the solution; no report copies them.
 
 All cross-path reductions run sequentially in path-index order, so a
 report is bitwise reproducible for fixed (model, seed, n_paths, policies),
@@ -202,42 +212,23 @@ def simulate_statistics(model: ModelSpec, sol: DeterministicSolution,
 
 @dataclass(frozen=True)
 class BatchReport:
-    """Summary statistics of one Monte Carlo batch at one probe node."""
+    """The filter error statistics of the feedback paths at one probe
+    node; the matching Sigma is sol.Sigma[probe_node]."""
 
-    n_paths: int
     probe_node: int
-    cost_mean: float
-    cost_se: float
-    analytic_value: float
     emp_error_cov: np.ndarray     # (n, n)
     emp_error_cov_se: np.ndarray  # (n, n) elementwise standard errors
-    Sigma_at_node: np.ndarray     # (n, n)
     orth_stat: float              # mean of <Xtil, Xhat> at the probe node
     orth_se: float
-    innovation_increment_mean: np.ndarray  # (d,)
-    innovation_qv_ratio: float    # sum ||dVcheck||^2 / (n_paths * d * T)
 
 
 def run_batch(stats: PathStatistics, probe_node: int) -> BatchReport:
     """The feedback statistics at one of the pass's probe nodes (KeyError
     for a node the pass did not record)."""
-    n_paths, grid = stats.n_paths, stats.sol.grid
-    d = stats.inc_sums.shape[1]
-    cost_mean, cost_se = _seq_mean_se(stats.costs[_FEEDBACK.label])
     cov_mean, cov_se = _seq_mean_se(stats.error_outer[probe_node])
     orth_mean, orth_se = _seq_mean_se(stats.orth[probe_node])
-    inc_mean = _seq_sum(stats.inc_sums) / (n_paths * grid.steps)
-    qv_ratio = float(_seq_sum(stats.qv) / (n_paths * d * grid.T))
-
-    return BatchReport(
-        n_paths=n_paths, probe_node=probe_node,
-        cost_mean=float(cost_mean), cost_se=float(cost_se),
-        analytic_value=stats.analytic_value,
-        emp_error_cov=cov_mean, emp_error_cov_se=cov_se,
-        Sigma_at_node=stats.sol.Sigma[probe_node].copy(),
-        orth_stat=float(orth_mean), orth_se=float(orth_se),
-        innovation_increment_mean=inc_mean, innovation_qv_ratio=qv_ratio,
-    )
+    return BatchReport(probe_node, cov_mean, cov_se,
+                       float(orth_mean), float(orth_se))
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +247,9 @@ class PolicyCostRow:
 class PolicyComparison:
     """Per-policy realized costs under common random numbers, sorted by
     ascending mean.  Excess columns are paired against the filter feedback
-    baseline, which has none."""
+    baseline, which has none.  The filter_feedback row is the only home of
+    the feedback cost mean and SE."""
 
-    n_paths: int
     rows: tuple[PolicyCostRow, ...]
 
     def row(self, label: str) -> PolicyCostRow:
@@ -279,7 +270,7 @@ def compare_policies(stats: PathStatistics) -> PolicyComparison:
             excess = tuple(float(v) for v in _seq_mean_se(costs - baseline))
         rows.append(PolicyCostRow(lab, float(mean), float(se), *excess))
     rows.sort(key=lambda r: r.cost_mean)
-    return PolicyComparison(n_paths=stats.n_paths, rows=tuple(rows))
+    return PolicyComparison(tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -290,16 +281,13 @@ class BrownianityReport:
     """Increment statistics of Vcheck pooled over paths and steps.
 
     If Vcheck really is a standard Brownian motion the increments are iid
-    N(0, h I), the lag-1 autocorrelation vanishes, and Vcheck(T) has
-    variance T per component.
+    N(0, h I), so their mean vanishes with SE sqrt(h / (n_paths*steps)),
+    the quadratic variation per component and unit time is 1, the lag-1
+    autocorrelation vanishes, and Vcheck(T) has variance T per component.
     """
 
-    n_paths: int
-    steps: int
-    T: float
     increment_mean: np.ndarray     # (d,)
-    increment_mean_se: np.ndarray  # (d,)
-    increment_var: np.ndarray      # (d,) expected h
+    qv_ratio: float                # sum ||dVcheck||^2 / (n_paths * d * T)
     lag1_autocorr: np.ndarray      # (d,)
     lag1_band: float               # 3/sqrt(n_paths*steps) reference band
     terminal_var: np.ndarray       # (d,) expected T
@@ -308,16 +296,12 @@ class BrownianityReport:
 
 def brownianity_report(stats: PathStatistics) -> BrownianityReport:
     """Pool the feedback paths' innovation increment statistics."""
-    count = stats.n_paths
-    steps, T = stats.sol.grid.steps, stats.sol.grid.T
-    inc_sum = _seq_sum(stats.inc_sums)
+    count, grid = stats.n_paths, stats.sol.grid
+    steps, d = grid.steps, stats.inc_sums.shape[1]
+    inc_mean = _seq_sum(stats.inc_sums) / (count * steps)
+    qv_ratio = float(_seq_sum(stats.qv) / (count * d * grid.T))
     inc_sq = _seq_sum(stats.inc_sq)
     lag_sum = _seq_sum(stats.lag_sums)
-
-    nobs = count * steps
-    inc_mean = inc_sum / nobs
-    inc_var = inc_sq / nobs - inc_mean ** 2
-    inc_mean_se = np.sqrt(np.maximum(inc_var, 0.0) / nobs)
     denom = np.where(inc_sq > 0, inc_sq, 1.0)
     lag1 = np.where(inc_sq > 0, lag_sum / denom * steps / (steps - 1.0), 0.0)
 
@@ -325,13 +309,8 @@ def brownianity_report(stats: PathStatistics) -> BrownianityReport:
     tvar = _seq_sum((stats.terminal - tmean) ** 2) / (count - 1)
     tvar_se = tvar * np.sqrt(2.0 / (count - 1))
 
-    return BrownianityReport(
-        n_paths=count, steps=steps, T=float(T),
-        increment_mean=inc_mean, increment_mean_se=inc_mean_se,
-        increment_var=inc_var,
-        lag1_autocorr=lag1, lag1_band=3.0 / np.sqrt(count * steps),
-        terminal_var=tvar, terminal_var_se=tvar_se,
-    )
+    return BrownianityReport(inc_mean, qv_ratio, lag1,
+                             3.0 / np.sqrt(count * steps), tvar, tvar_se)
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +318,11 @@ def brownianity_report(stats: PathStatistics) -> BrownianityReport:
 
 @dataclass(frozen=True)
 class DecompositionReport:
-    """Empirical check of cost = filtered cost + irreducible remainder."""
+    """Empirical check of cost = filtered cost + irreducible remainder; the
+    Xtil cost is compared with stats.tildeJ_analytic."""
 
-    n_paths: int
-    cost_mean: float
-    cost_se: float
-    hatJ_mean: float
-    hatJ_se: float
     tildeJ_mean: float
     tildeJ_se: float
-    tildeJ_analytic: float
     cross_mean: float  # mean of hatJ + tildeJ - cost, should vanish
     cross_se: float
 
@@ -356,20 +330,11 @@ class DecompositionReport:
 def decomposition_check(stats: PathStatistics) -> DecompositionReport:
     """Test that the cross terms of the feedback cost split average to
     zero and that the Xtil part matches tilde_J."""
-    costs = stats.costs[_FEEDBACK.label]
-    cost_mean, cost_se = _seq_mean_se(costs)
-    hat_mean, hat_se = _seq_mean_se(stats.hatJ)
     til_mean, til_se = _seq_mean_se(stats.tildeJ)
-    cross_mean, cross_se = _seq_mean_se(stats.hatJ + stats.tildeJ - costs)
-
-    return DecompositionReport(
-        n_paths=stats.n_paths,
-        cost_mean=float(cost_mean), cost_se=float(cost_se),
-        hatJ_mean=float(hat_mean), hatJ_se=float(hat_se),
-        tildeJ_mean=float(til_mean), tildeJ_se=float(til_se),
-        tildeJ_analytic=stats.tildeJ_analytic,
-        cross_mean=float(cross_mean), cross_se=float(cross_se),
-    )
+    cross_mean, cross_se = _seq_mean_se(
+        stats.hatJ + stats.tildeJ - stats.costs[_FEEDBACK.label])
+    return DecompositionReport(float(til_mean), float(til_se),
+                               float(cross_mean), float(cross_se))
 
 
 # ---------------------------------------------------------------------------

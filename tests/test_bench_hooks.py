@@ -64,9 +64,10 @@ def test_traced_verify_runs(tmp_path):
             setattr(importlib.import_module(module), name, fn)
     assert code in (0, 4)
     metrics = tracer.layer_metrics(json.loads((tmp_path / "spans.json").read_text()))
-    # one pass per grid runs feedback, zero and perturbed feedback once
-    # each on one noise draw: 2 grids x 3 policies, no path simulated twice
-    assert metrics["simulate.kernel_calls"] == 6
+    # one pass per grid, each policy once on one noise draw: feedback, zero
+    # and perturbed feedback on the N grid, feedback and perturbed feedback
+    # on the 2N grid; no path is simulated twice
+    assert metrics["simulate.kernel_calls"] == 5
     assert metrics["simulate.distinct_ratio"] == 1.0
     # three RK4 loops per solve (P with Sigma, phi, Pi with pi) on the 20-
     # and 40-step grids, and the Pi/pi loop again on both for the scaled Sigma

@@ -5,8 +5,18 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from polqg import ToleranceConfig, compute_gain, solve_all
+from polqg import (
+    ControlPolicy,
+    TimeGrid,
+    ToleranceConfig,
+    ValidationFailure,
+    compute_gain,
+    default_probe_nodes,
+    simulate_statistics,
+    solve_all,
+)
 from polqg.cli import (
+    _run_checks,
     _scaled_sigma_solution,
     _series_rows,
     _write_series_csv,
@@ -92,6 +102,33 @@ def test_validate_nonfinite_K_exits_2(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL  A1_coefficients_finite" in out
     assert "FAIL  A2_K_invertible" in out
+    assert "validation: FAIL" in out
+
+
+@pytest.mark.parametrize("field", ["G", "Q", "R", "S"])
+def test_validate_nonfinite_cost_matrix_exits_2(tmp_path, capsys, field):
+    # n=3, m=2: the eigenvalues of a NaN matrix this size do not converge,
+    # so the PSD checks must fail the node instead of raising
+    model, grid = random_validated_model(np.random.default_rng(100),
+                                         time_varying=True)
+    doc = model_doc(model, grid)
+    if field == "G":
+        doc["cost"]["G"][0][1] = float("nan")
+        failed = {"A3_G_psd": None}
+    else:
+        doc["cost"]["table"][field][5][0][0] = float("nan")
+        failed = {"A3_cost_finite": 5, "A3_QSRS_psd": 5}
+    with pytest.raises(ValidationFailure) as err:
+        parse_scenario(json.dumps(doc))
+    report = err.value.report
+    for name, node in failed.items():
+        bad = report.check(name)
+        assert not bad.passed and bad.worst_node == node, name
+        assert bad.margin == float("-inf"), name
+    path = write_doc(tmp_path, doc)
+    assert main(["validate", "--scenario", path]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL  A3_cost_finite" in out
     assert "validation: FAIL" in out
 
 
@@ -380,6 +417,120 @@ def test_verify_detects_broken_sigma(tmp_path, capsys):
     assert report["passed"] is False
     failed = [c["name"] for c in report["checks"] if not c["passed"]]
     assert any(n.startswith("error_cov_node") for n in failed)
+
+
+def _mean_se(a):
+    return a.mean(axis=0), a.std(axis=0, ddof=1) / np.sqrt(a.shape[0])
+
+
+def _floor(target):
+    return 1e-9 * (1.0 + abs(target))
+
+
+def _expected_checks(sc):
+    """Every verify row (estimate, se, target, band, passed) recomputed with
+    plain numpy from the per-path numbers of the passes on both grids."""
+    model, grid, n_paths = sc.model, sc.grid, sc.n_paths
+    grid2 = TimeGrid(grid.T, 2 * grid.steps)
+    sol = solve_all(model, grid, sc.tolerances)
+    sol2 = solve_all(model, grid2, sc.tolerances)
+    probes = list(dict.fromkeys(default_probe_nodes(grid)))
+    eps = np.full(model.dims.m, 0.5)
+    pert = ControlPolicy.perturbed_feedback(eps)
+    st = simulate_statistics(model, sol, n_paths, sc.seed, probes,
+                             [ControlPolicy.zero(), pert])
+    st2 = simulate_statistics(model, sol2, n_paths, sc.seed,
+                              [2 * pn for pn in probes], [pert])
+    rows = {}
+
+    def add(name, est, se, target, band, passed):
+        rows[name] = (est, se, target, band, bool(passed))
+
+    fb, fb2 = st.costs["filter_feedback"], st2.costs["filter_feedback"]
+    cost, cost_se = _mean_se(fb)
+    value = st.analytic_value
+    band = 3 * cost_se + 3 * abs(cost - fb2.mean()) + _floor(value)
+    add("cost_vs_value", cost, cost_se, value, band, abs(cost - value) <= band)
+
+    for pn in probes:
+        cov, cov_se = _mean_se(st.error_outer[pn])
+        cov2 = st2.error_outer[2 * pn].mean(axis=0)
+        diff = np.abs(cov - sol.Sigma[pn])
+        bands = (3 * cov_se + 3 * np.abs(cov - cov2)
+                 + _floor(np.linalg.norm(sol.Sigma[pn])))
+        w = np.unravel_index(np.argmax(diff - bands), diff.shape)
+        add(f"error_cov_node{pn}", diff[w], cov_se[w], 0.0, bands[w],
+            (diff <= bands).all())
+        orth, orth_se = _mean_se(st.orth[pn])
+        band = 3 * orth_se + _floor(0.0)
+        add(f"orthogonality_node{pn}", abs(orth), orth_se, 0.0, band,
+            abs(orth) <= band)
+
+    nobs, d = n_paths * grid.steps, model.dims.d
+    inc = np.abs(st.inc_sums.sum(axis=0) / nobs).max()
+    se = np.sqrt(grid.h / nobs)
+    band = 3 * se + _floor(0.0)
+    add("innovation_increment_mean", inc, se, 0.0, band, inc <= band)
+    qv = st.qv.sum() / (n_paths * d * grid.T)
+    se = np.sqrt(2.0 / (nobs * d))
+    band = 3 * se + _floor(1.0)
+    add("innovation_qv_ratio", qv, se, 1.0, band, abs(qv - 1.0) <= band)
+    tvar = st.terminal.var(axis=0, ddof=1)
+    tvar_se = tvar * np.sqrt(2.0 / (n_paths - 1))
+    tband = 3 * tvar_se + _floor(grid.T)
+    w = np.argmax(np.abs(tvar - grid.T) - tband)
+    add("brownianity_terminal_var", tvar[w], tvar_se[w], grid.T, tband[w],
+        (np.abs(tvar - grid.T) <= tband).all())
+    lag = np.abs(st.lag_sums.sum(axis=0) / st.inc_sq.sum(axis=0)
+                 * grid.steps / (grid.steps - 1.0)).max()
+    lag_band = 3.0 / np.sqrt(nobs)
+    add("brownianity_lag1", lag, lag_band / 3, 0.0, lag_band + _floor(0.0),
+        lag <= lag_band + _floor(0.0))
+
+    cross, cross_se = _mean_se(st.hatJ + st.tildeJ - fb)
+    band = 3 * cross_se + _floor(0.0)
+    add("decomposition_cross", abs(cross), cross_se, 0.0, band,
+        abs(cross) <= band)
+    til, til_se = _mean_se(st.tildeJ)
+    til_value = st.tildeJ_analytic
+    band = (3 * til_se + 3 * abs(til - st2.tildeJ.mean())
+            + _floor(til_value))
+    add("decomposition_tildeJ", til, til_se, til_value, band,
+        abs(til - til_value) <= band)
+
+    for label in ("zero", "perturbed_feedback"):
+        ex, ex_se = _mean_se(st.costs[label] - fb)
+        add(f"not_beaten_by_{label}", ex, ex_se, 0.0, 2 * ex_se + _floor(0.0),
+            ex + 2 * ex_se + _floor(0.0) >= 0.0)
+    pred = np.trapezoid(np.einsum("a,tab,b->t", eps, model.cost.R, eps),
+                        grid.nodes)
+    ex2 = (st2.costs["perturbed_feedback"] - fb2).mean()
+    band = 3 * ex_se + 3 * abs(ex - ex2) + _floor(pred)
+    add("perturbed_excess_vs_prediction", ex, ex_se, pred, band,
+        abs(ex - pred) <= band)
+    return rows
+
+
+@pytest.mark.parametrize("case", ["scalar", "time_varying_2d"])
+def test_verify_rows_recomputed_from_the_passes(case):
+    if case == "scalar":
+        doc = bench_doc(mc={"n_paths": 500, "seed": 3})
+    else:
+        # n=2, d=2; on this seed the worst-element picks of the terminal
+        # variance and of some error covariances land off entry 0
+        model, grid = random_validated_model(np.random.default_rng(102),
+                                             time_varying=True)
+        doc = {**model_doc(model, grid), "mc": {"n_paths": 500, "seed": 6}}
+    sc = parse_scenario(json.dumps(doc))
+    want = _expected_checks(sc)
+    checks, _ = _run_checks(sc, sc.grid, sc.seed, sc.n_paths)
+    assert len(checks) == len(want) == 18
+    for c in checks:
+        est, se, target, band, passed = want[c["name"]]
+        np.testing.assert_allclose(
+            [c["estimate"], c["se"], c["target"], c["band"]],
+            [est, se, target, band], rtol=1e-12, atol=0.0, err_msg=c["name"])
+        assert c["passed"] == passed, c["name"]
 
 
 def test_scaled_sigma_by_one_is_the_solution():

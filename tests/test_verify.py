@@ -30,10 +30,14 @@ def bench100():
 
 
 @pytest.fixture(scope="module")
-def batch4000(bench100):
+def pass4000(bench100):
     model, grid, sol = bench100
-    return run_batch(simulate_statistics(model, sol, 4000, seed=101,
-                                         probes=(100,)), 100)
+    return simulate_statistics(model, sol, 4000, seed=101, probes=(100,))
+
+
+@pytest.fixture(scope="module")
+def batch4000(pass4000):
+    return run_batch(pass4000, 100)
 
 
 def test_default_probe_nodes():
@@ -91,19 +95,19 @@ def test_iter_path_bundles_matches_single_simulation(bench100):
 
 def test_se_shrinks_like_sqrt_n(bench100):
     model, grid, sol = bench100
-    small = run_batch(simulate_statistics(model, sol, 400, seed=1,
-                                          probes=(50,)), 50)
-    large = run_batch(simulate_statistics(model, sol, 6400, seed=1,
-                                          probes=(50,)), 50)
+    small, large = (
+        compare_policies(simulate_statistics(model, sol, n, seed=1))
+        .row("filter_feedback") for n in (400, 6400))
     ratio = large.cost_se / small.cost_se
     assert 0.20 <= ratio <= 0.31  # ideal 0.25
 
 
-def test_cost_mean_near_analytic_value(batch4000):
-    rep = batch4000
+def test_cost_mean_near_analytic_value(pass4000):
+    row = compare_policies(pass4000).row("filter_feedback")
+    value = pass4000.analytic_value
     # the Euler bias at steps=100 is well under 0.1 for this model
-    assert abs(rep.cost_mean - rep.analytic_value) <= 3.0 * rep.cost_se + 0.1
-    assert abs(rep.analytic_value - TOTAL) < 1e-3
+    assert abs(row.cost_mean - value) <= 3.0 * row.cost_se + 0.1
+    assert abs(value - TOTAL) < 1e-3
 
 
 def test_error_covariance_matches_discrete_chain(bench100, batch4000):
@@ -119,13 +123,12 @@ def test_orthogonality(batch4000):
     assert abs(rep.orth_stat) <= 3.5 * rep.orth_se
 
 
-def test_innovation_statistics(batch4000):
-    rep = batch4000
+def test_innovation_statistics(pass4000):
+    rep = brownianity_report(pass4000)
     model, grid = benchmark_model(100)
-    n_obs = rep.n_paths * grid.steps
-    assert np.abs(rep.innovation_increment_mean).max() <= 3.5 * np.sqrt(
-        grid.h / n_obs)
-    assert abs(rep.innovation_qv_ratio - 1.0) <= 4.0 * np.sqrt(2.0 / n_obs)
+    n_obs = pass4000.n_paths * grid.steps
+    assert np.abs(rep.increment_mean).max() <= 3.5 * np.sqrt(grid.h / n_obs)
+    assert abs(rep.qv_ratio - 1.0) <= 4.0 * np.sqrt(2.0 / n_obs)
 
 
 # ----------------------------------------------------------------- policies
@@ -172,9 +175,10 @@ def test_compare_policies_duplicate_labels(bench100):
 def test_brownianity_real_noise(bench100):
     model, grid, sol = bench100
     rep = brownianity_report(simulate_statistics(model, sol, 400, seed=41))
-    assert rep.n_paths == 400 and rep.steps == 100
-    assert np.abs(rep.increment_mean).max() <= 3.5 * rep.increment_mean_se.max()
-    assert np.abs(rep.increment_var / grid.h - 1.0).max() <= 0.05
+    # iid N(0, h) increments: SE of the pooled mean is sqrt(h / (n N))
+    se = np.sqrt(grid.h / (400 * grid.steps))
+    assert np.abs(rep.increment_mean).max() <= 3.5 * se
+    assert abs(rep.qv_ratio - 1.0) <= 0.05
     assert np.abs(rep.lag1_autocorr).max() <= rep.lag1_band
     assert (np.abs(rep.terminal_var - grid.T) <= 3.5 * rep.terminal_var_se).all()
 
@@ -190,7 +194,7 @@ def test_brownianity_zero_noise_degenerates_cleanly(bench100, monkeypatch):
     monkeypatch.setattr(verify, "_noise_stack", zero_noise)
     rep = brownianity_report(simulate_statistics(model, sol, 3, seed=0))
     assert (rep.increment_mean == 0.0).all()
-    assert (rep.increment_var == 0.0).all()
+    assert rep.qv_ratio == 0.0
     assert (rep.lag1_autocorr == 0.0).all()
     assert (rep.terminal_var == 0.0).all()
     assert np.isfinite(rep.lag1_band)
@@ -206,11 +210,13 @@ def test_brownianity_requires_two_paths(bench100):
 
 def test_decomposition_cross_terms_vanish(bench100):
     model, grid, sol = bench100
-    rep = decomposition_check(simulate_statistics(model, sol, 2000, seed=47))
+    stats = simulate_statistics(model, sol, 2000, seed=47)
+    rep = decomposition_check(stats)
     assert abs(rep.cross_mean) <= 3.5 * rep.cross_se
-    assert abs(rep.tildeJ_mean - rep.tildeJ_analytic) <= (
+    assert abs(rep.tildeJ_mean - stats.tildeJ_analytic) <= (
         3.5 * rep.tildeJ_se + 0.05)
-    assert abs(rep.hatJ_mean + rep.tildeJ_mean - rep.cost_mean) <= (
+    cost_mean = stats.costs["filter_feedback"].mean()
+    assert abs(stats.hatJ.mean() + rep.tildeJ_mean - cost_mean) <= (
         3.5 * rep.cross_se + 1e-12)
 
 
