@@ -1,9 +1,9 @@
 """Command line front end: validate, solve, simulate, verify.
 
 Scenario files are strict JSON; unknown fields are rejected so typos
-cannot silently change a run.  Result documents are JSON with a single
-timestamp line in their metadata; per-path CSV files carry no timestamps
-at all and rerunning a simulation writes byte-identical files.
+cannot silently change a run.  Result documents are compact JSON whose
+only timestamp is meta.generated_at; per-path CSV files carry no
+timestamps at all and rerunning a simulation writes byte-identical files.
 
 Exit codes: 0 success, 2 validation problem (scenario or model), 3
 numerical blow-up, 4 a verification check failed, 5 I/O problem.
@@ -272,9 +272,22 @@ def _write_series_csv(path: str, blocks):
 
 
 def _write_json(path: str, doc: dict):
+    """Write json.dumps(doc), a top-level value or list item at a time:
+    json.dumps runs the C encoder (json.dump and indent do not), and the
+    text of a large document is never held whole."""
     with open(path, "w") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
+        sep = "{"
+        for key, val in doc.items():
+            f.write(f"{sep}{json.dumps(key)}: ")
+            if isinstance(val, list):
+                f.write("[")
+                for i, item in enumerate(val):
+                    f.write((", " if i else "") + json.dumps(item))
+                f.write("]")
+            else:
+                f.write(json.dumps(val))
+            sep = ", "
+        f.write("}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -382,18 +382,22 @@ def _check_shapes(model: ModelSpec):
 
 
 def _finite_check(name: str, tables: dict[str, np.ndarray]) -> CheckResult:
+    """Fail at the first node of the first table with a non-finite entry;
+    the terminal weights G and g have no node axis, so they name no node."""
     for tname, arr in tables.items():
         finite = np.isfinite(arr).reshape(arr.shape[0], -1).all(axis=1)
         if not finite.all():
-            node = int(np.argmin(finite))
+            node = None if tname in ("G", "g") else int(np.argmin(finite))
             return CheckResult(name, False, node, float("-inf"))
     return CheckResult(name, True, None, 0.0)
 
 
 # the helpers below take one matrix or a stack of them (leading node axis)
 
-def _sym_slack(M: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(M - M.mT, axis=(-2, -1))
+def _sym_slack(M: np.ndarray, sym_tol: float) -> np.ndarray:
+    """sym_tol - ||M - M^T||; -inf at a non-finite node, not nan."""
+    slack = sym_tol - np.linalg.norm(M - M.mT, axis=(-2, -1))
+    return np.where(np.isfinite(M).all(axis=(-2, -1)), slack, -np.inf)
 
 
 def _eig_floor(M: np.ndarray, psd_tol: float) -> np.ndarray:
@@ -444,10 +448,10 @@ def validate(model: ModelSpec, tol: ToleranceConfig = ToleranceConfig()) -> Vali
         "A3_cost_finite",
         {f: getattr(cw, f) for f in CostWeights._FIELDS}))
 
-    g_sym = tol.sym_tol - float(_sym_slack(cw.G))
+    g_sym = float(_sym_slack(cw.G, tol.sym_tol))
     checks.append(CheckResult("A3_G_symmetric", g_sym >= 0, None, g_sym))
-    checks.append(_worst_node("A3_Q_symmetric", tol.sym_tol - _sym_slack(cw.Q)))
-    checks.append(_worst_node("A3_R_symmetric", tol.sym_tol - _sym_slack(cw.R)))
+    checks.append(_worst_node("A3_Q_symmetric", _sym_slack(cw.Q, tol.sym_tol)))
+    checks.append(_worst_node("A3_R_symmetric", _sym_slack(cw.R, tol.sym_tol)))
 
     g_slack = float(_eig_floor(cw.G, tol.psd_tol))
     checks.append(CheckResult("A3_G_psd", g_slack >= 0, None, g_slack))

@@ -1,32 +1,42 @@
 """Euler-Maruyama simulation of the closed loop and its error process.
 
+Policies see only the filter Xhat, which the innovation drives, and the
+error X - Xhat never sees the control, so the kernel steps (X, Xhat) only.
 One step, all left-endpoint coefficients, in this exact order:
 
-  u_i     = policy(t_i, Xhat_i)
-  X_{i+1} = X_i + (A X_i + B u_i + a) h + C dW_i + D dW'_i
-  Y_{i+1} = Y_i + (H X_i + h_coef) h + K dW_i
-  dV_i    = (Y_{i+1} - Y_i) - (H Xhat_i + h_coef) h
+  u_i        = policy(t_i, Xhat_i)
+  X_{i+1}    = X_i + (A X_i + B u_i + a) h + C dW_i + D dW'_i
+  dV_i       = H (X_i - Xhat_i) h + K dW_i
   Xhat_{i+1} = Xhat_i + (A Xhat_i + B u_i + a) h + (Sigma H^T + C K^T) N^{-1} dV_i
-  Vcheck_{i+1} = Vcheck_i + K^{-1} dV_i
 
-Policies only ever see the filtered state, never the truth; the control
-law, the optimal u = Theta Xhat - R^{-1}(B^T phi + r) and its variants,
-lives only in _policy_controls.  The realized cost is computed after
-stepping, by value.path_cost on the true path: the left Riemann sum of the
-running cost plus the terminal cost.  Noise comes from a counter-based
-generator keyed by (seed, path_index), so any path can be regenerated on
-its own and batches are bitwise independent of scheduling.
+The kernel returns X, Xhat, u, the innovation increments dV and each
+path's cost; its readers derive the rest.  A PathBundle's Y, V and Vcheck
+sum dY_i = dV_i + (H Xhat_i + h_coef) h, dV_i and K^{-1} dV_i from 0, and
+its Xtil is X - Xhat.
 
-The stepping kernel is vectorized over a leading path axis; the public
-single-path functions run it with one path, so batch and single-path
-results agree bitwise.  It reads every coefficient, the gain
-(Sigma H^T + C K^T) N^{-1}, K^{-1} and the feed-forward R^{-1}(B^T phi + r)
+The control law, the optimal u = Theta Xhat - R^{-1}(B^T phi + r) and its
+variants, lives only in _policy_controls.  The realized cost is computed
+after stepping, by value.path_cost on the true path: the left Riemann sum
+of the running cost plus the terminal cost.  Noise comes from a
+counter-based generator keyed by (seed, path_index), so any path can be
+regenerated on its own.
+
+The kernel is vectorized over a leading path axis; the public single-path
+functions run it with one path.  No per-path product goes through BLAS
+matmul, whose kernel depends on the batch size: the kernel and
+_policy_controls multiply at one node with a two-operand np.einsum, and
+the derived paths and value.path_cost at all nodes at once with
+value._matvec.  Both contract each path in the same order in any batch,
+so for every n a path's outputs and cost are bitwise the same alone, in
+any batch and at any chunk size.  The kernel reads every coefficient, the
+gain (Sigma H^T + C K^T) N^{-1} and the feed-forward R^{-1}(B^T phi + r)
 from the DeterministicSolution and its NodeTable, by node index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -35,7 +45,7 @@ from .errors import NonFinite, ShapeMismatch
 from .model import ModelSpec, Dimensions, TimeGrid
 from .model import interp_table  # noqa: F401  bench/tracer.py counts its calls here by name
 from .model import table_at_nodes  # noqa: F401  bench/tracer.py wraps it here by name
-from .value import path_cost
+from .value import _matvec, path_cost
 
 __all__ = [
     "NoiseDraw",
@@ -121,11 +131,11 @@ class PathBundle:
 
     grid: TimeGrid
     X: np.ndarray       # (N+1, n) true state
-    Y: np.ndarray       # (N+1, d) observation
+    Y: np.ndarray       # (N+1, d) observation, running sum of the dY_i
     Xhat: np.ndarray    # (N+1, n) filtered state
-    Xtil: np.ndarray    # (N+1, n) X - Xhat, exact by construction
-    V: np.ndarray       # (N+1, d) innovation
-    Vcheck: np.ndarray  # (N+1, d) normalized innovation
+    Xtil: np.ndarray    # (N+1, n) X - Xhat, exact
+    V: np.ndarray       # (N+1, d) innovation, running sum of the kernel's dV_i
+    Vcheck: np.ndarray  # (N+1, d) normalized innovation, running sum of K^{-1} dV_i
     u: np.ndarray       # (N+1, m) applied control (row N: policy value, unused)
     cost: float
 
@@ -137,7 +147,7 @@ def _policy_controls(policy: ControlPolicy, sol: DeterministicSolution, i: int,
         return np.zeros((npaths, m))
     if policy.kind == "open_loop":
         return np.broadcast_to(policy.table[i], (npaths, m)).copy()
-    u = Xhat @ sol.Theta[i].T - sol.ff[i]
+    u = np.einsum("ij,pj->pi", sol.Theta[i], Xhat) - sol.ff[i]
     if policy.kind == "perturbed_feedback":
         off = policy.table if policy.table.ndim == 1 else policy.table[i]
         u = u + off
@@ -157,61 +167,71 @@ def _check_policy_table(policy: ControlPolicy, grid: TimeGrid, m: int):
 
 def _closed_loop_arrays(model: ModelSpec, sol: DeterministicSolution,
                         policy: ControlPolicy, dW: np.ndarray, dWp: np.ndarray):
-    """Step every path at once; leading axis of dW/dWp indexes paths."""
+    """Step every path at once; leading axis of dW/dWp indexes paths.
+
+    Returns X and Xhat (paths, N+1, n), u (paths, N+1, m), the innovation
+    increments dV (paths, N, d) the filter consumed, and the cost of each
+    path."""
     grid = sol.grid
     dims = model.dims
     n, m, d = dims.n, dims.m, dims.d
     N = grid.steps
     _check_policy_table(policy, grid, m)
     tab = sol.table
-    Gain = sol.gain
     npaths = dW.shape[0]
 
     X = np.empty((npaths, N + 1, n))
-    Y = np.empty((npaths, N + 1, d))
     Xhat = np.empty((npaths, N + 1, n))
-    V = np.empty((npaths, N + 1, d))
-    Vcheck = np.empty((npaths, N + 1, d))
     u = np.empty((npaths, N + 1, m))
-
+    dV = np.empty((npaths, N, d))
     X[:, 0] = model.x0
     Xhat[:, 0] = model.x0
-    Y[:, 0] = 0.0
-    V[:, 0] = 0.0
-    Vcheck[:, 0] = 0.0
 
     nodes = grid.nodes
     for i in range(N):
         hs = nodes[i + 1] - nodes[i]
         j = 2 * i  # knot of node i in the table
-        Xi, Xhi, Yi = X[:, i], Xhat[:, i], Y[:, i]
+        Xi, Xhi, dWi = X[:, i], Xhat[:, i], dW[:, i]
         Ui = _policy_controls(policy, sol, i, Xhi, m)
         u[:, i] = Ui
-        drift_truth = Xi @ tab.A[j].T + Ui @ tab.B[j].T + tab.a[j]
-        X[:, i + 1] = (Xi + hs * drift_truth + dW[:, i] @ tab.C[j].T
-                       + dWp[:, i] @ tab.D[j].T)
-        # the filter consumes the observation increment itself, not the
-        # difference of accumulated levels, so dV carries no cancellation
-        dY = hs * (Xi @ tab.H[j].T + tab.h[j]) + dW[:, i] @ tab.K[j].T
-        Y[:, i + 1] = Yi + dY
-        dV = dY - hs * (Xhi @ tab.H[j].T + tab.h[j])
-        drift_filter = Xhi @ tab.A[j].T + Ui @ tab.B[j].T + tab.a[j]
-        Xhat[:, i + 1] = Xhi + hs * drift_filter + dV @ Gain[i].T
-        V[:, i + 1] = V[:, i] + dV
-        Vcheck[:, i + 1] = Vcheck[:, i] + dV @ tab.Kinv[j].T
+        Bu = np.einsum("ij,pj->pi", tab.B[j], Ui)
+        drift_truth = np.einsum("ij,pj->pi", tab.A[j], Xi) + Bu + tab.a[j]
+        X[:, i + 1] = (Xi + hs * drift_truth + np.einsum("ij,pj->pi", tab.C[j], dWi)
+                       + np.einsum("ij,pj->pi", tab.D[j], dWp[:, i]))
+        dV[:, i] = (hs * np.einsum("ij,pj->pi", tab.H[j], Xi - Xhi)
+                    + np.einsum("ij,pj->pi", tab.K[j], dWi))
+        drift_filter = np.einsum("ij,pj->pi", tab.A[j], Xhi) + Bu + tab.a[j]
+        Xhat[:, i + 1] = (Xhi + hs * drift_filter
+                          + np.einsum("ij,pj->pi", sol.gain[i], dV[:, i]))
         if not np.isfinite(X[:, i + 1]).all() or not np.isfinite(Xhat[:, i + 1]).all():
             raise NonFinite("simulate_closed_loop", i + 1)
 
     u[:, N] = _policy_controls(policy, sol, N, Xhat[:, N], m)
-    return {"X": X, "Y": Y, "Xhat": Xhat, "Xtil": X - Xhat, "V": V,
-            "Vcheck": Vcheck, "u": u, "cost": path_cost(tab, X, u)}
+    return {"X": X, "Xhat": Xhat, "u": u, "dV": dV, "cost": path_cost(tab, X, u)}
 
 
-def _bundle(grid: TimeGrid, arrs, p: int) -> PathBundle:
-    """Path p of a _closed_loop_arrays output."""
-    paths = ("X", "Y", "Xhat", "Xtil", "V", "Vcheck", "u")
-    return PathBundle(grid=grid, cost=float(arrs["cost"][p]),
-                      **{f: arrs[f][p] for f in paths})
+def _bundles(sol: DeterministicSolution, arrs) -> Iterator[PathBundle]:
+    """The paths of a _closed_loop_arrays output as PathBundles; Y, V and
+    Vcheck are summed from their increments in place, for all paths."""
+    tab = sol.table
+    X, Xhat, dV = arrs["X"], arrs["Xhat"], arrs["dV"]
+    shape = X.shape[:2] + dV.shape[2:]
+    # each level allocated just before it is filled: one block for all
+    # three raised peak RSS by 6 MB on a 400-path n=3 chunk
+    Vcheck = np.zeros(shape)
+    _matvec(tab.Kinv[:-1:2], dV, out=Vcheck[:, 1:])
+    Y = np.zeros(shape)
+    dY = _matvec(tab.H[:-1:2], Xhat[:, :-1], out=Y[:, 1:])
+    dY += tab.h[:-1:2]
+    dY *= np.diff(sol.grid.nodes)[:, None]
+    dY += dV
+    V = np.zeros(shape)
+    V[:, 1:] = dV
+    for level in (Y, V, Vcheck):
+        np.cumsum(level[:, 1:], axis=1, out=level[:, 1:])
+    for p, cost in enumerate(arrs["cost"]):
+        yield PathBundle(sol.grid, X[p], Y[p], Xhat[p], X[p] - Xhat[p], V[p],
+                         Vcheck[p], arrs["u"][p], float(cost))
 
 
 def simulate_closed_loop(model: ModelSpec, sol: DeterministicSolution,
@@ -221,7 +241,7 @@ def simulate_closed_loop(model: ModelSpec, sol: DeterministicSolution,
         raise ShapeMismatch("noise grid does not match the solution grid")
     arrs = _closed_loop_arrays(model, sol, policy,
                                noise.dW[None, ...], noise.dWp[None, ...])
-    return _bundle(sol.grid, arrs, 0)
+    return next(_bundles(sol, arrs))
 
 
 def _error_direct_arrays(model: ModelSpec, sol: DeterministicSolution,

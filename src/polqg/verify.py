@@ -19,10 +19,11 @@ Each statistic is reduced in exactly one report:
 The analytic targets (optimal value, tilde_J) live on PathStatistics,
 and Sigma on the solution; no report copies them.
 
-All cross-path reductions run sequentially in path-index order, so a
-report is bitwise reproducible for fixed (model, seed, n_paths, policies),
-independent of chunk size or scheduling.  Per-path noise comes from
-draw_noise(seed, path_index), so chunking never changes the draws.
+Per-path noise comes from draw_noise(seed, path_index) and every per-path
+number is bitwise independent of the chunk its path ran in (see
+polqg.simulate).  The reports reduce the complete per-path arrays with
+numpy, so they are bitwise reproducible for fixed (model, seed, n_paths,
+policies), independent of chunk size or scheduling.
 """
 
 from __future__ import annotations
@@ -39,11 +40,11 @@ from .model import table_at_nodes  # noqa: F401  bench/tracer.py wraps it here b
 from .simulate import (
     ControlPolicy,
     PathBundle,
-    _bundle,
+    _bundles,
     _closed_loop_arrays,
     draw_noise,
 )
-from .value import optimal_value, path_cost, tilde_J
+from .value import _matvec, optimal_value, path_cost, tilde_J
 
 __all__ = [
     "PathStatistics",
@@ -65,22 +66,9 @@ __all__ = [
 _FEEDBACK = ControlPolicy.filter_feedback()
 
 
-# ---------------------------------------------------------------------------
-# sequential reductions (fixed index order, hence scheduling-independent)
-
-def _seq_sum(a: np.ndarray) -> np.ndarray:
-    acc = np.zeros(a.shape[1:])
-    for v in a:
-        acc = acc + v
-    return acc
-
-
-def _seq_mean_se(a: np.ndarray):
-    """Mean and standard error along axis 0, reduced in index order."""
-    p = a.shape[0]
-    mean = _seq_sum(a) / p
-    var = _seq_sum((a - mean) ** 2) / (p - 1)
-    return mean, np.sqrt(var / p)
+def _mean_se(a: np.ndarray):
+    """Mean and standard error along the path axis."""
+    return a.mean(axis=0), a.std(axis=0, ddof=1) / np.sqrt(a.shape[0])
 
 
 def default_probe_nodes(grid: TimeGrid) -> tuple[int, ...]:
@@ -118,10 +106,9 @@ def iter_path_bundles(model: ModelSpec, sol: DeterministicSolution,
                       chunk_size: int = 1024) -> Iterator[PathBundle]:
     """Yield PathBundles for path indices 0..n_paths-1 in order, simulated
     in chunks so memory stays bounded."""
-    for j0, j1, _, arrs in _simulate_chunks(model, sol, (policy,), n_paths,
-                                            seed, chunk_size):
-        for p in range(j1 - j0):
-            yield _bundle(sol.grid, arrs, p)
+    for _, _, _, arrs in _simulate_chunks(model, sol, (policy,), n_paths,
+                                          seed, chunk_size):
+        yield from _bundles(sol, arrs)
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +126,9 @@ class PathStatistics:
     costs: dict[str, np.ndarray]   # policy label -> (n_paths,), feedback first
     error_outer: dict[int, np.ndarray]  # probe node -> (n_paths, n, n) Xtil Xtil^T
     orth: dict[int, np.ndarray]    # probe node -> (n_paths,) <Xtil, Xhat>
-    inc_sums: np.ndarray           # (n_paths, d) sum of the dVcheck
+    inc_sums: np.ndarray           # (n_paths, d) sum of the dVcheck, = Vcheck(T)
     inc_sq: np.ndarray             # (n_paths, d) sum of dVcheck**2
     lag_sums: np.ndarray           # (n_paths, d) sum of dVcheck_i dVcheck_{i+1}
-    qv: np.ndarray                 # (n_paths,) sum of ||dVcheck||^2
-    terminal: np.ndarray           # (n_paths, d) Vcheck(T)
     hatJ: np.ndarray               # (n_paths,) cost along Xhat
     tildeJ: np.ndarray             # (n_paths,) cost along Xtil
 
@@ -153,19 +138,19 @@ def _record_feedback(arrs, stats: PathStatistics, rows: slice):
     into rows of stats: the probe statistics, the innovation increment
     sums, and the cost split along X = Xhat + Xtil, where value.path_cost
     prices Xhat with the applied controls and Xtil with none."""
-    for pn in stats.error_outer:
-        til = arrs["Xtil"][:, pn]
-        stats.error_outer[pn][rows] = til[:, :, None] * til[:, None, :]
-        stats.orth[pn][rows] = np.einsum("pi,pi->p", til, arrs["Xhat"][:, pn])
-    dvc = np.diff(arrs["Vcheck"], axis=1)
+    tab = stats.sol.table
+    dvc = _matvec(tab.Kinv[:-1:2], arrs["dV"])  # K^{-1} dV
     stats.inc_sums[rows] = dvc.sum(axis=1)
     stats.inc_sq[rows] = (dvc ** 2).sum(axis=1)
     stats.lag_sums[rows] = (dvc[:, :-1] * dvc[:, 1:]).sum(axis=1)
-    stats.qv[rows] = np.einsum("ptd,ptd->p", dvc, dvc)
-    stats.terminal[rows] = arrs["Vcheck"][:, -1]
-    tab = stats.sol.table
+    del dvc  # before the path costs' temporaries
+    Xtil = arrs["X"] - arrs["Xhat"]
+    for pn in stats.error_outer:
+        til = Xtil[:, pn]
+        stats.error_outer[pn][rows] = til[:, :, None] * til[:, None, :]
+        stats.orth[pn][rows] = np.einsum("pi,pi->p", til, arrs["Xhat"][:, pn])
     stats.hatJ[rows] = path_cost(tab, arrs["Xhat"], arrs["u"])
-    stats.tildeJ[rows] = path_cost(tab, arrs["Xtil"], 0.0)
+    stats.tildeJ[rows] = path_cost(tab, Xtil, 0.0)
 
 
 def simulate_statistics(model: ModelSpec, sol: DeterministicSolution,
@@ -194,8 +179,7 @@ def simulate_statistics(model: ModelSpec, sol: DeterministicSolution,
         error_outer={pn: np.empty((n_paths, n, n)) for pn in probes},
         orth={pn: np.empty(n_paths) for pn in probes},
         inc_sums=np.empty((n_paths, d)), inc_sq=np.empty((n_paths, d)),
-        lag_sums=np.empty((n_paths, d)), qv=np.empty(n_paths),
-        terminal=np.empty((n_paths, d)),
+        lag_sums=np.empty((n_paths, d)),
         hatJ=np.empty(n_paths), tildeJ=np.empty(n_paths),
     )
     for j0, j1, policy, arrs in _simulate_chunks(model, sol, runs, n_paths,
@@ -225,8 +209,8 @@ class BatchReport:
 def run_batch(stats: PathStatistics, probe_node: int) -> BatchReport:
     """The feedback statistics at one of the pass's probe nodes (KeyError
     for a node the pass did not record)."""
-    cov_mean, cov_se = _seq_mean_se(stats.error_outer[probe_node])
-    orth_mean, orth_se = _seq_mean_se(stats.orth[probe_node])
+    cov_mean, cov_se = _mean_se(stats.error_outer[probe_node])
+    orth_mean, orth_se = _mean_se(stats.orth[probe_node])
     return BatchReport(probe_node, cov_mean, cov_se,
                        float(orth_mean), float(orth_se))
 
@@ -264,10 +248,10 @@ def compare_policies(stats: PathStatistics) -> PolicyComparison:
     baseline = stats.costs[_FEEDBACK.label]
     rows = []
     for lab, costs in stats.costs.items():
-        mean, se = _seq_mean_se(costs)
+        mean, se = _mean_se(costs)
         excess = (None, None)
         if lab != _FEEDBACK.label:
-            excess = tuple(float(v) for v in _seq_mean_se(costs - baseline))
+            excess = tuple(float(v) for v in _mean_se(costs - baseline))
         rows.append(PolicyCostRow(lab, float(mean), float(se), *excess))
     rows.sort(key=lambda r: r.cost_mean)
     return PolicyComparison(tuple(rows))
@@ -298,15 +282,14 @@ def brownianity_report(stats: PathStatistics) -> BrownianityReport:
     """Pool the feedback paths' innovation increment statistics."""
     count, grid = stats.n_paths, stats.sol.grid
     steps, d = grid.steps, stats.inc_sums.shape[1]
-    inc_mean = _seq_sum(stats.inc_sums) / (count * steps)
-    qv_ratio = float(_seq_sum(stats.qv) / (count * d * grid.T))
-    inc_sq = _seq_sum(stats.inc_sq)
-    lag_sum = _seq_sum(stats.lag_sums)
+    inc_mean = stats.inc_sums.sum(axis=0) / (count * steps)
+    inc_sq = stats.inc_sq.sum(axis=0)
+    qv_ratio = float(inc_sq.sum() / (count * d * grid.T))
+    lag_sum = stats.lag_sums.sum(axis=0)
     denom = np.where(inc_sq > 0, inc_sq, 1.0)
     lag1 = np.where(inc_sq > 0, lag_sum / denom * steps / (steps - 1.0), 0.0)
 
-    tmean = _seq_sum(stats.terminal) / count
-    tvar = _seq_sum((stats.terminal - tmean) ** 2) / (count - 1)
+    tvar = stats.inc_sums.var(axis=0, ddof=1)
     tvar_se = tvar * np.sqrt(2.0 / (count - 1))
 
     return BrownianityReport(inc_mean, qv_ratio, lag1,
@@ -330,8 +313,8 @@ class DecompositionReport:
 def decomposition_check(stats: PathStatistics) -> DecompositionReport:
     """Test that the cross terms of the feedback cost split average to
     zero and that the Xtil part matches tilde_J."""
-    til_mean, til_se = _seq_mean_se(stats.tildeJ)
-    cross_mean, cross_se = _seq_mean_se(
+    til_mean, til_se = _mean_se(stats.tildeJ)
+    cross_mean, cross_se = _mean_se(
         stats.hatJ + stats.tildeJ - stats.costs[_FEEDBACK.label])
     return DecompositionReport(float(til_mean), float(til_se),
                                float(cross_mean), float(cross_se))

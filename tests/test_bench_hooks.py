@@ -68,6 +68,7 @@ def test_traced_verify_runs(tmp_path):
     # and perturbed feedback on the N grid, feedback and perturbed feedback
     # on the 2N grid; no path is simulated twice
     assert metrics["simulate.kernel_calls"] == 5
+    assert metrics["simulate.path_steps"] == 3 * 8 * 20 + 2 * 8 * 40
     assert metrics["simulate.distinct_ratio"] == 1.0
     # three RK4 loops per solve (P with Sigma, phi, Pi with pi) on the 20-
     # and 40-step grids, and the Pi/pi loop again on both for the scaled Sigma

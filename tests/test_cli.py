@@ -112,12 +112,16 @@ def test_validate_nonfinite_cost_matrix_exits_2(tmp_path, capsys, field):
     model, grid = random_validated_model(np.random.default_rng(100),
                                          time_varying=True)
     doc = model_doc(model, grid)
+    # G has no node axis; every check a NaN fails reports margin -inf
     if field == "G":
         doc["cost"]["G"][0][1] = float("nan")
-        failed = {"A3_G_psd": None}
+        failed = {"A3_cost_finite": None, "A3_G_symmetric": None,
+                  "A3_G_psd": None}
     else:
         doc["cost"]["table"][field][5][0][0] = float("nan")
         failed = {"A3_cost_finite": 5, "A3_QSRS_psd": 5}
+        if field in ("Q", "R"):
+            failed[f"A3_{field}_symmetric"] = 5
     with pytest.raises(ValidationFailure) as err:
         parse_scenario(json.dumps(doc))
     report = err.value.report
@@ -130,6 +134,7 @@ def test_validate_nonfinite_cost_matrix_exits_2(tmp_path, capsys, field):
     out = capsys.readouterr().out
     assert "FAIL  A3_cost_finite" in out
     assert "validation: FAIL" in out
+    assert "nan" not in out
 
 
 def test_validate_asymmetric_G_exits_2(tmp_path, capsys):
@@ -471,11 +476,11 @@ def _expected_checks(sc):
     se = np.sqrt(grid.h / nobs)
     band = 3 * se + _floor(0.0)
     add("innovation_increment_mean", inc, se, 0.0, band, inc <= band)
-    qv = st.qv.sum() / (n_paths * d * grid.T)
+    qv = st.inc_sq.sum() / (n_paths * d * grid.T)
     se = np.sqrt(2.0 / (nobs * d))
     band = 3 * se + _floor(1.0)
     add("innovation_qv_ratio", qv, se, 1.0, band, abs(qv - 1.0) <= band)
-    tvar = st.terminal.var(axis=0, ddof=1)
+    tvar = st.inc_sums.var(axis=0, ddof=1)  # Vcheck(T)
     tvar_se = tvar * np.sqrt(2.0 / (n_paths - 1))
     tband = 3 * tvar_se + _floor(grid.T)
     w = np.argmax(np.abs(tvar - grid.T) - tband)

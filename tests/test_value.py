@@ -65,23 +65,27 @@ def test_running_cost_cross_terms():
 
 
 def test_path_cost_independent_of_batch_size():
-    model, grid = benchmark_model(100)
-    sol = solve_all(model, grid)
-    bundles = list(iter_path_bundles(model, sol, ControlPolicy.filter_feedback(),
-                                     300, seed=4))
-    X = np.stack([b.X for b in bundles])
-    U = np.stack([b.u for b in bundles])
-    Xtil = np.stack([b.Xtil for b in bundles])
-    whole = path_cost(sol.table, X, U)
-    np.testing.assert_array_equal(whole, [b.cost for b in bundles])
-    whole_til = path_cost(sol.table, Xtil, 0.0)
-    for size in (1, 7, 64):
-        parts = [path_cost(sol.table, X[j:j + size], U[j:j + size])
-                 for j in range(0, 300, size)]
-        np.testing.assert_array_equal(np.concatenate(parts), whole)
-        parts = [path_cost(sol.table, Xtil[j:j + size], 0.0)
-                 for j in range(0, 300, size)]
-        np.testing.assert_array_equal(np.concatenate(parts), whole_til)
+    # the scalar benchmark, and time-varying draws 100 and 102 (n = 3 and 2)
+    cases = [benchmark_model(100)] + [
+        random_validated_model(np.random.default_rng(draw), time_varying=True)
+        for draw in (100, 102)]
+    for model, grid in cases:
+        sol = solve_all(model, grid)
+        bundles = list(iter_path_bundles(
+            model, sol, ControlPolicy.filter_feedback(), 300, seed=4))
+        X = np.stack([b.X for b in bundles])
+        U = np.stack([b.u for b in bundles])
+        Xtil = np.stack([b.Xtil for b in bundles])
+        whole = path_cost(sol.table, X, U)
+        np.testing.assert_array_equal(whole, [b.cost for b in bundles])
+        whole_til = path_cost(sol.table, Xtil, 0.0)
+        for size in (1, 7, 64):
+            parts = [path_cost(sol.table, X[j:j + size], U[j:j + size])
+                     for j in range(0, 300, size)]
+            np.testing.assert_array_equal(np.concatenate(parts), whole)
+            parts = [path_cost(sol.table, Xtil[j:j + size], 0.0)
+                     for j in range(0, 300, size)]
+            np.testing.assert_array_equal(np.concatenate(parts), whole_til)
 
 
 def test_benchmark_values_match_oracles():

@@ -30,6 +30,18 @@ def bench100():
 
 
 @pytest.fixture(scope="module")
+def any_n(bench100):
+    """The scalar benchmark and two time-varying draws with n = 3 and 2,
+    on which batched matrix products would depend on the batch size."""
+    cases = [bench100]
+    for draw in (100, 102):
+        model, grid = random_validated_model(np.random.default_rng(draw),
+                                             time_varying=True)
+        cases.append((model, grid, solve_all(model, grid)))
+    return cases
+
+
+@pytest.fixture(scope="module")
 def pass4000(bench100):
     model, grid, sol = bench100
     return simulate_statistics(model, sol, 4000, seed=101, probes=(100,))
@@ -59,38 +71,40 @@ def test_run_batch_probe_bounds(bench100):
         run_batch(simulate_statistics(model, sol, 8, seed=0, probes=(50,)), 100)
 
 
-def test_run_batch_chunk_invariance(bench100):
+def test_run_batch_chunk_invariance(any_n):
     # the same paths aggregated in different chunkings agree bitwise, in
     # every report read off the pass
-    model, grid, sol = bench100
-    alternatives = [ControlPolicy.zero(),
-                    ControlPolicy.perturbed_feedback(np.full(1, 0.5))]
-    passes = [simulate_statistics(model, sol, 100, seed=5, probes=(50,),
-                                  policies=alternatives, chunk_size=cs)
-              for cs in (7, 64, 100)]
-    reports = [(run_batch(st, 50), brownianity_report(st),
-                decomposition_check(st)) for st in passes]
-    comparisons = [compare_policies(st) for st in passes]
-    assert len(comparisons[0].rows) == 3
-    for rep, comp in zip(reports[1:], comparisons[1:]):
-        assert comp == comparisons[0]
-        for got, want in zip(rep, reports[0]):
-            for field in got.__dataclass_fields__:
-                np.testing.assert_array_equal(getattr(got, field),
-                                              getattr(want, field), field)
+    for model, grid, sol in any_n:
+        pn = grid.steps // 2
+        alternatives = [ControlPolicy.zero(), ControlPolicy.perturbed_feedback(
+            np.full(model.dims.m, 0.5))]
+        passes = [simulate_statistics(model, sol, 100, seed=5, probes=(pn,),
+                                      policies=alternatives, chunk_size=cs)
+                  for cs in (7, 64, 100)]
+        reports = [(run_batch(st, pn), brownianity_report(st),
+                    decomposition_check(st)) for st in passes]
+        comparisons = [compare_policies(st) for st in passes]
+        assert len(comparisons[0].rows) == 3
+        for rep, comp in zip(reports[1:], comparisons[1:]):
+            assert comp == comparisons[0]
+            for got, want in zip(rep, reports[0]):
+                for field in got.__dataclass_fields__:
+                    np.testing.assert_array_equal(getattr(got, field),
+                                                  getattr(want, field), field)
 
 
-def test_iter_path_bundles_matches_single_simulation(bench100):
-    model, grid, sol = bench100
-    bundles = list(iter_path_bundles(model, sol, FEEDBACK, 6, seed=17,
-                                     chunk_size=4))
-    assert len(bundles) == 6
-    for j in (0, 3, 5):
-        single = simulate_closed_loop(model, sol, FEEDBACK,
-                                      draw_noise(17, j, grid, model.dims))
-        np.testing.assert_array_equal(bundles[j].X, single.X)
-        np.testing.assert_array_equal(bundles[j].Vcheck, single.Vcheck)
-        assert bundles[j].cost == single.cost
+def test_iter_path_bundles_matches_single_simulation(any_n):
+    for model, grid, sol in any_n:
+        bundles = list(iter_path_bundles(model, sol, FEEDBACK, 6, seed=17,
+                                         chunk_size=4))
+        assert len(bundles) == 6
+        for j in (0, 3, 5):
+            single = simulate_closed_loop(model, sol, FEEDBACK,
+                                          draw_noise(17, j, grid, model.dims))
+            for field in ("X", "Y", "Xhat", "Xtil", "V", "Vcheck", "u"):
+                np.testing.assert_array_equal(getattr(bundles[j], field),
+                                              getattr(single, field), field)
+            assert bundles[j].cost == single.cost
 
 
 def test_se_shrinks_like_sqrt_n(bench100):
