@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -24,7 +25,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .detsolve import DeterministicSolution, solve_all, solve_filter_side
-# bench/tracer.py wraps these names here; the calls go through solve_filter_side
+# bench/tracer.py wraps these names here; cli reaches them only through
+# solve_filter_side, and solve_pi not at all
 from .detsolve import compute_curlyA, compute_Delta, solve_Pi, solve_pi  # noqa: F401
 from .errors import (
     EmptyGrid,
@@ -105,6 +107,19 @@ def _expect(obj, where, allowed, required=()):
         raise ScenarioSyntaxError(f"{where}: missing required field(s) {missing}")
 
 
+def _number(value, where: str, integer: bool = False):
+    """A scalar field as a float, or as an int when `integer`.  Null,
+    strings, lists, booleans, NaN, infinities and, for an integer, a
+    fractional part are scenario errors, never coerced."""
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if ok and isinstance(value, float):
+        ok = math.isfinite(value) and (value.is_integer() or not integer)
+    if not ok:
+        kind = "an integer" if integer else "a finite number"
+        raise ScenarioSyntaxError(f"{where}: expected {kind}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
 def _policy_from_spec(spec) -> ControlPolicy:
     _expect(spec, "policy", allowed=("kind", "table", "offset", "label"),
             required=("kind",))
@@ -163,8 +178,9 @@ def parse_scenario(text: str) -> Scenario:
 
     _expect(doc["dims"], "dims", allowed=("n", "m", "d", "k"),
             required=("n", "m", "d", "k"))
-    dims = Dimensions(**{k: int(v) for k, v in doc["dims"].items()})
-    grid = TimeGrid(float(doc["T"]), int(doc["steps"]))
+    dims = Dimensions(**{k: _number(v, f"dims.{k}", integer=True)
+                         for k, v in doc["dims"].items()})
+    grid = TimeGrid(_number(doc["T"], "T"), _number(doc["steps"], "steps", integer=True))
     x0 = np.asarray(doc["x0"], dtype=float)
 
     cspec, wspec = doc["coefficients"], doc["cost"]
@@ -174,17 +190,16 @@ def parse_scenario(text: str) -> Scenario:
             required=("G", "g"))
     cost = _per_node_fields(wspec, "cost", grid, CostWeights, _COST_SHAPES,
                             G=wspec["G"], g=wspec["g"],
-                            delta=float(doc.get("delta", 1e-6)))
+                            delta=_number(doc.get("delta", 1e-6), "delta"))
 
     tol = ToleranceConfig()
     if "tolerances" in doc:
         _expect(doc["tolerances"], "tolerances",
                 allowed=("psd_tol", "sym_tol", "k_cond_bound"))
-        tol = ToleranceConfig(
-            psd_tol=float(doc["tolerances"].get("psd_tol", tol.psd_tol)),
-            sym_tol=float(doc["tolerances"].get("sym_tol", tol.sym_tol)),
-            k_cond_bound=float(doc["tolerances"].get("k_cond_bound", tol.k_cond_bound)),
-        )
+        tol = ToleranceConfig(**{
+            name: _number(doc["tolerances"].get(name, getattr(tol, name)),
+                          f"tolerances.{name}")
+            for name in ("psd_tol", "sym_tol", "k_cond_bound")})
 
     model = ModelSpec(dims=dims, T=grid.T, coeffs=coeffs, cost=cost, x0=x0)
     report = validate(model, tol)
@@ -198,10 +213,13 @@ def parse_scenario(text: str) -> Scenario:
     n_paths, seed, probe_times = 2000, 0, None
     if "mc" in doc:
         _expect(doc["mc"], "mc", allowed=("n_paths", "seed", "probe_times"))
-        n_paths = int(doc["mc"].get("n_paths", n_paths))
-        seed = int(doc["mc"].get("seed", seed))
+        n_paths = _number(doc["mc"].get("n_paths", n_paths), "mc.n_paths", integer=True)
+        seed = _number(doc["mc"].get("seed", seed), "mc.seed", integer=True)
         if "probe_times" in doc["mc"]:
-            probe_times = tuple(float(t) for t in doc["mc"]["probe_times"])
+            if not isinstance(doc["mc"]["probe_times"], list):
+                raise ScenarioSyntaxError("mc.probe_times: expected a list")
+            probe_times = tuple(_number(t, "mc.probe_times")
+                                for t in doc["mc"]["probe_times"])
             for t in probe_times:
                 if t < 0 or t > grid.T:
                     raise OutOfRange(f"probe time {t} outside [0, {grid.T}]")
@@ -230,7 +248,7 @@ def _meta() -> dict:
 
 def _solution_document(sol: DeterministicSolution) -> dict:
     paths = {name: getattr(sol, name).tolist() for name in
-             ("P", "Theta", "phi", "Sigma", "Delta", "curlyA", "Pi", "pi_vec")}
+             ("P", "Theta", "phi", "Sigma", "Delta", "curlyA", "Pi")}
     nodes = [{"index": i, "t": t, **{name: v[i] for name, v in paths.items()}}
              for i, t in enumerate(sol.grid.nodes.tolist())]
     return {"format_version": FORMAT_VERSION, "kind": "solution",

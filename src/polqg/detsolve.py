@@ -10,22 +10,23 @@ RK4 (no adaptivity, so reruns are bitwise reproducible):
   Sigma  forward filter error covariance (Riccati of Kalman-Bucy type)
   Delta  Sigma (K^{-1} H)^T, the error diffusion loading
   curlyA closed-loop error drift A - gain H
-  Pi, pi backward Lyapunov pair used by the value decomposition
+  Pi     backward Lyapunov equation used by the value decomposition
   gain   Kalman-Bucy filter gain (Sigma H^T + C K^T) N^{-1}, N = K K^T
   ff     feed-forward R^{-1}(B^T phi + r) of the optimal control
 
 All of them read one NodeTable: the model's coefficients resampled once
 onto the nodes of the solve grid and the RK4 midpoints between them,
 together with every operator the RK4 stages need, so no stage solves a
-linear system.  solve_all steps the five ODEs in three RK4 loops:
+linear system.  solve_all steps the four ODEs in three RK4 loops, two of
+them on one Riccati loop body, -(Y F + (Y F)^T - Y M Y + C) for knot
+arrays F, M and C (_solve_riccati):
 
   1. P and Sigma together, on a stacked (2, n, n) array with Sigma in
-     reversed time (_solve_riccati); both have the right-hand side
-     -(Y F + (Y F)^T - Y M Y + C) for knot arrays F, M and C.
+     reversed time.
   2. phi, on its own, from the knot arrays -(A + B Theta)^T and
      -Theta^T r - P a - q (solve_phi).
-  3. Pi and pi together, on Y = [Pi | pi] of shape (n, n+1), inside
-     solve_filter_side, so a rescaled Sigma rebuilds both.
+  3. Pi, with M = 0, inside solve_filter_side, so a rescaled Sigma
+     rebuilds it.
 
 Every path is a plain (N+1, ...) array of its values at the nodes of
 table.grid.  An RK4 stage indexes the table by knot; a path already
@@ -34,8 +35,10 @@ its midpoint values interpolated linearly between nodes.  Symmetric
 matrices are re-symmetrized after every step so roundoff cannot
 accumulate skew.
 For callers that need one path, solve_P and solve_Sigma run loop 1 on
-that equation alone, and solve_Pi and solve_pi return their part of
-loop 3; solve_all calls none of them.
+that equation alone.  solve_pi steps the backward offset
+dpi/dt = -(curlyA^T pi + q), pi(T) = g, which no value term reads: pi
+could enter only through 2<pi, E Xtil>, and E Xtil = 0 since Xtil_0 = 0
+and the error recursion has no forcing term; solve_all does not call it.
 """
 
 from __future__ import annotations
@@ -91,7 +94,6 @@ class DeterministicSolution:
     gain: np.ndarray    # (N+1, n, d)
     curlyA: np.ndarray  # (N+1, n, n)
     Pi: np.ndarray      # (N+1, n, n)
-    pi_vec: np.ndarray  # (N+1, n)
 
     @property
     def grid(self) -> TimeGrid:
@@ -155,8 +157,8 @@ def _assert_psd(name: str, values: np.ndarray, psd_tol: float):
         raise PSDViolation(name, i, float(eigmin[i]), float(floor[i]))
 
 
-def _riccati_operators(tab: NodeTable, name: str):
-    """Knot arrays (F, M, C) of P or Sigma, stepped backward from t_N as
+def _riccati_operators(tab: NodeTable, name: str, curlyA: np.ndarray | None):
+    """Knot arrays (F, M, C) of P, Sigma or Pi, stepped backward from t_N as
     dY/dt = -(Y F + (Y F)^T - Y M Y + C):
 
     P:     dP/dt = -(P Abar + Abar^T P - P B R^{-1} B^T P + Qbar).
@@ -164,24 +166,31 @@ def _riccati_operators(tab: NodeTable, name: str):
     Sigma(t_{N-i}) and its arrays are reversed in knot order; in reversed
     time dSigma/dt = Acl Sigma + Sigma Acl^T - Sigma H^T N^{-1} H Sigma + D D^T
     takes the same form with F = Acl^T, M = H^T N^{-1} H and C = D D^T.
+    Pi:    dPi/dt = -(Pi curlyA + curlyA^T Pi + Q), so F = curlyA at the
+    knots, M = 0 and C = Q.
     """
     if name == "P":
         return tab.Abar, tab.BRBt, tab.Qbar
-    return tab.Acl.mT[::-1], tab.HNH[::-1], tab.DDt[::-1]
+    if name == "Sigma":
+        return tab.Acl.mT[::-1], tab.HNH[::-1], tab.DDt[::-1]
+    Av = at_knots(tab.grid, tab.grid, curlyA)
+    return Av, np.zeros_like(Av), tab.Q
 
 
 def _solve_riccati(tab: NodeTable, names=("P", "Sigma"),
-                   tol: ToleranceConfig = ToleranceConfig()) -> dict[str, np.ndarray]:
-    """The Riccati paths named in `names` ("P", "Sigma" or both) in one RK4
-    loop over a stacked (len(names), n, n) array.
+                   tol: ToleranceConfig = ToleranceConfig(),
+                   curlyA: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    """The paths named in `names` ("P", "Sigma" or "Pi"; Pi needs curlyA)
+    in one RK4 loop over a stacked (len(names), n, n) array.
 
-    P ends at G and Sigma starts at 0, both stored bitwise; every step is
-    symmetrized, and each path is checked positive semidefinite at every
-    node.  A blow-up raises NonFinite naming the equation and its node.
+    P and Pi end at G and Sigma starts at 0, all stored bitwise; every
+    step is symmetrized, and each path is checked positive semidefinite at
+    every node.  A blow-up raises NonFinite naming the equation and its
+    node.
     """
     N, n = tab.grid.steps, tab.dims.n
-    F, M_half, minus_C = (np.stack(ops, axis=1)
-                          for ops in zip(*(_riccati_operators(tab, nm) for nm in names)))
+    F, M_half, minus_C = (np.stack(ops, axis=1) for ops in zip(
+        *(_riccati_operators(tab, nm, curlyA) for nm in names)))
     M_half *= 0.5
     np.negative(minus_C, out=minus_C)
 
@@ -192,14 +201,14 @@ def _solve_riccati(tab: NodeTable, names=("P", "Sigma"),
 
     def blowup(Y, i):
         k = int(np.argmin(np.isfinite(Y).all(axis=(1, 2))))
-        return NonFinite(names[k], i if names[k] == "P" else N - i)
+        return NonFinite(names[k], N - i if names[k] == "Sigma" else i)
 
-    boundary = np.stack([tab.G if nm == "P" else np.zeros((n, n)) for nm in names])
+    boundary = np.stack([np.zeros((n, n)) if nm == "Sigma" else tab.G for nm in names])
     out = integrate_matrix_ode(rhs, boundary, tab.grid, "backward",
                                post_step=_symmetrize, what=blowup)
     paths = {}
     for k, nm in enumerate(names):
-        paths[nm] = np.ascontiguousarray(out[:, k] if nm == "P" else out[::-1, k])
+        paths[nm] = np.ascontiguousarray(out[::-1, k] if nm == "Sigma" else out[:, k])
         _assert_psd(nm, paths[nm], tol.psd_tol)
     return paths
 
@@ -254,64 +263,30 @@ def compute_curlyA(gain: np.ndarray, tab: NodeTable) -> np.ndarray:
     return tab.A[::2] - gain @ tab.H[::2]
 
 
-def _solve_Pi_pi(tab: NodeTable, curlyA: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pi (terminal value G) and pi (terminal value g) in one backward RK4
-    loop over Y = [Pi | pi], shape (n, n+1):
-
-        dY/dt = -(curlyA^T Y + Y W + [Q | q]),  W = [[curlyA, 0], [0, 0]],
-
-    whose first n columns are dPi/dt = -(Pi curlyA + curlyA^T Pi + Q) and
-    whose last is dpi/dt = -(curlyA^T pi + q).  The Pi block is
-    symmetrized each step.
-    """
-    n = tab.dims.n
-    Av = at_knots(tab.grid, tab.grid, curlyA)
-    AvT = np.ascontiguousarray(Av.mT)
-    W = np.zeros((len(Av), n + 1, n + 1))
-    W[:, :n, :n] = Av
-    minus_Qq = -np.concatenate((tab.Q, tab.q[..., None]), axis=-1)
-
-    def rhs(j, Y):
-        return minus_Qq[j] - (AvT[j] @ Y + Y @ W[j])
-
-    def symmetrize_Pi(Y):
-        Y[:, :n] = _symmetrize(Y[:, :n])
-        return Y
-
-    def blowup(Y, i):
-        return NonFinite("pi" if np.isfinite(Y[:, :n]).all() else "Pi", i)
-
-    boundary = np.concatenate((tab.G, tab.g[:, None]), axis=1)
-    out = integrate_matrix_ode(rhs, boundary, tab.grid, "backward",
-                               post_step=symmetrize_Pi, what=blowup)
-    return np.ascontiguousarray(out[:, :, :n]), np.ascontiguousarray(out[:, :, n])
-
-
 def solve_Pi(tab: NodeTable, curlyA: np.ndarray,
              tol: ToleranceConfig = ToleranceConfig()) -> np.ndarray:
-    """Backward Lyapunov path with terminal value G, checked positive
+    """Backward Lyapunov path with terminal value G, on the Riccati loop
+    body with M = 0, symmetrized each step and checked positive
     semidefinite at every node."""
-    Pi, _ = _solve_Pi_pi(tab, curlyA)
-    _assert_psd("Pi", Pi, tol.psd_tol)
-    return Pi
+    return _solve_riccati(tab, ("Pi",), tol, curlyA)["Pi"]
 
 
 def solve_pi(tab: NodeTable, curlyA: np.ndarray) -> np.ndarray:
-    """Backward linear offset with terminal value g."""
-    return _solve_Pi_pi(tab, curlyA)[1]
+    """Backward linear offset dpi/dt = -(curlyA^T pi + q) with terminal
+    value g; see the module docstring for why solve_all leaves it out."""
+    Av = at_knots(tab.grid, tab.grid, curlyA)
+    return integrate_matrix_ode(lambda j, p: -(Av[j].T @ p + tab.q[j]), tab.g,
+                                tab.grid, "backward", what="pi")
 
 
 def solve_filter_side(Sigma: np.ndarray, tab: NodeTable,
                       tol: ToleranceConfig = ToleranceConfig()) -> dict[str, np.ndarray]:
-    """Every path that depends on Sigma: Delta, the gain, curlyA, Pi and pi,
-    keyed by their DeterministicSolution field names (Sigma included).
-    Pi and pi share one RK4 loop."""
+    """Every path that depends on Sigma: Delta, the gain, curlyA and Pi,
+    keyed by their DeterministicSolution field names (Sigma included)."""
     gain = compute_gain(Sigma, tab)
     curlyA = compute_curlyA(gain, tab)
-    Pi, pi_vec = _solve_Pi_pi(tab, curlyA)
-    _assert_psd("Pi", Pi, tol.psd_tol)
     return {"Sigma": Sigma, "Delta": compute_Delta(Sigma, tab), "gain": gain,
-            "curlyA": curlyA, "Pi": Pi, "pi_vec": pi_vec}
+            "curlyA": curlyA, "Pi": solve_Pi(tab, curlyA, tol)}
 
 
 def solve_all(model: ModelSpec, grid: TimeGrid,
@@ -319,7 +294,7 @@ def solve_all(model: ModelSpec, grid: TimeGrid,
     """Solve every deterministic path on one grid from one NodeTable.
 
     P and Sigma first, in one loop; then Theta, phi and the feed-forward;
-    then Delta, the gain and curlyA, and Pi and pi in one loop.
+    then Delta, the gain, curlyA and Pi.
     """
     tab = NodeTable.build(model, grid)
     riccati = _solve_riccati(tab, ("P", "Sigma"), tol)

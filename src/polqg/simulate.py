@@ -10,9 +10,9 @@ One step, all left-endpoint coefficients, in this exact order:
   Xhat_{i+1} = Xhat_i + (A Xhat_i + B u_i + a) h + (Sigma H^T + C K^T) N^{-1} dV_i
 
 The kernel returns X, Xhat, u, the innovation increments dV and each
-path's cost; its readers derive the rest.  A PathBundle's Y, V and Vcheck
-sum dY_i = dV_i + (H Xhat_i + h_coef) h, dV_i and K^{-1} dV_i from 0, and
-its Xtil is X - Xhat.
+path's cost; its readers derive the rest.  A PathBundle's Y and V sum
+dY_i = dV_i + (H Xhat_i + h_coef) h and dV_i from 0, and its Xtil is
+X - Xhat; verify forms the normalized increments K^{-1} dV_i itself.
 
 The control law, the optimal u = Theta Xhat - R^{-1}(B^T phi + r) and its
 variants, lives only in _policy_controls.  The realized cost is computed
@@ -127,7 +127,8 @@ class ControlPolicy:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Everything recorded along one simulated path."""
+    """Everything recorded along one simulated path; the fields are the
+    columns of bundle_to_csv plus the realized cost."""
 
     grid: TimeGrid
     X: np.ndarray       # (N+1, n) true state
@@ -135,7 +136,6 @@ class PathBundle:
     Xhat: np.ndarray    # (N+1, n) filtered state
     Xtil: np.ndarray    # (N+1, n) X - Xhat, exact
     V: np.ndarray       # (N+1, d) innovation, running sum of the kernel's dV_i
-    Vcheck: np.ndarray  # (N+1, d) normalized innovation, running sum of K^{-1} dV_i
     u: np.ndarray       # (N+1, m) applied control (row N: policy value, unused)
     cost: float
 
@@ -211,15 +211,13 @@ def _closed_loop_arrays(model: ModelSpec, sol: DeterministicSolution,
 
 
 def _bundles(sol: DeterministicSolution, arrs) -> Iterator[PathBundle]:
-    """The paths of a _closed_loop_arrays output as PathBundles; Y, V and
-    Vcheck are summed from their increments in place, for all paths."""
+    """The paths of a _closed_loop_arrays output as PathBundles; Y and V
+    are summed from their increments in place, for all paths."""
     tab = sol.table
     X, Xhat, dV = arrs["X"], arrs["Xhat"], arrs["dV"]
     shape = X.shape[:2] + dV.shape[2:]
-    # each level allocated just before it is filled: one block for all
-    # three raised peak RSS by 6 MB on a 400-path n=3 chunk
-    Vcheck = np.zeros(shape)
-    _matvec(tab.Kinv[:-1:2], dV, out=Vcheck[:, 1:])
+    # each level allocated just before it is filled, not as one block,
+    # to keep the chunk's peak RSS down
     Y = np.zeros(shape)
     dY = _matvec(tab.H[:-1:2], Xhat[:, :-1], out=Y[:, 1:])
     dY += tab.h[:-1:2]
@@ -227,11 +225,11 @@ def _bundles(sol: DeterministicSolution, arrs) -> Iterator[PathBundle]:
     dY += dV
     V = np.zeros(shape)
     V[:, 1:] = dV
-    for level in (Y, V, Vcheck):
+    for level in (Y, V):
         np.cumsum(level[:, 1:], axis=1, out=level[:, 1:])
     for p, cost in enumerate(arrs["cost"]):
         yield PathBundle(sol.grid, X[p], Y[p], Xhat[p], X[p] - Xhat[p], V[p],
-                         Vcheck[p], arrs["u"][p], float(cost))
+                         arrs["u"][p], float(cost))
 
 
 def simulate_closed_loop(model: ModelSpec, sol: DeterministicSolution,

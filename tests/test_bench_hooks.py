@@ -70,7 +70,9 @@ def test_traced_verify_runs(tmp_path):
     assert metrics["simulate.kernel_calls"] == 5
     assert metrics["simulate.path_steps"] == 3 * 8 * 20 + 2 * 8 * 40
     assert metrics["simulate.distinct_ratio"] == 1.0
-    # three RK4 loops per solve (P with Sigma, phi, Pi with pi) on the 20-
-    # and 40-step grids, and the Pi/pi loop again on both for the scaled Sigma
+    # three RK4 loops per solve (P with Sigma, phi, Pi) on the 20- and
+    # 40-step grids, and the Pi loop again on both for the scaled Sigma
     assert metrics["detsolve.rk4_steps"] == 3 * (20 + 40) + (20 + 40)
+    # solve_filter_side steps Pi through the wrapped solve_Pi
+    assert metrics["detsolve.Pi_s"] > 0
     assert np.isfinite(metrics["verify.reduce_s"])

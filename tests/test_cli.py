@@ -176,6 +176,29 @@ def test_syntax_error_reports_position(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("T", None),
+    ("steps", [1]),
+    ("steps", 2.5),
+    ("dims.n", None),
+    ("mc.n_paths", None),
+    ("mc.seed", 1.5),
+    ("tolerances.psd_tol", None),
+    ("mc.probe_times", [float("nan")]),
+])
+def test_bad_scalar_field_exits_2_naming_it(tmp_path, capsys, field, value):
+    # never a traceback, and never a silently truncated step count or seed
+    doc = bench_doc()
+    *parents, name = field.split(".")
+    section = doc
+    for key in parents:
+        section = section.setdefault(key, {})
+    section[name] = value
+    path = write_doc(tmp_path, doc)
+    assert main(["validate", "--scenario", path]) == 2
+    assert f"scenario error: {field}: expected" in capsys.readouterr().err
+
+
 def test_wrong_format_version(tmp_path, capsys):
     path = write_doc(tmp_path, bench_doc(format_version=99))
     assert main(["validate", "--scenario", path]) == 2
@@ -256,7 +279,7 @@ def test_solution_json_is_the_solver_output(tmp_path, capsys):
     sol = solve_all(model, grid)
     doc = json.loads((out / "solution.json").read_text())
     assert doc["grid"] == {"T": grid.T, "steps": grid.steps}
-    names = ("P", "Theta", "phi", "Sigma", "Delta", "curlyA", "Pi", "pi_vec")
+    names = ("P", "Theta", "phi", "Sigma", "Delta", "curlyA", "Pi")
     assert len(doc["nodes"]) == grid.steps + 1
     for i, node in enumerate(doc["nodes"]):
         assert list(node) == ["index", "t", *names]
@@ -545,7 +568,7 @@ def test_scaled_sigma_by_one_is_the_solution():
     tol = ToleranceConfig()
     sol = solve_all(model, grid, tol)
     again = _scaled_sigma_solution(sol, 1.0, tol)
-    for name in ("Sigma", "Delta", "curlyA", "gain", "Pi", "pi_vec"):
+    for name in ("Sigma", "Delta", "curlyA", "gain", "Pi"):
         np.testing.assert_array_equal(getattr(again, name),
                                       getattr(sol, name), err_msg=name)
     # a scaled Sigma reaches the gain the simulated filter uses

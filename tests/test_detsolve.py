@@ -15,6 +15,7 @@ from polqg import (
     solve_P,
     solve_phi,
     solve_Pi,
+    solve_pi,
     solve_Sigma,
     tilde_J,
 )
@@ -172,7 +173,7 @@ def test_phi_zero_benchmark():
     model, grid = benchmark_model(50)
     sol = solve_all(model, grid)
     assert (sol.phi == 0.0).all()
-    assert (sol.pi_vec == 0.0).all()
+    assert (solve_pi(sol.table, sol.curlyA) == 0.0).all()
 
 
 # -------------------------------------------------------------- filter paths
@@ -237,8 +238,7 @@ def test_Pi_linear_when_curlyA_zero():
     Pi = solve_Pi(tab, curlyA)
     np.testing.assert_allclose(Pi[:, 0, 0], 1.0 - grid.nodes,
                                atol=1e-14)
-    sol = solve_all(model, grid)
-    np.testing.assert_allclose(sol.pi_vec[:, 0], 1.0 - grid.nodes,
+    np.testing.assert_allclose(solve_pi(tab, curlyA)[:, 0], 1.0 - grid.nodes,
                                atol=1e-14)
 
 
@@ -248,6 +248,15 @@ def test_Pi_benchmark_closed_form():
     assert abs(sol.Pi[0, 0, 0] - np.tanh(1.0)) < 1e-7
     np.testing.assert_allclose(sol.Pi[:, 0, 0],
                                closed_form_Pi(grid.nodes), atol=1e-7)
+
+
+@pytest.mark.parametrize("seed", [100, 102])
+def test_solve_Pi_is_the_solve_all_path(seed):
+    # solve_filter_side steps Pi through solve_Pi, so the two agree bitwise
+    model, grid = random_validated_model(np.random.default_rng(seed),
+                                         time_varying=True)
+    sol = solve_all(model, grid)
+    np.testing.assert_array_equal(solve_Pi(sol.table, sol.curlyA), sol.Pi)
 
 
 # ------------------------------------------------------------------ solve_all
@@ -267,7 +276,7 @@ def test_solve_all_boundaries_bitwise():
     np.testing.assert_array_equal(sol.P[-1], model.cost.G)
     np.testing.assert_array_equal(sol.Pi[-1], model.cost.G)
     np.testing.assert_array_equal(sol.phi[-1], model.cost.g)
-    np.testing.assert_array_equal(sol.pi_vec[-1], model.cost.g)
+    np.testing.assert_array_equal(solve_pi(sol.table, sol.curlyA)[-1], model.cost.g)
     assert (sol.Sigma[0] == 0.0).all()
 
 
@@ -328,15 +337,11 @@ def _per_equation_reference(model, grid):
     def rhs_Pi(j, Pi):
         return -(Pi @ Av_k[j]) - Av_k[j].T @ Pi - tab.Q[j]
 
-    def rhs_pi(j, piv):
-        return -Av_k[j].T @ piv - tab.q[j]
-
     return {
         "P": P, "Sigma": Sigma,
         "phi": integrate_matrix_ode(rhs_phi, model.cost.g, grid, "backward"),
         "Pi": integrate_matrix_ode(rhs_Pi, model.cost.G, grid, "backward",
                                    post_step=sym),
-        "pi_vec": integrate_matrix_ode(rhs_pi, model.cost.g, grid, "backward"),
     }
 
 

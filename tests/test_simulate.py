@@ -95,7 +95,6 @@ def test_zero_noise_filter_tracks_exactly(bench):
     np.testing.assert_array_equal(bundle.X, bundle.Xhat)
     assert (bundle.Xtil == 0.0).all()
     assert (bundle.V == 0.0).all()
-    assert (bundle.Vcheck == 0.0).all()
 
 
 def test_initial_conditions(bench):
@@ -150,8 +149,6 @@ def test_innovation_increments(bench):
     dV = np.diff(bundle.V, axis=0)
     expect = grid.h * bundle.Xtil[:-1] + noise.dW
     np.testing.assert_allclose(dV, expect, atol=1e-12)
-    # K = 1 makes the normalized innovation the innovation itself
-    np.testing.assert_array_equal(bundle.Vcheck, bundle.V)
 
 
 # ------------------------------------------------------------------ policies

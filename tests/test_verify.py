@@ -18,7 +18,7 @@ from polqg import (
 )
 from polqg import verify
 
-from oracles import TOTAL, benchmark_model, random_validated_model
+from oracles import TOTAL, benchmark_model, random_validated_model, scalar_model
 
 FEEDBACK = ControlPolicy.filter_feedback()
 
@@ -101,7 +101,7 @@ def test_iter_path_bundles_matches_single_simulation(any_n):
         for j in (0, 3, 5):
             single = simulate_closed_loop(model, sol, FEEDBACK,
                                           draw_noise(17, j, grid, model.dims))
-            for field in ("X", "Y", "Xhat", "Xtil", "V", "Vcheck", "u"):
+            for field in ("X", "Y", "Xhat", "Xtil", "V", "u"):
                 np.testing.assert_array_equal(getattr(bundles[j], field),
                                               getattr(single, field), field)
             assert bundles[j].cost == single.cost
@@ -194,6 +194,16 @@ def test_brownianity_real_noise(bench100):
     assert np.abs(rep.increment_mean).max() <= 3.5 * se
     assert abs(rep.qv_ratio - 1.0) <= 0.05
     assert np.abs(rep.lag1_autocorr).max() <= rep.lag1_band
+    assert (np.abs(rep.terminal_var - grid.T) <= 3.5 * rep.terminal_var_se).all()
+
+
+def test_brownianity_normalizes_by_K():
+    # K = 2 gives the innovation increments variance 4h; only K^{-1} dV has
+    # the quadratic variation and terminal variance of a Brownian motion
+    model, grid = scalar_model(K=2.0, steps=100)
+    rep = brownianity_report(simulate_statistics(model, solve_all(model, grid),
+                                                 1000, seed=43))
+    assert abs(rep.qv_ratio - 1.0) <= 4.0 * np.sqrt(2.0 / (1000 * grid.steps))
     assert (np.abs(rep.terminal_var - grid.T) <= 3.5 * rep.terminal_var_se).all()
 
 
