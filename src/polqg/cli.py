@@ -120,6 +120,20 @@ def _number(value, where: str, integer: bool = False):
     return int(value) if integer else float(value)
 
 
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioSyntaxError(f"{where}: expected a list, got {value!r}")
+    return value
+
+
+def _numbers(value, where: str) -> np.ndarray:
+    """A number or nested list of numbers as a float array; each entry must
+    pass _number, so null, NaN and infinities name the field."""
+    def walk(v):
+        return [walk(e) for e in v] if isinstance(v, list) else _number(v, where)
+    return np.asarray(walk(value), dtype=float)
+
+
 def _policy_from_spec(spec) -> ControlPolicy:
     _expect(spec, "policy", allowed=("kind", "table", "offset", "label"),
             required=("kind",))
@@ -132,13 +146,13 @@ def _policy_from_spec(spec) -> ControlPolicy:
     if kind == "open_loop":
         if "table" not in spec:
             raise ScenarioSyntaxError("policy: open_loop needs a table")
-        return ControlPolicy("open_loop", np.asarray(spec["table"], dtype=float),
+        return ControlPolicy("open_loop", _numbers(spec["table"], "policy.table"),
                              label=label or "open_loop")
     if kind == "perturbed_feedback":
         if "offset" not in spec:
             raise ScenarioSyntaxError("policy: perturbed_feedback needs an offset")
         return ControlPolicy("perturbed_feedback",
-                             np.asarray(spec["offset"], dtype=float),
+                             _numbers(spec["offset"], "policy.offset"),
                              label=label or "perturbed_feedback")
     raise ScenarioSyntaxError(f"policy: unknown kind {kind!r}")
 
@@ -216,10 +230,8 @@ def parse_scenario(text: str) -> Scenario:
         n_paths = _number(doc["mc"].get("n_paths", n_paths), "mc.n_paths", integer=True)
         seed = _number(doc["mc"].get("seed", seed), "mc.seed", integer=True)
         if "probe_times" in doc["mc"]:
-            if not isinstance(doc["mc"]["probe_times"], list):
-                raise ScenarioSyntaxError("mc.probe_times: expected a list")
             probe_times = tuple(_number(t, "mc.probe_times")
-                                for t in doc["mc"]["probe_times"])
+                                for t in _list(doc["mc"]["probe_times"], "mc.probe_times"))
             for t in probe_times:
                 if t < 0 or t > grid.T:
                     raise OutOfRange(f"probe time {t} outside [0, {grid.T}]")
@@ -229,7 +241,7 @@ def parse_scenario(text: str) -> Scenario:
         _expect(doc["output"], "output", allowed=("directory", "formats"))
         out_dir = doc["output"].get("directory")
         if "formats" in doc["output"]:
-            formats = tuple(doc["output"]["formats"])
+            formats = tuple(_list(doc["output"]["formats"], "output.formats"))
             for f in formats:
                 if f not in ("json", "csv"):
                     raise ScenarioSyntaxError(f"output: unknown format {f!r}")

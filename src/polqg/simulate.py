@@ -1,40 +1,42 @@
 """Euler-Maruyama simulation of the closed loop and its error process.
 
-Policies see only the filter Xhat, which the innovation drives, and the
-error X - Xhat never sees the control, so the kernel steps (X, Xhat) only.
-One step, all left-endpoint coefficients, in this exact order:
+The scheme, every coefficient at the left endpoint t_i of the step and
+L = (Sigma H^T + C K^T) N^{-1} the filter gain:
 
   u_i        = policy(t_i, Xhat_i)
   X_{i+1}    = X_i + (A X_i + B u_i + a) h + C dW_i + D dW'_i
   dV_i       = H (X_i - Xhat_i) h + K dW_i
-  Xhat_{i+1} = Xhat_i + (A Xhat_i + B u_i + a) h + (Sigma H^T + C K^T) N^{-1} dV_i
+  Xhat_{i+1} = Xhat_i + (A Xhat_i + B u_i + a) h + L dV_i
 
-The kernel returns X, Xhat, u, the innovation increments dV and each
-path's cost; its readers derive the rest.  A PathBundle's Y and V sum
-dY_i = dV_i + (H Xhat_i + h_coef) h and dV_i from 0, and its Xtil is
-X - Xhat; verify forms the normalized increments K^{-1} dV_i itself.
+The kernel steps it as two chains, since the error Xtil = X - Xhat never
+sees the control.  First the policy-free error chain (curlyA = A - L H,
+Delta = L K - C), which simulate_error_direct also runs alone:
 
-The control law, the optimal u = Theta Xhat - R^{-1}(B^T phi + r) and its
-variants, lives only in _policy_controls.  The realized cost is computed
-after stepping, by value.path_cost on the true path: the left Riemann sum
-of the running cost plus the terminal cost.  Noise comes from a
-counter-based generator keyed by (seed, path_index), so any path can be
-regenerated on its own.
+  Xtil_0 = 0,  Xtil_{i+1} = (I + h curlyA_i) Xtil_i - Delta_i dW_i + D_i dW'_i
 
-The kernel is vectorized over a leading path axis; the public single-path
-functions run it with one path.  No per-path product goes through BLAS
-matmul, whose kernel depends on the batch size: the kernel and
-_policy_controls multiply at one node with a two-operand np.einsum, and
-the derived paths and value.path_cost at all nodes at once with
-value._matvec.  Both contract each path in the same order in any batch,
-so for every n a path's outputs and cost are bitwise the same alone, in
-any batch and at any chunk size.  The kernel reads every coefficient, the
-gain (Sigma H^T + C K^T) N^{-1} and the feed-forward R^{-1}(B^T phi + r)
-from the DeterministicSolution and its NodeTable, by node index.
+then dV_i = h H Xtil_i + K dW_i at all nodes, then the filter chain
+
+  Xhat_{i+1} = (I + h A_i) Xhat_i + h B_i u_i + (h a_i + L_i dV_i)
+
+with its bracket written for all nodes before the loop, and last
+X = Xhat + Xtil: the scheme up to roundoff, at four per-node products per
+feedback step.  All-node terms are written into the output buffers, so a
+call allocates little beyond them.  It returns X, Xhat, u, dV and the
+costs, from value.path_cost; the control law, Theta Xhat - R^{-1}(B^T phi
++ r) and its variants, lives only in _policy_controls.  Noise is keyed by
+(seed, path_index), so any path can be redrawn alone.
+
+Paths run on a leading axis, one path for the public functions.  No
+per-path product goes through BLAS matmul, whose kernel depends on the
+batch size: per-node products are two-operand np.einsum, all-node ones
+_add_matvec or value._matvec, each contracting a path in the same order
+in any batch, so for every n a path's outputs and cost are bitwise the
+same alone, in any batch and at any chunk size.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -60,6 +62,13 @@ __all__ = [
 _M64 = (1 << 64) - 1
 
 
+@functools.cache
+def _rekeyable():
+    """A Philox generator and its fresh state, made on first use (numpy.random loads lazily)."""
+    gen = np.random.Generator(np.random.Philox(key=0))
+    return gen, gen.bit_generator.state
+
+
 @dataclass(frozen=True)
 class NoiseDraw:
     """Brownian increments over one grid; each entry has variance h."""
@@ -74,16 +83,18 @@ def draw_noise(seed: int, path_index: int, grid: TimeGrid, dims: Dimensions) -> 
 
     The key fixes the whole stream, so the same arguments reproduce the
     same draw bitwise no matter how many other paths were drawn, in what
-    order, or on how many workers.
+    order, or on how many workers: a fresh Philox(key=(path_index << 64)
+    | seed), here one generator re-keyed per call (not thread-safe).
     """
     if path_index < 0:
         raise ValueError(f"path_index must be >= 0, got {path_index}")
-    key = ((int(path_index) & _M64) << 64) | (int(seed) & _M64)
-    gen = np.random.Generator(np.random.Philox(key=key))
+    gen, fresh = _rekeyable()
+    fresh["state"]["key"] = np.array([int(seed) & _M64, int(path_index) & _M64],
+                                     dtype=np.uint64)
+    gen.bit_generator.state = fresh
     scale = np.sqrt(grid.h)
-    dW = scale * gen.standard_normal((grid.steps, dims.d))
-    dWp = scale * gen.standard_normal((grid.steps, dims.k))
-    return NoiseDraw(grid, dW, dWp)
+    return NoiseDraw(grid, scale * gen.standard_normal((grid.steps, dims.d)),
+                     scale * gen.standard_normal((grid.steps, dims.k)))
 
 
 @dataclass(frozen=True)
@@ -141,72 +152,88 @@ class PathBundle:
 
 
 def _policy_controls(policy: ControlPolicy, sol: DeterministicSolution, i: int,
-                     Xhat: np.ndarray, m: int) -> np.ndarray:
-    npaths = Xhat.shape[0]
+                     Xhat: np.ndarray, out: np.ndarray):
+    """Write the controls at node i of the paths at Xhat into out (paths, m)."""
     if policy.kind == "zero":
-        return np.zeros((npaths, m))
-    if policy.kind == "open_loop":
-        return np.broadcast_to(policy.table[i], (npaths, m)).copy()
-    u = np.einsum("ij,pj->pi", sol.Theta[i], Xhat) - sol.ff[i]
-    if policy.kind == "perturbed_feedback":
-        off = policy.table if policy.table.ndim == 1 else policy.table[i]
-        u = u + off
-    return u
+        out[...] = 0.0
+    elif policy.kind == "open_loop":
+        out[...] = policy.table[i]
+    else:
+        np.einsum("ij,pj->pi", sol.Theta[i], Xhat, out=out)
+        out -= sol.ff[i]
+        if policy.kind == "perturbed_feedback":
+            out += policy.table if policy.table.ndim == 1 else policy.table[i]
 
 
 def _check_policy_table(policy: ControlPolicy, grid: TimeGrid, m: int):
-    if policy.kind == "open_loop":
-        if policy.table is None or policy.table.shape != (grid.steps + 1, m):
-            raise ShapeMismatch(
-                f"open-loop table must have shape {(grid.steps + 1, m)}")
-    if policy.kind == "perturbed_feedback":
-        if policy.table is None or policy.table.shape not in ((m,), (grid.steps + 1, m)):
-            raise ShapeMismatch(
-                f"perturbation offsets must have shape {(m,)} or {(grid.steps + 1, m)}")
+    shapes = {"open_loop": ((grid.steps + 1, m),),
+              "perturbed_feedback": ((m,), (grid.steps + 1, m))}.get(policy.kind)
+    if shapes and (policy.table is None or policy.table.shape not in shapes):
+        raise ShapeMismatch(f"{policy.kind} table must have shape "
+                            + " or ".join(map(str, shapes)))
+
+
+def _add_matvec(out, M, x, tmp):
+    """out += M x for M (N, i, j), x (paths, N, j), summed in the order of
+    j one scalar product at a time through the (paths, N) scratch tmp."""
+    for i in range(M.shape[-2]):
+        o = out[..., i]
+        for j in range(M.shape[-1]):
+            o += np.multiply(M[:, i, j], x[..., j], out=tmp)
+
+
+def _check_finite(where: str, *paths):
+    """NonFinite at the first node where a path is not finite (per-node extremes, no mask)."""
+    bad = np.logical_or.reduce([~np.isfinite(e) for a in paths
+                                for e in (a.min(0).min(1), a.max(0).max(1))])
+    if bad.any():
+        raise NonFinite(where, int(bad.argmax()))
+
+
+def _error_chain(sol: DeterministicSolution, dW, dWp, Xt, tmp):
+    """The policy-free error chain into Xt (paths, N+1, n); its noise terms
+    are written for all nodes first, through the (paths, N) scratch tmp."""
+    F = np.eye(Xt.shape[-1]) + np.diff(sol.grid.nodes)[:, None, None] * sol.curlyA[:-1]
+    Xt[...] = 0.0
+    _add_matvec(Xt[:, 1:], -sol.Delta[:-1], dW, tmp)
+    _add_matvec(Xt[:, 1:], sol.table.D[:-1:2], dWp, tmp)
+    for i in range(sol.grid.steps):
+        nxt = Xt[:, i + 1]
+        nxt += np.einsum("ij,pj->pi", F[i], Xt[:, i])
 
 
 def _closed_loop_arrays(model: ModelSpec, sol: DeterministicSolution,
                         policy: ControlPolicy, dW: np.ndarray, dWp: np.ndarray):
-    """Step every path at once; leading axis of dW/dWp indexes paths.
-
-    Returns X and Xhat (paths, N+1, n), u (paths, N+1, m), the innovation
-    increments dV (paths, N, d) the filter consumed, and the cost of each
-    path."""
-    grid = sol.grid
-    dims = model.dims
-    n, m, d = dims.n, dims.m, dims.d
-    N = grid.steps
+    """Step every path at once (leading axis of dW/dWp) and return X and
+    Xhat (paths, N+1, n), u (paths, N+1, m), the innovation increments dV
+    (paths, N, d) the filter consumed, and the cost of each path."""
+    grid, tab = sol.grid, sol.table
+    n, m, d = model.dims.n, model.dims.m, model.dims.d
+    npaths, N = dW.shape[0], grid.steps
     _check_policy_table(policy, grid, m)
-    tab = sol.table
-    npaths = dW.shape[0]
-
-    X = np.empty((npaths, N + 1, n))
+    h = np.diff(grid.nodes)[:, None, None]
+    X = np.empty((npaths, N + 1, n))  # holds Xtil until the last line
     Xhat = np.empty((npaths, N + 1, n))
     u = np.empty((npaths, N + 1, m))
-    dV = np.empty((npaths, N, d))
-    X[:, 0] = model.x0
-    Xhat[:, 0] = model.x0
-
-    nodes = grid.nodes
-    for i in range(N):
-        hs = nodes[i + 1] - nodes[i]
-        j = 2 * i  # knot of node i in the table
-        Xi, Xhi, dWi = X[:, i], Xhat[:, i], dW[:, i]
-        Ui = _policy_controls(policy, sol, i, Xhi, m)
-        u[:, i] = Ui
-        Bu = np.einsum("ij,pj->pi", tab.B[j], Ui)
-        drift_truth = np.einsum("ij,pj->pi", tab.A[j], Xi) + Bu + tab.a[j]
-        X[:, i + 1] = (Xi + hs * drift_truth + np.einsum("ij,pj->pi", tab.C[j], dWi)
-                       + np.einsum("ij,pj->pi", tab.D[j], dWp[:, i]))
-        dV[:, i] = (hs * np.einsum("ij,pj->pi", tab.H[j], Xi - Xhi)
-                    + np.einsum("ij,pj->pi", tab.K[j], dWi))
-        drift_filter = np.einsum("ij,pj->pi", tab.A[j], Xhi) + Bu + tab.a[j]
-        Xhat[:, i + 1] = (Xhi + hs * drift_filter
-                          + np.einsum("ij,pj->pi", sol.gain[i], dV[:, i]))
-        if not np.isfinite(X[:, i + 1]).all() or not np.isfinite(Xhat[:, i + 1]).all():
-            raise NonFinite("simulate_closed_loop", i + 1)
-
-    u[:, N] = _policy_controls(policy, sol, N, Xhat[:, N], m)
+    dV = np.zeros((npaths, N, d))
+    tmp = u[:, :-1, 0]  # scratch until the filter loop writes the controls
+    with np.errstate(invalid="ignore", over="ignore"):  # _check_finite reports
+        _error_chain(sol, dW, dWp, X, tmp)
+        _add_matvec(dV, h * tab.H[:-1:2], X[:, :-1], tmp)
+        _add_matvec(dV, tab.K[:-1:2], dW, tmp)
+        Xhat[:, 0] = model.x0
+        Xhat[:, 1:] = h[:, 0] * tab.a[:-1:2]
+        _add_matvec(Xhat[:, 1:], sol.gain[:-1], dV, tmp)
+        Ah = np.eye(n) + h * tab.A[:-1:2]
+        hB = h * tab.B[:-1:2]
+        for i in range(N):
+            _policy_controls(policy, sol, i, Xhat[:, i], u[:, i])
+            nxt = Xhat[:, i + 1]
+            nxt += np.einsum("ij,pj->pi", Ah[i], Xhat[:, i])
+            nxt += np.einsum("ij,pj->pi", hB[i], u[:, i])
+        _policy_controls(policy, sol, N, Xhat[:, N], u[:, N])
+        X += Xhat
+    _check_finite("simulate_closed_loop", X, Xhat)
     return {"X": X, "Xhat": Xhat, "u": u, "dV": dV, "cost": path_cost(tab, X, u)}
 
 
@@ -237,43 +264,24 @@ def simulate_closed_loop(model: ModelSpec, sol: DeterministicSolution,
     """Simulate one path of the controlled system and its filter."""
     if noise.grid.steps != sol.grid.steps or noise.grid.T != sol.grid.T:
         raise ShapeMismatch("noise grid does not match the solution grid")
-    arrs = _closed_loop_arrays(model, sol, policy,
-                               noise.dW[None, ...], noise.dWp[None, ...])
+    arrs = _closed_loop_arrays(model, sol, policy, noise.dW[None], noise.dWp[None])
     return next(_bundles(sol, arrs))
-
-
-def _error_direct_arrays(model: ModelSpec, sol: DeterministicSolution,
-                         dW: np.ndarray, dWp: np.ndarray) -> np.ndarray:
-    """Euler chain for the error SDE dXtil = curlyA Xtil dt - Delta dW + D dW'."""
-    grid = sol.grid
-    n = model.dims.n
-    N = grid.steps
-    D = sol.table.D[::2]
-    Av = sol.curlyA
-    Dl = sol.Delta
-    npaths = dW.shape[0]
-    Xt = np.zeros((npaths, N + 1, n))
-    nodes = grid.nodes
-    for i in range(N):
-        hs = nodes[i + 1] - nodes[i]
-        Xt[:, i + 1] = (Xt[:, i] + hs * (Xt[:, i] @ Av[i].T)
-                        - dW[:, i] @ Dl[i].T + dWp[:, i] @ D[i].T)
-        if not np.isfinite(Xt[:, i + 1]).all():
-            raise NonFinite("simulate_error_direct", i + 1)
-    return Xt
 
 
 def simulate_error_direct(model: ModelSpec, sol: DeterministicSolution,
                           noise: NoiseDraw) -> np.ndarray:
-    """Simulate the estimation error on its own, without the loop.
-
-    Feeding the same draw here and into simulate_closed_loop must give
-    X - Xhat up to roundoff, which is the discrete consistency check
-    between the filter and the error dynamics.
-    """
+    """The estimation error of one path on its own: the kernel's error
+    chain, without the loop.  Fed the same draw, simulate_closed_loop must
+    give X - Xhat up to roundoff, the discrete consistency check between
+    the filter and the error dynamics."""
     if noise.grid.steps != sol.grid.steps or noise.grid.T != sol.grid.T:
         raise ShapeMismatch("noise grid does not match the solution grid")
-    return _error_direct_arrays(model, sol, noise.dW[None, ...], noise.dWp[None, ...])[0]
+    N = sol.grid.steps
+    Xt = np.empty((1, N + 1, model.dims.n))
+    with np.errstate(invalid="ignore", over="ignore"):
+        _error_chain(sol, noise.dW[None], noise.dWp[None], Xt, np.empty((1, N)))
+    _check_finite("simulate_error_direct", Xt)
+    return Xt[0]
 
 
 def bundle_to_csv(bundle: PathBundle, fileobj):
@@ -281,19 +289,11 @@ def bundle_to_csv(bundle: PathBundle, fileobj):
     trailing comment record with the realized cost.  One %.17g row
     template is applied over the whole (N+1, columns) block.  No
     timestamps, so identical bundles serialize byte-identically."""
-    n = bundle.X.shape[1]
-    d = bundle.Y.shape[1]
-    m = bundle.u.shape[1]
-    cols = (["t"]
-            + [f"X{j+1}" for j in range(n)]
-            + [f"Y{j+1}" for j in range(d)]
-            + [f"Xhat{j+1}" for j in range(n)]
-            + [f"Xtil{j+1}" for j in range(n)]
-            + [f"V{j+1}" for j in range(d)]
-            + [f"u{j+1}" for j in range(m)])
+    levels = (("X", bundle.X), ("Y", bundle.Y), ("Xhat", bundle.Xhat),
+              ("Xtil", bundle.Xtil), ("V", bundle.V), ("u", bundle.u))
+    cols = ["t"] + [f"{name}{j+1}" for name, a in levels for j in range(a.shape[1])]
     fileobj.write(",".join(cols) + "\n")
-    block = np.concatenate((bundle.grid.nodes[:, None], bundle.X, bundle.Y,
-                            bundle.Xhat, bundle.Xtil, bundle.V, bundle.u), axis=1)
+    block = np.concatenate([bundle.grid.nodes[:, None]] + [a for _, a in levels], axis=1)
     row = ",".join(["%.17g"] * len(cols)) + "\n"
     fileobj.write((row * len(block)) % tuple(block.ravel().tolist()))
     fileobj.write(f"# cost,{bundle.cost:.17g}\n")

@@ -74,26 +74,34 @@ def path_cost(tab: NodeTable, X: np.ndarray, U) -> np.ndarray:
     U the controls, (paths, N+1, m) or anything that broadcasts to it.
 
     The running cost is a left Riemann sum over nodes 0..N-1 with the cost
-    weights at those nodes; the controls at node N are never read.  Every
-    product is a _matvec, so a path's cost does not depend on its batch.
+    weights at those nodes; the controls at node N are never read.  It is
+    summed over blocks of about N/16 nodes, so the temporaries stay a small
+    fraction of X.  Every product is a _matvec and a path's blocks are the
+    same in any batch, so a path's cost does not depend on its batch.
     """
+    N = X.shape[1] - 1
     U = np.broadcast_to(U, X.shape[:2] + (tab.dims.m,))
     # left-endpoint weights: nodes 0..N-1 are the even knots before the last
     Q, S, R = tab.Q[:-1:2], tab.S[:-1:2], tab.R[:-1:2]
     q, r = tab.q[:-1:2], tab.r[:-1:2]
-    Xs, Us = X[:, :-1], U[:, :-1]
+    dt = np.diff(tab.grid.nodes)
 
     def dot(a, b):
         return _matvec(a[..., None, :], b)[..., 0]
 
-    f = dot(_matvec(Q, Xs), Xs)
-    f += 2.0 * dot(_matvec(S, Xs), Us)
-    f += dot(_matvec(R, Us), Us)
-    f += 2.0 * dot(q, Xs)
-    f += 2.0 * dot(r, Us)
     XT = X[:, -1]
-    terminal = dot(_matvec(tab.G, XT), XT) + 2.0 * dot(tab.g, XT)
-    return np.einsum("pt,t->p", f, np.diff(tab.grid.nodes)) + terminal
+    cost = dot(_matvec(tab.G, XT), XT) + 2.0 * dot(tab.g, XT)
+    width = -(-N // 16)
+    for t0 in range(0, N, width):
+        b = slice(t0, min(t0 + width, N))
+        Xs, Us = X[:, b], U[:, b]
+        f = dot(_matvec(Q[b], Xs), Xs)
+        f += 2.0 * dot(_matvec(S[b], Xs), Us)
+        f += dot(_matvec(R[b], Us), Us)
+        f += 2.0 * dot(q[b], Xs)
+        f += 2.0 * dot(r[b], Us)
+        cost += np.einsum("pt,t->p", f, dt[b])
+    return cost
 
 
 def optimal_value(model: ModelSpec, sol: DeterministicSolution) -> ValueBreakdown:

@@ -178,3 +178,62 @@ def random_validated_model(rng, steps=60, time_varying=False):
     model = ModelSpec(Dimensions(n, m, d, k), 1.0, co, cw, x0)
     assert validate(model).passed
     return model, grid
+
+
+def closed_loop_reference(model, sol, policy, dW, dWp):
+    """The Euler-Maruyama closed loop stepped one node at a time in the
+    order of the polqg.simulate docstring, with plain numpy:
+
+        u_i        = policy(t_i, Xhat_i)
+        X_{i+1}    = X_i + (A X_i + B u_i + a) h + C dW_i + D dW'_i
+        dV_i       = H (X_i - Xhat_i) h + K dW_i
+        Xhat_{i+1} = Xhat_i + (A Xhat_i + B u_i + a) h + L dV_i
+
+    Coefficients and cost weights are the model's own node tables (its grid
+    must be the solution grid), Theta and L = sol.gain come from the
+    solution, and the feed-forward R^{-1}(B^T phi + r) is solved here.
+    dW, dWp are (paths, N, d) and (paths, N, k).  Returns the kernel's
+    outputs: X, Xhat, u, dV and the cost, a left Riemann sum of the running
+    cost plus the terminal cost."""
+    co, cw = model.coeffs, model.cost
+    h = np.diff(sol.grid.nodes)
+    npaths, N = dW.shape[:2]
+    n, m, d = model.dims.n, model.dims.m, model.dims.d
+    X = np.empty((npaths, N + 1, n))
+    Xhat = np.empty((npaths, N + 1, n))
+    u = np.empty((npaths, N + 1, m))
+    dV = np.empty((npaths, N, d))
+    X[:, 0] = Xhat[:, 0] = model.x0
+
+    def control(i, xh):
+        if policy.kind == "zero":
+            return np.zeros((npaths, m))
+        if policy.kind == "open_loop":
+            return np.broadcast_to(policy.table[i], (npaths, m))
+        ff = np.linalg.solve(cw.R[i], co.B[i].T @ sol.phi[i] + cw.r[i])
+        uu = xh @ sol.Theta[i].T - ff
+        if policy.kind == "perturbed_feedback":
+            uu = uu + (policy.table if policy.table.ndim == 1 else policy.table[i])
+        return uu
+
+    for i in range(N):
+        x, xh = X[:, i], Xhat[:, i]
+        u[:, i] = control(i, xh)
+        Bu = u[:, i] @ co.B[i].T
+        X[:, i + 1] = (x + (x @ co.A[i].T + Bu + co.a[i]) * h[i]
+                       + dW[:, i] @ co.C[i].T + dWp[:, i] @ co.D[i].T)
+        dV[:, i] = (x - xh) @ co.H[i].T * h[i] + dW[:, i] @ co.K[i].T
+        Xhat[:, i + 1] = (xh + (xh @ co.A[i].T + Bu + co.a[i]) * h[i]
+                          + dV[:, i] @ sol.gain[i].T)
+    u[:, N] = control(N, Xhat[:, N])
+
+    cost = np.zeros(npaths)
+    for i in range(N):
+        x, uu = X[:, i], u[:, i]
+        cost += h[i] * (np.einsum("pa,ab,pb->p", x, cw.Q[i], x)
+                        + 2.0 * np.einsum("pa,ab,pb->p", uu, cw.S[i], x)
+                        + np.einsum("pa,ab,pb->p", uu, cw.R[i], uu)
+                        + 2.0 * x @ cw.q[i] + 2.0 * uu @ cw.r[i])
+    xT = X[:, N]
+    cost += np.einsum("pa,ab,pb->p", xT, cw.G, xT) + 2.0 * xT @ cw.g
+    return {"X": X, "Xhat": Xhat, "u": u, "dV": dV, "cost": cost}

@@ -199,6 +199,25 @@ def test_bad_scalar_field_exits_2_naming_it(tmp_path, capsys, field, value):
     assert f"scenario error: {field}: expected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, section", [
+    ("output.formats", {"output": {"formats": None}}),
+    ("output.formats", {"output": {"formats": "json"}}),
+    ("policy.offset", {"policy": {"kind": "perturbed_feedback", "offset": [None]}}),
+    ("policy.offset", {"policy": {"kind": "perturbed_feedback",
+                                  "offset": [float("inf")]}}),
+    ("policy.table", {"policy": {"kind": "open_loop",
+                                 "table": [[0.0]] * 100 + [[float("nan")]]}}),
+    ("policy.table", {"policy": {"kind": "open_loop", "table": [["0.5"]] * 101}}),
+])
+def test_bad_list_field_exits_2_naming_it(tmp_path, capsys, field, section):
+    # rejected while parsing, before validate passes or simulate blames the kernel
+    path = write_doc(tmp_path, bench_doc(**section))
+    assert main(["validate", "--scenario", path]) == 2
+    assert f"scenario error: {field}: expected" in capsys.readouterr().err
+    assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"scenario error: {field}: expected" in capsys.readouterr().err
+
+
 def test_wrong_format_version(tmp_path, capsys):
     path = write_doc(tmp_path, bench_doc(format_version=99))
     assert main(["validate", "--scenario", path]) == 2

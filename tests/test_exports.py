@@ -1,5 +1,8 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import polqg
 
@@ -14,3 +17,11 @@ def test_every_exported_name_resolves():
             assert hasattr(mod, name), f"{mod.__name__}.__all__ names {name!r}"
             checked.add(name)
     assert {"solve_all", "validate", "simulate_statistics", "main"} <= checked
+
+
+def test_import_does_not_load_numpy_random():
+    # numpy.random loads lazily and costs about 6 MB and 10 ms; only noise
+    # generation needs it, so `polqg solve` and `validate` must not pay
+    code = "import sys, polqg.cli; sys.exit('numpy.random' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}).returncode == 0

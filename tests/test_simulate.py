@@ -1,12 +1,15 @@
 import dataclasses
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from polqg import (
     ControlPolicy,
+    Dimensions,
     NoiseDraw,
+    NonFinite,
     ShapeMismatch,
     TimeGrid,
     bundle_to_csv,
@@ -16,8 +19,10 @@ from polqg import (
     solve_all,
     validate,
 )
+from polqg.simulate import _closed_loop_arrays
+from polqg.verify import _noise_stack
 
-from oracles import benchmark_model, random_validated_model
+from oracles import benchmark_model, closed_loop_reference, random_validated_model
 
 
 def zero_noise(grid, dims):
@@ -79,11 +84,92 @@ def test_draw_shapes_and_moments():
     assert abs(incs.var() / grid.h - 1.0) < 4.0 * np.sqrt(2.0 / incs.size)
 
 
+@pytest.mark.parametrize("d, k", [(1, 1), (2, 3)])
+def test_rekeyed_draws_equal_fresh_philox(d, k):
+    # draw_noise re-keys one generator; each draw of a stack must still be
+    # the stream of a fresh Philox keyed by (path_index << 64) | seed
+    grid = TimeGrid(1.0, 37)
+    dims = Dimensions(1, 1, d, k)
+    scale = np.sqrt(grid.h)
+    for seed in (0, 42, 2 ** 64 - 1):
+        stack = [draw_noise(seed, j, grid, dims) for j in range(25)]
+        for j, nd in enumerate(stack):
+            gen = np.random.Generator(np.random.Philox(key=(j << 64) | seed))
+            np.testing.assert_array_equal(
+                nd.dW, scale * gen.standard_normal((grid.steps, d)))
+            np.testing.assert_array_equal(
+                nd.dWp, scale * gen.standard_normal((grid.steps, k)))
+
+
 def test_draw_negative_index_rejected():
     grid = TimeGrid(1.0, 10)
     model, _ = benchmark_model(10)
     with pytest.raises(ValueError):
         draw_noise(0, -1, grid, model.dims)
+
+
+# -------------------------------------------------------------------- kernel
+
+@pytest.fixture(scope="module")
+def kernel_cases(bench):
+    """The scalar benchmark and the time-varying draws 100 (n=3, m=2) and
+    102 (n=2, d=2)."""
+    cases = [bench]
+    for draw in (100, 102):
+        model, grid = random_validated_model(np.random.default_rng(draw),
+                                             time_varying=True)
+        cases.append((model, grid, solve_all(model, grid)))
+    return cases
+
+
+def all_policies(grid, m):
+    rng = np.random.default_rng(4)
+    return [ControlPolicy.filter_feedback(), ControlPolicy.zero(),
+            ControlPolicy.open_loop(rng.standard_normal((grid.steps + 1, m))),
+            ControlPolicy.perturbed_feedback(rng.standard_normal(m)),
+            ControlPolicy.perturbed_feedback(
+                rng.standard_normal((grid.steps + 1, m)), label="table")]
+
+
+def test_kernel_matches_per_step_reference(kernel_cases):
+    for model, grid, sol in kernel_cases:
+        dW, dWp = _noise_stack(23, 0, 9, grid, model.dims)
+        for policy in all_policies(grid, model.dims.m):
+            got = _closed_loop_arrays(model, sol, policy, dW, dWp)
+            want = closed_loop_reference(model, sol, policy, dW, dWp)
+            assert got.keys() == want.keys()
+            for key in want:
+                np.testing.assert_allclose(got[key], want[key], rtol=1e-13,
+                                           atol=1e-13, err_msg=key)
+
+
+def test_nonfinite_noise_names_the_node(bench):
+    model, grid, sol = bench
+    dW, dWp = _noise_stack(3, 0, 5, grid, model.dims)
+    dW[2, 7] = np.inf
+    with pytest.raises(NonFinite) as err:
+        _closed_loop_arrays(model, sol, ControlPolicy.filter_feedback(), dW, dWp)
+    assert (err.value.what, err.value.node) == ("simulate_closed_loop", 8)
+
+
+def test_kernel_temporaries_stay_below_one_buffer(kernel_cases):
+    # all-node terms go into the output buffers: besides its outputs, a
+    # call never holds as much as one more (paths, N, max(n, d)) array
+    for model, grid, sol in kernel_cases:
+        dW, dWp = _noise_stack(5, 0, 300, grid, model.dims)
+        dims = model.dims
+        buffer = dW.shape[0] * grid.steps * max(dims.n, dims.d) * 8
+        for policy in all_policies(grid, dims.m):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                arrs = _closed_loop_arrays(model, sol, policy, dW, dWp)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            outputs = sum(a.nbytes for a in arrs.values())
+            assert peak - before < outputs + buffer, (dims, policy.label)
+            del arrs
 
 
 # ------------------------------------------------------------------- tracking
