@@ -50,6 +50,7 @@ from .model import (
     ModelSpec,
     TimeGrid,
     ToleranceConfig,
+    ValidationReport,
     interp_table,  # noqa: F401  bench/tracer.py counts its calls here by name
     validate,
 )
@@ -80,7 +81,8 @@ EXIT_IO = 5
 
 @dataclass(frozen=True)
 class Scenario:
-    """Parsed scenario: a validated model plus run parameters."""
+    """Parsed scenario: a validated model, its validation report and run
+    parameters."""
 
     model: ModelSpec
     grid: TimeGrid
@@ -91,6 +93,7 @@ class Scenario:
     out_dir: str | None
     formats: tuple[str, ...]
     tolerances: ToleranceConfig
+    report: ValidationReport
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +231,9 @@ def parse_scenario(text: str) -> Scenario:
     if "mc" in doc:
         _expect(doc["mc"], "mc", allowed=("n_paths", "seed", "probe_times"))
         n_paths = _number(doc["mc"].get("n_paths", n_paths), "mc.n_paths", integer=True)
+        if n_paths < 0:
+            raise ScenarioSyntaxError(
+                f"mc.n_paths: expected a non-negative integer, got {n_paths}")
         seed = _number(doc["mc"].get("seed", seed), "mc.seed", integer=True)
         if "probe_times" in doc["mc"]:
             probe_times = tuple(_number(t, "mc.probe_times")
@@ -240,6 +246,9 @@ def parse_scenario(text: str) -> Scenario:
     if "output" in doc:
         _expect(doc["output"], "output", allowed=("directory", "formats"))
         out_dir = doc["output"].get("directory")
+        if "directory" in doc["output"] and not isinstance(out_dir, str):
+            raise ScenarioSyntaxError(
+                f"output.directory: expected a string, got {out_dir!r}")
         if "formats" in doc["output"]:
             formats = tuple(_list(doc["output"]["formats"], "output.formats"))
             for f in formats:
@@ -248,7 +257,7 @@ def parse_scenario(text: str) -> Scenario:
 
     return Scenario(model=model, grid=grid, policy=policy, n_paths=n_paths,
                     seed=seed, probe_times=probe_times, out_dir=out_dir,
-                    formats=formats, tolerances=tol)
+                    formats=formats, tolerances=tol, report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +359,8 @@ def _load_scenario(args) -> tuple[Scenario, TimeGrid, int, int]:
     n_paths = getattr(args, "paths", None)
     if n_paths is None:
         n_paths = sc.n_paths
+    elif n_paths < 0:
+        raise OutOfRange(f"--paths: expected a non-negative integer, got {n_paths}")
     return sc, grid, _resolve_seed(args, sc), n_paths
 
 
@@ -364,14 +375,12 @@ def cmd_validate(args) -> int:
     with open(args.scenario) as f:
         text = f.read()
     try:
-        sc = parse_scenario(text)
+        report = parse_scenario(text).report
     except ValidationFailure as e:
-        print(e.report.summary())
-        print("validation: FAIL")
-        return EXIT_VALIDATION
-    print(validate(sc.model, sc.tolerances).summary())
-    print("validation: pass")
-    return EXIT_OK
+        report = e.report
+    print(report.summary())
+    print("validation:", "pass" if report.passed else "FAIL")
+    return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
 def cmd_solve(args) -> int:
@@ -420,11 +429,9 @@ def _run_checks(sc: Scenario, grid: TimeGrid, seed: int, n_paths: int,
 
     One simulate_statistics pass per grid feeds every check, and each
     statistic is read from the one report that reduces it (see
-    polqg.verify); the targets come from the pass and from sol.Sigma.
-    Every estimate that carries an Euler bias is also read off the grid
-    with twice the steps, where only the feedback and perturbed policies
-    run, and 3x the difference is added to its band (see below).
-    """
+    polqg.verify).  Every estimate that carries an Euler bias is also read
+    off the grid with twice the steps, where only the feedback and
+    perturbed policies run, and the gap widens its band (see check)."""
     model, tol = sc.model, sc.tolerances
     sol = solve_all(model, grid, tol)
     grid2 = TimeGrid(grid.T, 2 * grid.steps)
@@ -443,39 +450,39 @@ def _run_checks(sc: Scenario, grid: TimeGrid, seed: int, n_paths: int,
     checks: list[dict] = []
     series: list = []
 
-    def add(name, estimate, se, target, band, passed):
-        checks.append({"name": name, "estimate": float(estimate),
-                       "se": float(se), "target": float(target),
-                       "band": float(band), "passed": bool(passed)})
+    def check(name, estimate, se, target=0.0, halving_gap=0.0, scale=None,
+              one_sided=False):
+        """Add the row |estimate - target| <= band = 3 se + 3 halving_gap +
+        _band_floor(scale, else target) on every element, showing the one
+        furthest outside.  2x the gap to the grid with twice the steps is the
+        Euler bias when that is linear in h; pad it by half again for the
+        remainder.  One-sided (an excess cost): estimate >= -band, 2 se."""
+        band = ((2.0 if one_sided else 3.0) * se + 3.0 * halving_gap
+                + _band_floor(target if scale is None else scale))
+        est, se, target, band = np.broadcast_arrays(estimate, se, target, band)
+        miss = -est if one_sided else np.abs(est - target)
+        worst = np.argmax(miss - band)
+        shown = zip(("estimate", "se", "target", "band"), (est, se, target, band))
+        checks.append({"name": name, **{k: float(a.flat[worst]) for k, a in shown},
+                       "passed": bool((miss <= band).all())})
 
-    comp = compare_policies(stats)
-    comp2 = compare_policies(stats2)
+    comp, comp2 = compare_policies(stats), compare_policies(stats2)
 
     # realized cost against the analytic value
     fb, fb2 = comp.row("filter_feedback"), comp2.row("filter_feedback")
-    value = stats.analytic_value
-    band = 3.0 * fb.cost_se + 3.0 * abs(fb.cost_mean - fb2.cost_mean) \
-        + _band_floor(value)
-    add("cost_vs_value", fb.cost_mean, fb.cost_se, value, band,
-        abs(fb.cost_mean - value) <= band)
+    check("cost_vs_value", fb.cost_mean, fb.cost_se, stats.analytic_value,
+          abs(fb.cost_mean - fb2.cost_mean))
     series.append(("cost_mean", grid.T, fb.cost_mean))
-    series.append(("analytic_value", grid.T, value))
+    series.append(("analytic_value", grid.T, stats.analytic_value))
 
     # error covariance and orthogonality at every probe node
     for pn in probes:
         r, r2 = run_batch(stats, pn), run_batch(stats2, 2 * pn)
         Sigma = sol.Sigma[pn]
-        diff = np.abs(r.emp_error_cov - Sigma)
-        bands = (3.0 * r.emp_error_cov_se
-                 + 3.0 * np.abs(r.emp_error_cov - r2.emp_error_cov)
-                 + _band_floor(float(np.linalg.norm(Sigma))))
-        worst = int(np.argmax(diff - bands))
-        add(f"error_cov_node{pn}", diff.flat[worst],
-            r.emp_error_cov_se.flat[worst], 0.0, bands.flat[worst],
-            bool((diff <= bands).all()))
-        add(f"orthogonality_node{pn}", abs(r.orth_stat), r.orth_se, 0.0,
-            3.0 * r.orth_se + _band_floor(0.0),
-            abs(r.orth_stat) <= 3.0 * r.orth_se + _band_floor(0.0))
+        check(f"error_cov_node{pn}", np.abs(r.emp_error_cov - Sigma),
+              r.emp_error_cov_se, 0.0, np.abs(r.emp_error_cov - r2.emp_error_cov),
+              scale=np.linalg.norm(Sigma))
+        check(f"orthogonality_node{pn}", abs(r.orth_stat), r.orth_se)
         t_pn = float(grid.nodes[pn])
         for i in range(model.dims.n):
             series.append((f"emp_error_cov[{i},{i}]", t_pn,
@@ -483,66 +490,38 @@ def _run_checks(sc: Scenario, grid: TimeGrid, seed: int, n_paths: int,
 
     # innovation increments: mean, quadratic variation, Brownianity
     br = brownianity_report(stats)
-    se_inc = np.sqrt(grid.h / (n_paths * grid.steps))
-    est = float(np.max(np.abs(br.increment_mean)))
-    band = 3.0 * se_inc + _band_floor(0.0)
-    add("innovation_increment_mean", est, se_inc, 0.0, band, est <= band)
-
-    se_qv = np.sqrt(2.0 / (n_paths * grid.steps * model.dims.d))
-    band = 3.0 * se_qv + _band_floor(1.0)
-    add("innovation_qv_ratio", br.qv_ratio, se_qv, 1.0, band,
-        abs(br.qv_ratio - 1.0) <= band)
-
-    tdiff = np.abs(br.terminal_var - grid.T)
-    tband = 3.0 * br.terminal_var_se + _band_floor(grid.T)
-    worst = int(np.argmax(tdiff - tband))
-    add("brownianity_terminal_var", br.terminal_var[worst],
-        br.terminal_var_se[worst], grid.T, tband[worst],
-        bool((tdiff <= tband).all()))
-    est = float(np.max(np.abs(br.lag1_autocorr)))
-    band = br.lag1_band + _band_floor(0.0)
-    add("brownianity_lag1", est, br.lag1_band / 3.0, 0.0, band, est <= band)
+    nobs = n_paths * grid.steps
+    check("innovation_increment_mean", np.abs(br.increment_mean), np.sqrt(grid.h / nobs))
+    check("innovation_qv_ratio", br.qv_ratio, np.sqrt(2.0 / (nobs * model.dims.d)), 1.0)
+    check("brownianity_terminal_var", br.terminal_var, br.terminal_var_se, grid.T)
+    check("brownianity_lag1", np.abs(br.lag1_autocorr), br.lag1_band / 3.0)
 
     # cost decomposition
-    dr = decomposition_check(stats)
-    dr2 = decomposition_check(stats2)
-    band = 3.0 * dr.cross_se + _band_floor(0.0)
-    add("decomposition_cross", abs(dr.cross_mean), dr.cross_se, 0.0, band,
-        abs(dr.cross_mean) <= band)
-    til_value = stats.tildeJ_analytic
-    band = (3.0 * dr.tildeJ_se + 3.0 * abs(dr.tildeJ_mean - dr2.tildeJ_mean)
-            + _band_floor(til_value))
-    add("decomposition_tildeJ", dr.tildeJ_mean, dr.tildeJ_se, til_value,
-        band, abs(dr.tildeJ_mean - til_value) <= band)
+    dr, dr2 = decomposition_check(stats), decomposition_check(stats2)
+    check("decomposition_cross", abs(dr.cross_mean), dr.cross_se)
+    check("decomposition_tildeJ", dr.tildeJ_mean, dr.tildeJ_se,
+          stats.tildeJ_analytic, abs(dr.tildeJ_mean - dr2.tildeJ_mean))
 
     # policy comparison under common random numbers
     for row in comp.rows:
         series.append((f"cost_mean[{row.label}]", grid.T, row.cost_mean))
-        if row.excess_mean is None:
-            continue
-        margin = row.excess_mean + 2.0 * row.excess_se + _band_floor(0.0)
-        add(f"not_beaten_by_{row.label}", row.excess_mean, row.excess_se,
-            0.0, 2.0 * row.excess_se + _band_floor(0.0), margin >= 0.0)
+        if row.excess_mean is not None:
+            check(f"not_beaten_by_{row.label}", row.excess_mean,
+                  row.excess_se, one_sided=True)
 
     # perturbation penalty against its closed form
     pred = float(np.trapezoid(np.einsum("a,tab,b->t", eps, sol.table.R[::2], eps),
                               grid.nodes))
-    row = comp.row("perturbed_feedback")
-    row2 = comp2.row("perturbed_feedback")
-    # 2x the step-halving gap estimates the Euler bias exactly when the
-    # bias is linear in h, so pad it by half again for the remainder
-    band = (3.0 * row.excess_se
-            + 3.0 * abs(row.excess_mean - row2.excess_mean)
-            + _band_floor(pred))
-    add("perturbed_excess_vs_prediction", row.excess_mean, row.excess_se,
-        pred, band, abs(row.excess_mean - pred) <= band)
+    row, row2 = comp.row("perturbed_feedback"), comp2.row("perturbed_feedback")
+    check("perturbed_excess_vs_prediction", row.excess_mean, row.excess_se,
+          pred, abs(row.excess_mean - row2.excess_mean))
 
     return checks, series
 
 
 def cmd_verify(args) -> int:
     sc, grid, seed, n_paths = _load_scenario(args)
-    sigma_scale = getattr(args, "debug_scale_sigma", None) or 1.0
+    sigma_scale = getattr(args, "debug_scale_sigma", 1.0)
     checks, series = _run_checks(sc, grid, seed, n_paths, sigma_scale)
     out = _output_dir(args, sc)
     passed = all(c["passed"] for c in checks)
@@ -605,7 +584,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run Monte Carlo checks against theory")
     common(p)
-    p.add_argument("--debug-scale-sigma", type=float, default=None,
+    p.add_argument("--debug-scale-sigma", type=float, default=1.0,
                    help="scale Sigma before checking (must make verify fail)")
     p.set_defaults(func=cmd_verify)
     return parser

@@ -185,6 +185,7 @@ def test_syntax_error_reports_position(tmp_path, capsys):
     ("mc.seed", 1.5),
     ("tolerances.psd_tol", None),
     ("mc.probe_times", [float("nan")]),
+    ("mc.n_paths", -3),
 ])
 def test_bad_scalar_field_exits_2_naming_it(tmp_path, capsys, field, value):
     # never a traceback, and never a silently truncated step count or seed
@@ -208,6 +209,7 @@ def test_bad_scalar_field_exits_2_naming_it(tmp_path, capsys, field, value):
     ("policy.table", {"policy": {"kind": "open_loop",
                                  "table": [[0.0]] * 100 + [[float("nan")]]}}),
     ("policy.table", {"policy": {"kind": "open_loop", "table": [["0.5"]] * 101}}),
+    ("output.directory", {"output": {"directory": 5}}),
 ])
 def test_bad_list_field_exits_2_naming_it(tmp_path, capsys, field, section):
     # rejected while parsing, before validate passes or simulate blames the kernel
@@ -384,6 +386,13 @@ def test_simulate_zero_paths(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_simulate_negative_path_flag_exits_2(tmp_path, capsys):
+    path = write_doc(tmp_path, bench_doc())
+    assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "o"),
+                 "--paths", "-2"]) == 2
+    assert "invalid input: --paths: expected" in capsys.readouterr().err
+
+
 def test_seed_precedence(tmp_path, capsys, monkeypatch):
     _, by_scenario = run_simulate(tmp_path, bench_doc(), "scen")  # seed 7
     monkeypatch.setenv("POLQG_SEED", "9")
@@ -455,15 +464,17 @@ def test_verify_probe_times(tmp_path, capsys):
 def test_verify_detects_broken_sigma(tmp_path, capsys):
     doc = bench_doc(steps=60, mc={"n_paths": 400, "seed": 3})
     path = write_doc(tmp_path, doc)
-    out = tmp_path / "v"
-    assert main(["verify", "--scenario", path, "--out", str(out),
-                 "--debug-scale-sigma", "1.5"]) == 4
-    printed = capsys.readouterr().out
-    assert "FAIL" in printed
-    report = json.loads((out / "report.json").read_text())
-    assert report["passed"] is False
-    failed = [c["name"] for c in report["checks"] if not c["passed"]]
-    assert any(n.startswith("error_cov_node") for n in failed)
+    for scale in ("1.5", "0"):  # a zero scale is applied, not read as no flag
+        out = tmp_path / f"v{scale}"
+        assert main(["verify", "--scenario", path, "--out", str(out),
+                     "--debug-scale-sigma", scale]) == 4
+        printed = capsys.readouterr().out
+        assert "FAIL" in printed
+        report = json.loads((out / "report.json").read_text())
+        assert report["passed"] is False
+        assert report["params"]["sigma_scale"] == float(scale)
+        failed = [c["name"] for c in report["checks"] if not c["passed"]]
+        assert any(n.startswith("error_cov_node") for n in failed)
 
 
 def _mean_se(a):
