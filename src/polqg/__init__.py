@@ -19,8 +19,6 @@ from .errors import (
     ValidationFailure,
 )
 from .model import (
-    CoefficientTable,
-    CostWeights,
     Dimensions,
     ModelSpec,
     NodeTable,

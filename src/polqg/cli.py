@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import os
+import reprlib
 import sys
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
@@ -44,8 +45,6 @@ from .errors import (
 from .model import (
     _COEFF_SHAPES,
     _COST_SHAPES,
-    CoefficientTable,
-    CostWeights,
     Dimensions,
     ModelSpec,
     TimeGrid,
@@ -85,7 +84,6 @@ class Scenario:
     parameters."""
 
     model: ModelSpec
-    grid: TimeGrid
     policy: ControlPolicy
     n_paths: int
     seed: int
@@ -137,39 +135,55 @@ def _numbers(value, where: str) -> np.ndarray:
     return np.asarray(walk(value), dtype=float)
 
 
+def _array(value, where: str) -> np.ndarray:
+    """A model array as floats.  Only integers and floats are read: null,
+    strings, booleans and ragged lists are scenario errors, never coerced;
+    NaN and infinities pass, for validate to report with their node."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        arr = None
+    if arr is None or arr.dtype.kind not in "if":
+        raise ScenarioSyntaxError(
+            f"{where}: expected an array of numbers, got {reprlib.repr(value)}")
+    return arr.astype(float, copy=False)
+
+
+# the one array field each policy kind reads
+_POLICY_FIELD = {"filter_feedback": None, "zero": None,
+                 "open_loop": "table", "perturbed_feedback": "offset"}
+
+
 def _policy_from_spec(spec) -> ControlPolicy:
     _expect(spec, "policy", allowed=("kind", "table", "offset", "label"),
             required=("kind",))
     kind = spec["kind"]
-    label = spec.get("label", "")
-    if kind == "filter_feedback":
-        return ControlPolicy("filter_feedback", label=label)
-    if kind == "zero":
-        return ControlPolicy("zero", label=label)
-    if kind == "open_loop":
-        if "table" not in spec:
-            raise ScenarioSyntaxError("policy: open_loop needs a table")
-        return ControlPolicy("open_loop", _numbers(spec["table"], "policy.table"),
-                             label=label or "open_loop")
-    if kind == "perturbed_feedback":
-        if "offset" not in spec:
-            raise ScenarioSyntaxError("policy: perturbed_feedback needs an offset")
-        return ControlPolicy("perturbed_feedback",
-                             _numbers(spec["offset"], "policy.offset"),
-                             label=label or "perturbed_feedback")
-    raise ScenarioSyntaxError(f"policy: unknown kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _POLICY_FIELD:
+        raise ScenarioSyntaxError(f"policy: unknown kind {kind!r}")
+    field = _POLICY_FIELD[kind]
+    for name in ("table", "offset"):
+        if name != field and name in spec:
+            raise ScenarioSyntaxError(f"policy.{name}: expected none for kind {kind!r}")
+    if field is None:
+        return ControlPolicy(kind, label=spec.get("label", ""))
+    if field not in spec:
+        raise ScenarioSyntaxError(f"policy: kind {kind!r} needs policy.{field}")
+    return ControlPolicy(kind, _numbers(spec[field], f"policy.{field}"),
+                         spec.get("label", ""))
 
 
-def _per_node_fields(spec, where, grid, cls, shapes, **terminal):
+def _per_node_fields(spec, where, nnodes, shapes) -> dict[str, np.ndarray]:
     """The per-node fields of the coefficients or cost section, given as
-    exactly one of 'constant' (one value for every node) or 'table' (one
-    value per node)."""
+    exactly one of 'constant' (one value, tiled to every node) or 'table'
+    (one value per node)."""
     if ("constant" in spec) == ("table" in spec):
         raise ScenarioSyntaxError(f"{where}: give exactly one of 'constant' or 'table'")
     form = "constant" if "constant" in spec else "table"
     _expect(spec[form], f"{where}.{form}", allowed=shapes, required=shapes)
-    make = cls.constant if form == "constant" else cls
-    return make(grid, **terminal, **spec[form])
+    fields = {name: _array(v, f"{where}.{form}.{name}") for name, v in spec[form].items()}
+    if form == "constant":
+        fields = {name: np.repeat(v[None], nnodes, axis=0) for name, v in fields.items()}
+    return fields
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -198,16 +212,14 @@ def parse_scenario(text: str) -> Scenario:
     dims = Dimensions(**{k: _number(v, f"dims.{k}", integer=True)
                          for k, v in doc["dims"].items()})
     grid = TimeGrid(_number(doc["T"], "T"), _number(doc["steps"], "steps", integer=True))
-    x0 = np.asarray(doc["x0"], dtype=float)
+    x0 = _array(doc["x0"], "x0")
 
     cspec, wspec = doc["coefficients"], doc["cost"]
     _expect(cspec, "coefficients", allowed=("constant", "table"))
-    coeffs = _per_node_fields(cspec, "coefficients", grid, CoefficientTable, _COEFF_SHAPES)
+    coeffs = _per_node_fields(cspec, "coefficients", grid.steps + 1, _COEFF_SHAPES)
     _expect(wspec, "cost", allowed=("G", "g", "constant", "table"),
             required=("G", "g"))
-    cost = _per_node_fields(wspec, "cost", grid, CostWeights, _COST_SHAPES,
-                            G=wspec["G"], g=wspec["g"],
-                            delta=_number(doc.get("delta", 1e-6), "delta"))
+    cost = _per_node_fields(wspec, "cost", grid.steps + 1, _COST_SHAPES)
 
     tol = ToleranceConfig()
     if "tolerances" in doc:
@@ -218,7 +230,9 @@ def parse_scenario(text: str) -> Scenario:
                           f"tolerances.{name}")
             for name in ("psd_tol", "sym_tol", "k_cond_bound")})
 
-    model = ModelSpec(dims=dims, T=grid.T, coeffs=coeffs, cost=cost, x0=x0)
+    model = ModelSpec(dims, grid, x0, **coeffs, **cost,
+                      G=_array(wspec["G"], "cost.G"), g=_array(wspec["g"], "cost.g"),
+                      delta=_number(doc.get("delta", 1e-6), "delta"))
     report = validate(model, tol)
     if not report.passed:
         raise ValidationFailure(report)
@@ -255,7 +269,7 @@ def parse_scenario(text: str) -> Scenario:
                 if f not in ("json", "csv"):
                     raise ScenarioSyntaxError(f"output: unknown format {f!r}")
 
-    return Scenario(model=model, grid=grid, policy=policy, n_paths=n_paths,
+    return Scenario(model=model, policy=policy, n_paths=n_paths,
                     seed=seed, probe_times=probe_times, out_dir=out_dir,
                     formats=formats, tolerances=tol, report=report)
 
@@ -337,7 +351,10 @@ def _resolve_seed(args, sc: Scenario) -> int:
         return args.seed
     env = os.environ.get(ENV_SEED)
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"{ENV_SEED}: expected an integer, got {env!r}") from None
     return sc.seed
 
 
@@ -353,9 +370,9 @@ def _load_scenario(args) -> tuple[Scenario, TimeGrid, int, int]:
     with open(args.scenario) as f:
         text = f.read()
     sc = parse_scenario(text)
-    grid = sc.grid
+    grid = sc.model.grid
     if getattr(args, "steps", None) is not None:
-        grid = TimeGrid(sc.grid.T, args.steps)
+        grid = TimeGrid(grid.T, args.steps)
     n_paths = getattr(args, "paths", None)
     if n_paths is None:
         n_paths = sc.n_paths

@@ -54,6 +54,7 @@ from .model import (
     NodeTable,
     TimeGrid,
     ToleranceConfig,
+    _eig_floor,
     at_knots,
     solve_stack,
 )
@@ -149,12 +150,14 @@ def integrate_matrix_ode(
 
 
 def _assert_psd(name: str, values: np.ndarray, psd_tol: float):
-    floor = -psd_tol * (1.0 + np.linalg.norm(values, axis=(1, 2)))
-    eigmin = np.linalg.eigvalsh(0.5 * (values + values.mT))[:, 0]
-    bad = np.flatnonzero(eigmin < floor)
+    """Raise PSDViolation at the first node that fails validate's PSD rule
+    (see model._eig_floor)."""
+    slack = _eig_floor(values, psd_tol)
+    bad = np.flatnonzero(slack < 0)
     if bad.size:
         i = int(bad[0])
-        raise PSDViolation(name, i, float(eigmin[i]), float(floor[i]))
+        floor = -psd_tol * (1.0 + np.linalg.norm(values[i]))
+        raise PSDViolation(name, i, float(slack[i] + floor), float(floor))
 
 
 def _riccati_operators(tab: NodeTable, name: str, curlyA: np.ndarray | None):

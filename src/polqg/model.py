@@ -5,8 +5,12 @@ Observation      dY = (H X + h) dt + K dW
 Cost             <G X_T, X_T> + 2<g, X_T>
                  + int_0^T <Q X, X> + 2<S X, u> + <R u, u> + 2<q, X> + 2<r, u> dt
 
-Coefficients are piecewise linear in time, stored as per-node tables on a
-uniform grid and interpolated in between.  `validate` checks the standing
+A ModelSpec is the whole problem on one uniform grid over [0, T]: every
+coefficient and running cost weight is an (N+1, ...) table of its node
+values on that grid, piecewise linear in time in between, and x0, G and g
+have no node axis.  _COEFF_SHAPES and _COST_SHAPES declare the per-node
+fields; the split between them is kept only where the assumptions treat
+coefficients and cost weights apart.  `validate` checks the standing
 assumptions: a finite x0, finite bounded coefficients, invertible K, and
 the usual definiteness conditions on the cost weights.
 
@@ -34,8 +38,6 @@ from .errors import EmptyGrid, OutOfRange, ShapeMismatch, SingularMatrix
 __all__ = [
     "TimeGrid",
     "Dimensions",
-    "CoefficientTable",
-    "CostWeights",
     "ModelSpec",
     "ToleranceConfig",
     "NodeTable",
@@ -101,90 +103,42 @@ _COEFF_SHAPES = {
 _COST_SHAPES = {"Q": ("n", "n"), "S": ("m", "n"), "R": ("m", "m"), "q": ("n",), "r": ("m",)}
 
 
-def _tile(v, nnodes) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
-    return np.repeat(arr[None, ...], nnodes, axis=0)
-
-
 @dataclass(frozen=True)
-class CoefficientTable:
-    """Per-node values of the dynamics coefficients on `grid`.
+class ModelSpec:
+    """One problem instance on one grid.
 
-    Leading axis indexes grid nodes; trailing axes are the matrix shape.
+    Every coefficient and running cost weight is an (N+1, ...) table of its
+    values at the nodes of `grid`, with the trailing shape that
+    _COEFF_SHAPES and _COST_SHAPES declare; x0 and the terminal weights G
+    and g have no node axis, and delta is the uniform definiteness floor
+    for R.
     """
 
+    dims: Dimensions
     grid: TimeGrid
-    A: np.ndarray  # (N+1, n, n)
-    B: np.ndarray  # (N+1, n, m)
-    a: np.ndarray  # (N+1, n)
-    C: np.ndarray  # (N+1, n, d)
-    D: np.ndarray  # (N+1, n, k)
-    H: np.ndarray  # (N+1, d, n)
-    h: np.ndarray  # (N+1, d)
-    K: np.ndarray  # (N+1, d, d)
-
-    _FIELDS = tuple(_COEFF_SHAPES)
+    x0: np.ndarray  # (n,)
+    A: np.ndarray   # (N+1, n, n)
+    B: np.ndarray   # (N+1, n, m)
+    a: np.ndarray   # (N+1, n)
+    C: np.ndarray   # (N+1, n, d)
+    D: np.ndarray   # (N+1, n, k)
+    H: np.ndarray   # (N+1, d, n)
+    h: np.ndarray   # (N+1, d)
+    K: np.ndarray   # (N+1, d, d)
+    Q: np.ndarray   # (N+1, n, n)
+    S: np.ndarray   # (N+1, m, n)
+    R: np.ndarray   # (N+1, m, m)
+    q: np.ndarray   # (N+1, n)
+    r: np.ndarray   # (N+1, m)
+    G: np.ndarray   # (n, n)
+    g: np.ndarray   # (n,)
+    delta: float = 1e-6
 
     def __post_init__(self):
-        for name in self._FIELDS:
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-
-    @classmethod
-    def constant(cls, grid: TimeGrid, *, A, B, a, C, D, H, h, K) -> "CoefficientTable":
-        """Build a table holding the same coefficient values at every node."""
-        nn = grid.steps + 1
-        return cls(
-            grid,
-            A=_tile(A, nn), B=_tile(B, nn), a=_tile(a, nn), C=_tile(C, nn),
-            D=_tile(D, nn), H=_tile(H, nn), h=_tile(h, nn), K=_tile(K, nn),
-        )
-
-
-@dataclass(frozen=True)
-class CostWeights:
-    """Cost data: terminal (G, g) plus per-node running weights on `grid`."""
-
-    grid: TimeGrid
-    G: np.ndarray  # (n, n)
-    g: np.ndarray  # (n,)
-    Q: np.ndarray  # (N+1, n, n)
-    S: np.ndarray  # (N+1, m, n)
-    R: np.ndarray  # (N+1, m, m)
-    q: np.ndarray  # (N+1, n)
-    r: np.ndarray  # (N+1, m)
-    delta: float = 1e-6  # uniform definiteness floor for R
-
-    _FIELDS = ("G", "g", *_COST_SHAPES)
-
-    def __post_init__(self):
-        for name in self._FIELDS:
+        for name in ("x0", *_COEFF_SHAPES, *_COST_SHAPES, "G", "g"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if not self.delta > 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
-
-    @classmethod
-    def constant(cls, grid: TimeGrid, *, G, g, Q, S, R, q, r, delta=1e-6) -> "CostWeights":
-        nn = grid.steps + 1
-        return cls(
-            grid,
-            G=np.asarray(G, dtype=float), g=np.asarray(g, dtype=float),
-            Q=_tile(Q, nn), S=_tile(S, nn), R=_tile(R, nn),
-            q=_tile(q, nn), r=_tile(r, nn), delta=delta,
-        )
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Complete problem instance."""
-
-    dims: Dimensions
-    T: float
-    coeffs: CoefficientTable
-    cost: CostWeights
-    x0: np.ndarray  # (n,)
-
-    def __post_init__(self):
-        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -291,11 +245,8 @@ class NodeTable:
 
     @classmethod
     def build(cls, model: "ModelSpec", grid: TimeGrid) -> "NodeTable":
-        co, cw = model.coeffs, model.cost
-        f = {name: at_knots(grid, co.grid, getattr(co, name))
-             for name in CoefficientTable._FIELDS}
-        f.update({name: at_knots(grid, cw.grid, getattr(cw, name))
-                  for name in _COST_SHAPES})
+        f = {name: at_knots(grid, model.grid, getattr(model, name))
+             for name in (*_COEFF_SHAPES, *_COST_SHAPES)}
         K, times = f["K"], grid.knots
         eye_d = np.broadcast_to(np.eye(model.dims.d), K.shape)
         KinvH = solve_stack(K, f["H"], "K", times)
@@ -305,7 +256,7 @@ class NodeTable:
         RinvBS = solve_stack(f["R"], np.concatenate((B.mT, S), axis=-1), "R", times)
         RinvBt, RinvS = RinvBS[..., :n], RinvBS[..., n:]
         return cls(
-            grid, model.dims, **f, G=cw.G, g=cw.g,
+            grid, model.dims, **f, G=model.G, g=model.g,
             Kinv=solve_stack(K, eye_d, "K", times),
             KinvH=KinvH,
             Acl=f["A"] - f["C"] @ KinvH,
@@ -356,29 +307,18 @@ class ValidationReport:
 
 def _check_shapes(model: ModelSpec):
     dims = {"n": model.dims.n, "m": model.dims.m, "d": model.dims.d, "k": model.dims.k}
-    grid = model.coeffs.grid
-    if model.cost.grid.steps != grid.steps or model.cost.grid.T != grid.T:
-        raise ShapeMismatch("cost tables and coefficient tables use different grids")
-    if grid.T != model.T:
-        raise ShapeMismatch(f"coefficient grid spans [0, {grid.T}], model horizon is {model.T}")
-    nn = grid.steps + 1
-    for name, dim_names in _COEFF_SHAPES.items():
-        want = (nn,) + tuple(dims[s] for s in dim_names)
-        got = getattr(model.coeffs, name).shape
-        if got != want:
-            raise ShapeMismatch(f"coefficient {name}: expected shape {want}, got {got}")
-    for name, dim_names in _COST_SHAPES.items():
-        want = (nn,) + tuple(dims[s] for s in dim_names)
-        got = getattr(model.cost, name).shape
-        if got != want:
-            raise ShapeMismatch(f"cost weight {name}: expected shape {want}, got {got}")
+    nn = model.grid.steps + 1
+    for kind, shapes in (("coefficient", _COEFF_SHAPES), ("cost weight", _COST_SHAPES)):
+        for name, dim_names in shapes.items():
+            want = (nn,) + tuple(dims[s] for s in dim_names)
+            got = getattr(model, name).shape
+            if got != want:
+                raise ShapeMismatch(f"{kind} {name}: expected shape {want}, got {got}")
     n = dims["n"]
-    if model.cost.G.shape != (n, n):
-        raise ShapeMismatch(f"G: expected shape {(n, n)}, got {model.cost.G.shape}")
-    if model.cost.g.shape != (n,):
-        raise ShapeMismatch(f"g: expected shape {(n,)}, got {model.cost.g.shape}")
-    if model.x0.shape != (n,):
-        raise ShapeMismatch(f"x0: expected shape {(n,)}, got {model.x0.shape}")
+    for name, want in (("G", (n, n)), ("g", (n,)), ("x0", (n,))):
+        got = getattr(model, name).shape
+        if got != want:
+            raise ShapeMismatch(f"{name}: expected shape {want}, got {got}")
 
 
 def _finite_check(name: str, tables: dict[str, np.ndarray]) -> CheckResult:
@@ -424,7 +364,6 @@ def validate(model: ModelSpec, tol: ToleranceConfig = ToleranceConfig()) -> Vali
     as a pass/fail entry with the worst node and its margin.
     """
     _check_shapes(model)
-    co, cw = model.coeffs, model.cost
     checks: list[CheckResult] = []
 
     x0_finite = bool(np.isfinite(model.x0).all())
@@ -433,40 +372,40 @@ def validate(model: ModelSpec, tol: ToleranceConfig = ToleranceConfig()) -> Vali
 
     checks.append(_finite_check(
         "A1_coefficients_finite",
-        {f: getattr(co, f) for f in CoefficientTable._FIELDS}))
+        {f: getattr(model, f) for f in _COEFF_SHAPES}))
 
     # condition number cap stands in for uniform invertibility of K; a
     # non-finite node counts as singular (the SVD would not converge)
-    finite_K = np.isfinite(co.K).all(axis=(-2, -1))
+    finite_K = np.isfinite(model.K).all(axis=(-2, -1))
     conds = np.full(finite_K.shape, np.inf)
-    conds[finite_K] = np.linalg.cond(co.K[finite_K])
+    conds[finite_K] = np.linalg.cond(model.K[finite_K])
     worst = int(np.argmax(conds))
     margin = tol.k_cond_bound - float(conds[worst])
     checks.append(CheckResult("A2_K_invertible", margin >= 0, worst, margin))
 
     checks.append(_finite_check(
         "A3_cost_finite",
-        {f: getattr(cw, f) for f in CostWeights._FIELDS}))
+        {f: getattr(model, f) for f in ("G", "g", *_COST_SHAPES)}))
 
-    g_sym = float(_sym_slack(cw.G, tol.sym_tol))
+    g_sym = float(_sym_slack(model.G, tol.sym_tol))
     checks.append(CheckResult("A3_G_symmetric", g_sym >= 0, None, g_sym))
-    checks.append(_worst_node("A3_Q_symmetric", _sym_slack(cw.Q, tol.sym_tol)))
-    checks.append(_worst_node("A3_R_symmetric", _sym_slack(cw.R, tol.sym_tol)))
+    checks.append(_worst_node("A3_Q_symmetric", _sym_slack(model.Q, tol.sym_tol)))
+    checks.append(_worst_node("A3_R_symmetric", _sym_slack(model.R, tol.sym_tol)))
 
-    g_slack = float(_eig_floor(cw.G, tol.psd_tol))
+    g_slack = float(_eig_floor(model.G, tol.psd_tol))
     checks.append(CheckResult("A3_G_psd", g_slack >= 0, None, g_slack))
 
     checks.append(_worst_node("A3_R_uniformly_definite",
-                              _eig_floor(cw.R, tol.psd_tol) - cw.delta))
+                              _eig_floor(model.R, tol.psd_tol) - model.delta))
 
     # Q - S^T R^{-1} S with the symmetric part of R; a singular or non-finite
     # R fails the node outright and is swapped for I so the stacked solve
     # goes through (a non-finite Q or S fails it in _eig_floor)
-    Rs = 0.5 * (cw.R + cw.R.mT)
+    Rs = 0.5 * (model.R + model.R.mT)
     singular = ~np.isfinite(Rs).all(axis=(-2, -1))
     singular[~singular] = np.linalg.det(Rs[~singular]) == 0.0
     Rs[singular] = np.eye(model.dims.m)
-    M = cw.Q - cw.S.mT @ np.linalg.solve(Rs, cw.S)
+    M = model.Q - model.S.mT @ np.linalg.solve(Rs, model.S)
     slacks = np.where(singular, -np.inf, _eig_floor(M, tol.psd_tol))
     checks.append(_worst_node("A3_QSRS_psd", slacks))
 

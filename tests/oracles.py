@@ -17,8 +17,6 @@ them; a meta test pins the frozen constants against the oracles).
 import numpy as np
 
 from polqg import (
-    CoefficientTable,
-    CostWeights,
     Dimensions,
     ModelSpec,
     TimeGrid,
@@ -68,6 +66,19 @@ def oracle_total():
     return np.tanh(1.0) + oracle_tilde_J() + oracle_PDeltaC()
 
 
+def _tile(fields, nnodes):
+    """Each value repeated along a new leading node axis."""
+    return {name: np.repeat(np.asarray(v, dtype=float)[None], nnodes, axis=0)
+            for name, v in fields.items()}
+
+
+def constant_model(dims, grid, x0, *, G, g, delta=1e-6, **fields):
+    """ModelSpec whose coefficients and running cost weights hold the same
+    value at every node of grid."""
+    return ModelSpec(dims, grid, x0, **_tile(fields, grid.steps + 1),
+                     G=G, g=g, delta=delta)
+
+
 def scalar_model(**overrides):
     """Benchmark coefficients with selected entries replaced."""
     vals = dict(A=0.0, B=1.0, a=0.0, C=0.0, D=1.0, H=1.0, h=0.0, K=1.0,
@@ -75,27 +86,18 @@ def scalar_model(**overrides):
                 T=1.0, steps=100)
     vals.update(overrides)
     grid = TimeGrid(vals["T"], vals["steps"])
-    co = CoefficientTable.constant(
-        grid, A=[[vals["A"]]], B=[[vals["B"]]], a=[vals["a"]],
-        C=[[vals["C"]]], D=[[vals["D"]]], H=[[vals["H"]]], h=[vals["h"]],
-        K=[[vals["K"]]])
-    cw = CostWeights.constant(
-        grid, G=[[vals["G"]]], g=[vals["g"]], Q=[[vals["Q"]]],
-        S=[[vals["S"]]], R=[[vals["R"]]], q=[vals["q"]], r=[vals["r"]])
-    return ModelSpec(Dimensions(1, 1, 1, 1), vals["T"], co, cw,
-                     [vals["x0"]]), grid
+    vectors = ("a", "h", "q", "r", "g", "x0")
+    arrays = {f: [vals[f]] if f in vectors else [[vals[f]]]
+              for f in vals if f not in ("T", "steps")}
+    return constant_model(Dimensions(1, 1, 1, 1), grid, **arrays), grid
 
 
 def benchmark_model(steps, T=1.0, D=1.0, C=0.0):
     grid = TimeGrid(T, steps)
-    dims = Dimensions(1, 1, 1, 1)
-    co = CoefficientTable.constant(
-        grid, A=[[0.0]], B=[[1.0]], a=[0.0], C=[[C]], D=[[D]],
-        H=[[1.0]], h=[0.0], K=[[1.0]])
-    cw = CostWeights.constant(
-        grid, G=[[0.0]], g=[0.0], Q=[[1.0]], S=[[0.0]], R=[[1.0]],
-        q=[0.0], r=[0.0])
-    return ModelSpec(dims, T, co, cw, [1.0]), grid
+    return constant_model(
+        Dimensions(1, 1, 1, 1), grid, [1.0], A=[[0.0]], B=[[1.0]], a=[0.0],
+        C=[[C]], D=[[D]], H=[[1.0]], h=[0.0], K=[[1.0]], G=[[0.0]], g=[0.0],
+        Q=[[1.0]], S=[[0.0]], R=[[1.0]], q=[0.0], r=[0.0]), grid
 
 
 def random_validated_model(rng, steps=60, time_varying=False):
@@ -130,18 +132,17 @@ def random_validated_model(rng, steps=60, time_varying=False):
             v1 = v0 + 0.3 * rng.standard_normal(v0.shape)
             wgt = w if v0.ndim == 2 else w[:, :, 0]
             tables[name] = (1.0 - wgt) * v0 + wgt * v1
-        co = CoefficientTable(grid, **tables)
         # keep K safely invertible along the whole ramp
-        if any(np.linalg.cond(co.K[i]) > 1e6 for i in range(nn)):
+        if any(np.linalg.cond(tables["K"][i]) > 1e6 for i in range(nn)):
             return random_validated_model(rng, steps, time_varying)
     else:
-        co = CoefficientTable.constant(grid, **fields)
+        tables = _tile(fields, steps + 1)
+    A, C, H, K = (tables[f] for f in "ACHK")
 
     # keep the filter drift A - C K^{-1} H moderate at every node so a
     # fixed-step integration cannot go stiff on an unlucky draw
-    worst = max(
-        np.linalg.norm(co.A[i] - co.C[i] @ np.linalg.solve(co.K[i], co.H[i]), 2)
-        for i in range(steps + 1))
+    worst = max(np.linalg.norm(A[i] - C[i] @ np.linalg.solve(K[i], H[i]), 2)
+                for i in range(steps + 1))
     if worst > 3.0:
         return random_validated_model(rng, steps, time_varying)
 
@@ -172,10 +173,10 @@ def random_validated_model(rng, steps=60, time_varying=False):
         for name, v0 in weights.items():
             wgt = w.reshape((-1,) + (1,) * v0.ndim)
             ramps[name] = (1.0 - wgt) * v0 + wgt * end[name]
-        cw = CostWeights(grid, G=G, g=g, **ramps)
+        tables.update(ramps)
     else:
-        cw = CostWeights.constant(grid, G=G, g=g, **weights)
-    model = ModelSpec(Dimensions(n, m, d, k), 1.0, co, cw, x0)
+        tables.update(_tile(weights, steps + 1))
+    model = ModelSpec(Dimensions(n, m, d, k), grid, x0, **tables, G=G, g=g)
     assert validate(model).passed
     return model, grid
 
@@ -195,7 +196,6 @@ def closed_loop_reference(model, sol, policy, dW, dWp):
     dW, dWp are (paths, N, d) and (paths, N, k).  Returns the kernel's
     outputs: X, Xhat, u, dV and the cost, a left Riemann sum of the running
     cost plus the terminal cost."""
-    co, cw = model.coeffs, model.cost
     h = np.diff(sol.grid.nodes)
     npaths, N = dW.shape[:2]
     n, m, d = model.dims.n, model.dims.m, model.dims.d
@@ -210,7 +210,7 @@ def closed_loop_reference(model, sol, policy, dW, dWp):
             return np.zeros((npaths, m))
         if policy.kind == "open_loop":
             return np.broadcast_to(policy.table[i], (npaths, m))
-        ff = np.linalg.solve(cw.R[i], co.B[i].T @ sol.phi[i] + cw.r[i])
+        ff = np.linalg.solve(model.R[i], model.B[i].T @ sol.phi[i] + model.r[i])
         uu = xh @ sol.Theta[i].T - ff
         if policy.kind == "perturbed_feedback":
             uu = uu + (policy.table if policy.table.ndim == 1 else policy.table[i])
@@ -219,21 +219,21 @@ def closed_loop_reference(model, sol, policy, dW, dWp):
     for i in range(N):
         x, xh = X[:, i], Xhat[:, i]
         u[:, i] = control(i, xh)
-        Bu = u[:, i] @ co.B[i].T
-        X[:, i + 1] = (x + (x @ co.A[i].T + Bu + co.a[i]) * h[i]
-                       + dW[:, i] @ co.C[i].T + dWp[:, i] @ co.D[i].T)
-        dV[:, i] = (x - xh) @ co.H[i].T * h[i] + dW[:, i] @ co.K[i].T
-        Xhat[:, i + 1] = (xh + (xh @ co.A[i].T + Bu + co.a[i]) * h[i]
+        Bu = u[:, i] @ model.B[i].T
+        X[:, i + 1] = (x + (x @ model.A[i].T + Bu + model.a[i]) * h[i]
+                       + dW[:, i] @ model.C[i].T + dWp[:, i] @ model.D[i].T)
+        dV[:, i] = (x - xh) @ model.H[i].T * h[i] + dW[:, i] @ model.K[i].T
+        Xhat[:, i + 1] = (xh + (xh @ model.A[i].T + Bu + model.a[i]) * h[i]
                           + dV[:, i] @ sol.gain[i].T)
     u[:, N] = control(N, Xhat[:, N])
 
     cost = np.zeros(npaths)
     for i in range(N):
         x, uu = X[:, i], u[:, i]
-        cost += h[i] * (np.einsum("pa,ab,pb->p", x, cw.Q[i], x)
-                        + 2.0 * np.einsum("pa,ab,pb->p", uu, cw.S[i], x)
-                        + np.einsum("pa,ab,pb->p", uu, cw.R[i], uu)
-                        + 2.0 * x @ cw.q[i] + 2.0 * uu @ cw.r[i])
+        cost += h[i] * (np.einsum("pa,ab,pb->p", x, model.Q[i], x)
+                        + 2.0 * np.einsum("pa,ab,pb->p", uu, model.S[i], x)
+                        + np.einsum("pa,ab,pb->p", uu, model.R[i], uu)
+                        + 2.0 * x @ model.q[i] + 2.0 * uu @ model.r[i])
     xT = X[:, N]
-    cost += np.einsum("pa,ab,pb->p", xT, cw.G, xT) + 2.0 * xT @ cw.g
+    cost += np.einsum("pa,ab,pb->p", xT, model.G, xT) + 2.0 * xT @ model.g
     return {"X": X, "Xhat": Xhat, "u": u, "dV": dV, "cost": cost}

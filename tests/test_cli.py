@@ -53,18 +53,17 @@ COST_NAMES = ("Q", "S", "R", "q", "r")
 def model_doc(model, grid, form="table"):
     """Scenario document of a model tabulated on the scenario grid: every
     per-node field as a table, or as its node-0 value when form="constant"."""
-    def section(tables, names):
-        return {form: {f: (getattr(tables, f) if form == "table"
-                           else getattr(tables, f)[0]).tolist() for f in names}}
-    cw = model.cost
+    def section(names):
+        return {form: {f: (getattr(model, f) if form == "table"
+                           else getattr(model, f)[0]).tolist() for f in names}}
     return {
         "format_version": 1,
         "dims": asdict(model.dims),
         "T": grid.T,
         "steps": grid.steps,
         "x0": model.x0.tolist(),
-        "coefficients": section(model.coeffs, COEFF_NAMES),
-        "cost": {"G": cw.G.tolist(), "g": cw.g.tolist(), **section(cw, COST_NAMES)},
+        "coefficients": section(COEFF_NAMES),
+        "cost": {"G": model.G.tolist(), "g": model.g.tolist(), **section(COST_NAMES)},
     }
 
 
@@ -210,6 +209,18 @@ def test_bad_scalar_field_exits_2_naming_it(tmp_path, capsys, field, value):
                                  "table": [[0.0]] * 100 + [[float("nan")]]}}),
     ("policy.table", {"policy": {"kind": "open_loop", "table": [["0.5"]] * 101}}),
     ("output.directory", {"output": {"directory": 5}}),
+    # a field the kind does not read is an error, not silently dropped
+    ("policy.table", {"policy": {"kind": "zero", "table": [[1.0]]}}),
+    ("policy.offset", {"policy": {"kind": "filter_feedback", "offset": [3.0]}}),
+    ("policy.table", {"policy": {"kind": "perturbed_feedback", "offset": [0.5],
+                                 "table": [[9.0]]}}),
+    # model arrays take numbers only: no string, boolean or null coerced
+    ("x0", {"x0": ["1.5"]}),
+    ("x0", {"x0": [True]}),
+    ("x0", {"x0": [None]}),
+    ("cost.G", {"cost": {**bench_doc()["cost"], "G": [["2"]]}}),
+    ("coefficients.constant.A", {"coefficients": {"constant": {
+        **bench_doc()["coefficients"]["constant"], "A": [[True]]}}}),
 ])
 def test_bad_list_field_exits_2_naming_it(tmp_path, capsys, field, section):
     # rejected while parsing, before validate passes or simulate blames the kernel
@@ -404,6 +415,14 @@ def test_seed_precedence(tmp_path, capsys, monkeypatch):
     assert (by_flag / "path_00000.csv").read_bytes() == a
 
 
+def test_bad_seed_env_exits_2_naming_it(tmp_path, capsys, monkeypatch):
+    path = write_doc(tmp_path, bench_doc())
+    monkeypatch.setenv("POLQG_SEED", "abc")
+    assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
+    assert ("invalid input: POLQG_SEED: expected an integer, got 'abc'"
+            in capsys.readouterr().err)
+
+
 def test_simulate_noiseless_state_is_tracked(tmp_path, capsys):
     doc = bench_doc()
     doc["coefficients"]["constant"]["D"] = [[0.0]]
@@ -488,7 +507,7 @@ def _floor(target):
 def _expected_checks(sc):
     """Every verify row (estimate, se, target, band, passed) recomputed with
     plain numpy from the per-path numbers of the passes on both grids."""
-    model, grid, n_paths = sc.model, sc.grid, sc.n_paths
+    model, grid, n_paths = sc.model, sc.model.grid, sc.n_paths
     grid2 = TimeGrid(grid.T, 2 * grid.steps)
     sol = solve_all(model, grid, sc.tolerances)
     sol2 = solve_all(model, grid2, sc.tolerances)
@@ -560,7 +579,7 @@ def _expected_checks(sc):
         ex, ex_se = _mean_se(st.costs[label] - fb)
         add(f"not_beaten_by_{label}", ex, ex_se, 0.0, 2 * ex_se + _floor(0.0),
             ex + 2 * ex_se + _floor(0.0) >= 0.0)
-    pred = np.trapezoid(np.einsum("a,tab,b->t", eps, model.cost.R, eps),
+    pred = np.trapezoid(np.einsum("a,tab,b->t", eps, model.R, eps),
                         grid.nodes)
     ex2 = (st2.costs["perturbed_feedback"] - fb2).mean()
     band = 3 * ex_se + 3 * abs(ex - ex2) + _floor(pred)
@@ -581,7 +600,7 @@ def test_verify_rows_recomputed_from_the_passes(case):
         doc = {**model_doc(model, grid), "mc": {"n_paths": 500, "seed": 6}}
     sc = parse_scenario(json.dumps(doc))
     want = _expected_checks(sc)
-    checks, _ = _run_checks(sc, sc.grid, sc.seed, sc.n_paths)
+    checks, _ = _run_checks(sc, sc.model.grid, sc.seed, sc.n_paths)
     assert len(checks) == len(want) == 18
     for c in checks:
         est, se, target, band, passed = want[c["name"]]
@@ -645,13 +664,11 @@ def test_scenario_forms_give_the_constructed_model(form):
                                          time_varying=form == "table")
     sc = parse_scenario(json.dumps(model_doc(model, grid, form)))
     assert sc.model.dims == model.dims
-    assert sc.model.cost.delta == model.cost.delta
+    assert sc.model.delta == model.delta
     np.testing.assert_array_equal(sc.model.x0, model.x0)
-    for tables, names in (("coeffs", COEFF_NAMES), ("cost", ("G", "g") + COST_NAMES)):
-        for f in names:
-            np.testing.assert_array_equal(getattr(getattr(sc.model, tables), f),
-                                          getattr(getattr(model, tables), f),
-                                          err_msg=f)
+    for f in COEFF_NAMES + ("G", "g") + COST_NAMES:
+        np.testing.assert_array_equal(getattr(sc.model, f), getattr(model, f),
+                                      err_msg=f)
 
 
 @pytest.mark.parametrize("section", ["coefficients", "cost"])

@@ -273,10 +273,10 @@ def test_solve_all_benchmark_consistency():
 def test_solve_all_boundaries_bitwise():
     model, grid = random_validated_model(np.random.default_rng(3))
     sol = solve_all(model, grid)
-    np.testing.assert_array_equal(sol.P[-1], model.cost.G)
-    np.testing.assert_array_equal(sol.Pi[-1], model.cost.G)
-    np.testing.assert_array_equal(sol.phi[-1], model.cost.g)
-    np.testing.assert_array_equal(solve_pi(sol.table, sol.curlyA)[-1], model.cost.g)
+    np.testing.assert_array_equal(sol.P[-1], model.G)
+    np.testing.assert_array_equal(sol.Pi[-1], model.G)
+    np.testing.assert_array_equal(sol.phi[-1], model.g)
+    np.testing.assert_array_equal(solve_pi(sol.table, sol.curlyA)[-1], model.g)
     assert (sol.Sigma[0] == 0.0).all()
 
 
@@ -319,7 +319,7 @@ def _per_equation_reference(model, grid):
         return (Acl @ Sig + Sig @ Acl.T
                 - Sig @ H.T @ np.linalg.solve(K @ K.T, H @ Sig) + D @ D.T)
 
-    P = integrate_matrix_ode(rhs_P, model.cost.G, grid, "backward", post_step=sym)
+    P = integrate_matrix_ode(rhs_P, model.G, grid, "backward", post_step=sym)
     Sigma = integrate_matrix_ode(rhs_Sigma, np.zeros((n, n)), grid, "forward",
                                  post_step=sym)
     B, S, R = tab.B[::2], tab.S[::2], tab.R[::2]
@@ -339,8 +339,8 @@ def _per_equation_reference(model, grid):
 
     return {
         "P": P, "Sigma": Sigma,
-        "phi": integrate_matrix_ode(rhs_phi, model.cost.g, grid, "backward"),
-        "Pi": integrate_matrix_ode(rhs_Pi, model.cost.G, grid, "backward",
+        "phi": integrate_matrix_ode(rhs_phi, model.g, grid, "backward"),
+        "Pi": integrate_matrix_ode(rhs_Pi, model.G, grid, "backward",
                                    post_step=sym),
     }
 
@@ -372,7 +372,7 @@ def test_duality_residual_is_second_order(seed):
         tJ = tilde_J(model, sol)
         Sigma = sol.Sigma
         dual = (np.trapezoid(np.einsum("tij,tji->t", sol.table.Q[::2], Sigma), grid.nodes)
-                + np.trace(model.cost.G @ Sigma[-1]))
+                + np.trace(model.G @ Sigma[-1]))
         residual[steps] = abs(tJ - dual)
         assert residual[steps] <= grid.h ** 2 * (1.0 + abs(tJ))
     assert 12.0 <= residual[100] / residual[400] <= 20.0

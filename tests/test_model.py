@@ -1,12 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from polqg import (
-    CoefficientTable,
-    CostWeights,
     Dimensions,
     EmptyGrid,
-    ModelSpec,
     NodeTable,
     OutOfRange,
     ShapeMismatch,
@@ -17,7 +16,8 @@ from polqg import (
 )
 from polqg.model import interp_table
 
-from oracles import benchmark_model, random_validated_model
+from oracles import (benchmark_model, constant_model, random_validated_model,
+                     scalar_model)
 
 
 def test_grid_nodes():
@@ -42,11 +42,11 @@ def test_dimensions_positive():
 def test_sample_constant_exact():
     model, grid = benchmark_model(10)
     ts = [0.0, 0.13, 0.5, 1.0]
-    assert (resample(grid, model.coeffs.A, ts) == 0.0).all()
-    assert (resample(grid, model.coeffs.B, ts) == 1.0).all()
-    assert (resample(grid, model.coeffs.K, ts) == 1.0).all()
-    assert (resample(grid, model.cost.Q, ts) == 1.0).all()
-    assert (resample(grid, model.cost.R, ts) == 1.0).all()
+    assert (resample(grid, model.A, ts) == 0.0).all()
+    assert (resample(grid, model.B, ts) == 1.0).all()
+    assert (resample(grid, model.K, ts) == 1.0).all()
+    assert (resample(grid, model.Q, ts) == 1.0).all()
+    assert (resample(grid, model.R, ts) == 1.0).all()
 
 
 def test_sample_linear_ramp():
@@ -61,9 +61,9 @@ def test_sample_out_of_range():
     model, grid = benchmark_model(10)
     for t in (-1e-9, 1.0 + 1e-9, np.nan):
         with pytest.raises(OutOfRange):
-            resample(grid, model.coeffs.A, [0.5, t])
+            resample(grid, model.A, [0.5, t])
         with pytest.raises(OutOfRange):
-            interp_table(grid, model.coeffs.A, t)
+            interp_table(grid, model.A, t)
 
 
 def _interp_reference(grid, values, t):
@@ -87,8 +87,8 @@ def test_node_table_bitwise_at_every_knot(factor):
     nodes = solve_grid.nodes
     np.testing.assert_array_equal(tab.grid.knots[0::2], nodes)
     np.testing.assert_array_equal(tab.grid.knots[1::2], 0.5 * (nodes[:-1] + nodes[1:]))
-    tables = {f: getattr(model.coeffs, f) for f in CoefficientTable._FIELDS}
-    tables.update({f: getattr(model.cost, f) for f in ("Q", "S", "R", "q", "r")})
+    tables = {f: getattr(model, f) for f in ("A", "B", "a", "C", "D", "H", "h", "K",
+                                             "Q", "S", "R", "q", "r")}
     for name, values in tables.items():
         knots = getattr(tab, name)
         assert knots.shape == (2 * solve_grid.steps + 1,) + values.shape[1:]
@@ -107,8 +107,8 @@ def test_node_table_reuses_model_arrays_on_own_grid():
     model, grid = random_validated_model(np.random.default_rng(6), steps=10,
                                          time_varying=True)
     tab = NodeTable.build(model, grid)
-    np.testing.assert_array_equal(tab.A[::2], model.coeffs.A)
-    np.testing.assert_array_equal(tab.R[::2], model.cost.R)
+    np.testing.assert_array_equal(tab.A[::2], model.A)
+    np.testing.assert_array_equal(tab.R[::2], model.R)
 
 
 def test_validate_benchmark_passes():
@@ -127,18 +127,11 @@ def test_validate_deterministic():
     assert validate(model) == validate(model)
 
 
-def _with_K(model, grid, K_table):
-    co = model.coeffs
-    co2 = CoefficientTable(grid, co.A, co.B, co.a, co.C, co.D, co.H, co.h,
-                           np.asarray(K_table, dtype=float))
-    return ModelSpec(model.dims, model.T, co2, model.cost, model.x0)
-
-
 def test_validate_singular_K_names_node():
     model, grid = benchmark_model(4)
     K = np.ones((5, 1, 1))
     K[2, 0, 0] = 0.0
-    report = validate(_with_K(model, grid, K))
+    report = validate(replace(model, K=K))
     assert not report.passed
     bad = report.check("A2_K_invertible")
     assert not bad.passed
@@ -149,7 +142,7 @@ def test_validate_nonfinite_K_is_reported():
     model, grid = benchmark_model(50)
     K = np.ones((51, 1, 1))
     K[3, 0, 0] = np.nan
-    report = validate(_with_K(model, grid, K))
+    report = validate(replace(model, K=K))
     assert not report.passed
     for name in ("A1_coefficients_finite", "A2_K_invertible"):
         bad = report.check(name)
@@ -162,7 +155,7 @@ def test_validate_ill_conditioned_K():
     K = np.full((5, 1, 1), 1e-12)
     # tiny but invertible scalar K has condition number 1; force a real
     # 2x2 case through the tolerance config instead
-    report = validate(_with_K(model, grid, K),
+    report = validate(replace(model, K=K),
                       ToleranceConfig(k_cond_bound=0.5))
     assert not report.check("A2_K_invertible").passed
 
@@ -170,41 +163,27 @@ def test_validate_ill_conditioned_K():
 def test_validate_asymmetric_G():
     grid = TimeGrid(1.0, 4)
     dims = Dimensions(2, 1, 1, 1)
-    co = CoefficientTable.constant(
-        grid, A=np.zeros((2, 2)), B=[[1.0], [0.0]], a=[0.0, 0.0],
-        C=np.zeros((2, 1)), D=np.ones((2, 1)), H=[[1.0, 0.0]], h=[0.0],
-        K=[[1.0]])
     G = np.array([[1.0, 0.5], [0.0, 1.0]])
-    cw = CostWeights.constant(grid, G=G, g=[0.0, 0.0], Q=np.eye(2),
-                              S=np.zeros((1, 2)), R=[[1.0]], q=[0.0, 0.0],
-                              r=[0.0])
-    report = validate(ModelSpec(dims, 1.0, co, cw, [1.0, 0.0]))
+    report = validate(constant_model(
+        dims, grid, [1.0, 0.0], A=np.zeros((2, 2)), B=[[1.0], [0.0]],
+        a=[0.0, 0.0], C=np.zeros((2, 1)), D=np.ones((2, 1)), H=[[1.0, 0.0]],
+        h=[0.0], K=[[1.0]], G=G, g=[0.0, 0.0], Q=np.eye(2),
+        S=np.zeros((1, 2)), R=[[1.0]], q=[0.0, 0.0], r=[0.0]))
     assert not report.check("A3_G_symmetric").passed
 
 
 def test_validate_indefinite_QSRS():
-    grid = TimeGrid(1.0, 4)
-    co = CoefficientTable.constant(
-        grid, A=[[0.0]], B=[[1.0]], a=[0.0], C=[[0.0]], D=[[1.0]],
-        H=[[1.0]], h=[0.0], K=[[1.0]])
     # Q - S^T R^{-1} S = 1 - 4 = -3
-    cw = CostWeights.constant(grid, G=[[0.0]], g=[0.0], Q=[[1.0]],
-                              S=[[2.0]], R=[[1.0]], q=[0.0], r=[0.0])
-    report = validate(ModelSpec(Dimensions(1, 1, 1, 1), 1.0, co, cw, [1.0]))
+    model, _ = scalar_model(S=2.0, steps=4)
+    report = validate(model)
     bad = report.check("A3_QSRS_psd")
     assert not bad.passed
     assert bad.margin == pytest.approx(-3.0, abs=1e-6)
 
 
 def test_validate_R_below_floor():
-    grid = TimeGrid(1.0, 4)
-    co = CoefficientTable.constant(
-        grid, A=[[0.0]], B=[[1.0]], a=[0.0], C=[[0.0]], D=[[1.0]],
-        H=[[1.0]], h=[0.0], K=[[1.0]])
-    cw = CostWeights.constant(grid, G=[[0.0]], g=[0.0], Q=[[1.0]],
-                              S=[[0.0]], R=[[1e-9]], q=[0.0], r=[0.0],
-                              delta=1e-6)
-    report = validate(ModelSpec(Dimensions(1, 1, 1, 1), 1.0, co, cw, [1.0]))
+    model, _ = scalar_model(R=1e-9, steps=4)
+    report = validate(model)
     assert not report.check("A3_R_uniformly_definite").passed
 
 
@@ -212,9 +191,7 @@ def test_validate_nonfinite_coefficient():
     model, grid = benchmark_model(4)
     A = np.zeros((5, 1, 1))
     A[3, 0, 0] = np.nan
-    co = model.coeffs
-    co2 = CoefficientTable(grid, A, co.B, co.a, co.C, co.D, co.H, co.h, co.K)
-    report = validate(ModelSpec(model.dims, model.T, co2, model.cost, model.x0))
+    report = validate(replace(model, A=A))
     bad = report.check("A1_coefficients_finite")
     assert not bad.passed
     assert bad.worst_node == 3
@@ -222,8 +199,7 @@ def test_validate_nonfinite_coefficient():
 
 def test_validate_nonfinite_x0():
     model, grid = benchmark_model(4)
-    report = validate(ModelSpec(model.dims, model.T, model.coeffs, model.cost,
-                                [np.nan]))
+    report = validate(replace(model, x0=[np.nan]))
     assert not report.passed
     assert not report.check("x0_finite").passed
 
@@ -231,8 +207,7 @@ def test_validate_nonfinite_x0():
 def test_validate_shape_mismatch():
     model, grid = benchmark_model(4)
     with pytest.raises(ShapeMismatch):
-        validate(ModelSpec(model.dims, model.T, model.coeffs, model.cost,
-                           [1.0, 2.0]))
+        validate(replace(model, x0=[1.0, 2.0]))
 
 
 def test_report_summary_lines():

@@ -42,12 +42,11 @@ def tv():
     model, grid = random_validated_model(np.random.default_rng(100), steps=120,
                                          time_varying=True)
     w = 1.0 + grid.nodes[:, None]  # a positive ramp keeps the weights valid
-    cw = model.cost
-    cost = dataclasses.replace(cw, Q=cw.Q * w[..., None], S=cw.S * w[..., None],
-                               R=cw.R * w[..., None], q=cw.q * w, r=cw.r * w)
-    model = dataclasses.replace(model, cost=cost)
+    model = dataclasses.replace(
+        model, Q=model.Q * w[..., None], S=model.S * w[..., None],
+        R=model.R * w[..., None], q=model.q * w, r=model.r * w)
     assert validate(model).passed
-    assert model.dims.n >= 2 and model.coeffs.grid == model.cost.grid == grid
+    assert model.dims.n >= 2 and model.grid == grid
     return model, grid, solve_all(model, grid)
 
 
@@ -246,10 +245,9 @@ def test_policy_feedback_matches_kernel(bench, tv):
         noise = draw_noise(2, 7, grid, model.dims)
         bundle = simulate_closed_loop(model, sol, ControlPolicy.filter_feedback(),
                                       noise)
-        co, cw = model.coeffs, model.cost
         for i in (0, 57, grid.steps):
-            v = co.B[i].T @ sol.phi[i] + cw.r[i]
-            want = sol.Theta[i] @ bundle.Xhat[i] - np.linalg.solve(cw.R[i], v)
+            v = model.B[i].T @ sol.phi[i] + model.r[i]
+            want = sol.Theta[i] @ bundle.Xhat[i] - np.linalg.solve(model.R[i], v)
             np.testing.assert_allclose(bundle.u[i], want, rtol=1e-12, atol=1e-14)
 
 
@@ -328,15 +326,14 @@ def test_cost_is_left_riemann_plus_terminal(bench, tv):
         noise = draw_noise(31, 6, grid, model.dims)
         bundle = simulate_closed_loop(model, sol, ControlPolicy.filter_feedback(),
                                       noise)
-        cw = model.cost
         acc = 0.0
         for i in range(grid.steps):
             x, u = bundle.X[i], bundle.u[i]
-            acc += grid.h * (x @ cw.Q[i] @ x + 2.0 * u @ cw.S[i] @ x
-                             + u @ cw.R[i] @ u + 2.0 * cw.q[i] @ x
-                             + 2.0 * cw.r[i] @ u)
+            acc += grid.h * (x @ model.Q[i] @ x + 2.0 * u @ model.S[i] @ x
+                             + u @ model.R[i] @ u + 2.0 * model.q[i] @ x
+                             + 2.0 * model.r[i] @ u)
         xT = bundle.X[-1]
-        acc += xT @ cw.G @ xT + 2.0 * cw.g @ xT
+        acc += xT @ model.G @ xT + 2.0 * model.g @ xT
         assert bundle.cost == pytest.approx(acc, rel=1e-12)
 
 
