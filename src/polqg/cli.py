@@ -5,6 +5,11 @@ cannot silently change a run.  Result documents are compact JSON whose
 only timestamp is meta.generated_at; per-path CSV files carry no
 timestamps at all and rerunning a simulation writes byte-identical files.
 
+`simulate` formats and writes its path files from one writer process
+per CPU this process may run on, forked after each kernel chunk; each file
+depends on its path alone, so the files are byte-identical for any number
+of writers.
+
 Exit codes: 0 success, 2 validation problem (scenario or model), 3
 numerical blow-up, 4 a verification check failed, 5 I/O problem.
 
@@ -15,6 +20,7 @@ then the scenario's mc.seed, then 0.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -53,7 +59,7 @@ from .model import (
     interp_table,  # noqa: F401  bench/tracer.py counts its calls here by name
     validate,
 )
-from .simulate import ControlPolicy, bundle_to_csv
+from .simulate import ControlPolicy, _check_policy_table, bundle_to_csv
 from .value import ValueBreakdown, optimal_value
 from .verify import (
     brownianity_report,
@@ -154,22 +160,31 @@ _POLICY_FIELD = {"filter_feedback": None, "zero": None,
                  "open_loop": "table", "perturbed_feedback": "offset"}
 
 
-def _policy_from_spec(spec) -> ControlPolicy:
+def _policy_from_spec(spec, grid: TimeGrid, m: int) -> ControlPolicy:
+    """The scenario's policy, its table checked against the scenario's own
+    grid; the kernel checks it again, as --steps may change the grid."""
     _expect(spec, "policy", allowed=("kind", "table", "offset", "label"),
             required=("kind",))
     kind = spec["kind"]
     if not isinstance(kind, str) or kind not in _POLICY_FIELD:
         raise ScenarioSyntaxError(f"policy: unknown kind {kind!r}")
+    label = spec.get("label", "")
+    if not isinstance(label, str):
+        raise ScenarioSyntaxError(f"policy.label: expected a string, got {label!r}")
     field = _POLICY_FIELD[kind]
     for name in ("table", "offset"):
         if name != field and name in spec:
             raise ScenarioSyntaxError(f"policy.{name}: expected none for kind {kind!r}")
     if field is None:
-        return ControlPolicy(kind, label=spec.get("label", ""))
+        return ControlPolicy(kind, label=label)
     if field not in spec:
         raise ScenarioSyntaxError(f"policy: kind {kind!r} needs policy.{field}")
-    return ControlPolicy(kind, _numbers(spec[field], f"policy.{field}"),
-                         spec.get("label", ""))
+    policy = ControlPolicy(kind, _numbers(spec[field], f"policy.{field}"), label)
+    try:
+        _check_policy_table(policy, grid, m, f"policy.{field}")
+    except ShapeMismatch as e:
+        raise ScenarioSyntaxError(str(e)) from None
+    return policy
 
 
 def _per_node_fields(spec, where, nnodes, shapes) -> dict[str, np.ndarray]:
@@ -239,7 +254,7 @@ def parse_scenario(text: str) -> Scenario:
 
     policy = ControlPolicy.filter_feedback()
     if "policy" in doc:
-        policy = _policy_from_spec(doc["policy"])
+        policy = _policy_from_spec(doc["policy"], grid, dims.m)
 
     n_paths, seed, probe_times = 2000, 0, None
     if "mc" in doc:
@@ -414,17 +429,58 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _write_share(out: str, bundles, j0: int):
+    for j, bundle in enumerate(bundles, j0):
+        with open(os.path.join(out, f"path_{j:05d}.csv"), "w") as f:
+            bundle_to_csv(bundle, f)
+
+
+def _write_path_files(out: str, block: list, j0: int):
+    """Write block[i] to path_{j0 + i}.csv, in one contiguous share per CPU
+    this process may run on.  Forked children write the shares after the
+    first and leave through os._exit, never returning here; this process
+    writes the first.  Every child is reaped, also when this process's own
+    share raises, and the share of a child that could not start or did not
+    exit 0 is written again here, so its error surfaces as in one process.
+    Each file depends on its bundle alone: the files are byte-identical for
+    any number of writers."""
+    writers = min(len(os.sched_getaffinity(0)), len(block))
+    cuts = [w * len(block) // writers for w in range(writers + 1)]
+    children, redo = {}, []
+    try:
+        for a, b in zip(cuts[1:], cuts[2:]):
+            try:
+                pid = os.fork()
+            except OSError:
+                redo.append((a, b))
+                continue
+            if pid == 0:
+                code = 1
+                try:
+                    _write_share(out, block[a:b], j0 + a)
+                    code = 0
+                finally:
+                    os._exit(code)
+            children[pid] = (a, b)
+        _write_share(out, block[:cuts[1]], j0)
+    finally:
+        redo += [share for pid, share in children.items() if os.waitpid(pid, 0)[1]]
+    for a, b in redo:
+        _write_share(out, block[a:b], j0 + a)
+
+
+# paths per kernel chunk, and per block of path files
+_SIM_CHUNK = 1024
+
+
 def cmd_simulate(args) -> int:
     sc, grid, seed, n_paths = _load_scenario(args)
     sol = solve_all(sc.model, grid, sc.tolerances)
     out = _output_dir(args, sc)
-    count = 0
-    for j, bundle in enumerate(
-            iter_path_bundles(sc.model, sol, sc.policy, n_paths, seed)):
-        with open(os.path.join(out, f"path_{j:05d}.csv"), "w") as f:
-            bundle_to_csv(bundle, f)
-        count += 1
-    print(f"wrote {count} path file(s) to {out}")
+    bundles = iter_path_bundles(sc.model, sol, sc.policy, n_paths, seed, _SIM_CHUNK)
+    for j0 in range(0, n_paths, _SIM_CHUNK):
+        _write_path_files(out, list(itertools.islice(bundles, _SIM_CHUNK)), j0)
+    print(f"wrote {n_paths} path file(s) to {out}")
     return EXIT_OK
 
 

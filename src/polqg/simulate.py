@@ -138,17 +138,22 @@ class ControlPolicy:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Everything recorded along one simulated path; the fields are the
-    columns of bundle_to_csv plus the realized cost."""
+    """Everything recorded along one simulated path: the fields and the
+    derived error Xtil are the columns of bundle_to_csv, plus the realized
+    cost."""
 
     grid: TimeGrid
     X: np.ndarray       # (N+1, n) true state
     Y: np.ndarray       # (N+1, d) observation, running sum of the dY_i
     Xhat: np.ndarray    # (N+1, n) filtered state
-    Xtil: np.ndarray    # (N+1, n) X - Xhat, exact
     V: np.ndarray       # (N+1, d) innovation, running sum of the kernel's dV_i
     u: np.ndarray       # (N+1, m) applied control (row N: policy value, unused)
     cost: float
+
+    @property
+    def Xtil(self) -> np.ndarray:
+        """(N+1, n) estimation error X - Xhat, computed on each read."""
+        return self.X - self.Xhat
 
 
 def _policy_controls(policy: ControlPolicy, sol: DeterministicSolution, i: int,
@@ -165,12 +170,16 @@ def _policy_controls(policy: ControlPolicy, sol: DeterministicSolution, i: int,
             out += policy.table if policy.table.ndim == 1 else policy.table[i]
 
 
-def _check_policy_table(policy: ControlPolicy, grid: TimeGrid, m: int):
+def _check_policy_table(policy: ControlPolicy, grid: TimeGrid, m: int,
+                        where: str | None = None):
+    """ShapeMismatch, naming the table `where` (default: by its kind),
+    unless the policy's table fits m controls on grid."""
     shapes = {"open_loop": ((grid.steps + 1, m),),
               "perturbed_feedback": ((m,), (grid.steps + 1, m))}.get(policy.kind)
     if shapes and (policy.table is None or policy.table.shape not in shapes):
-        raise ShapeMismatch(f"{policy.kind} table must have shape "
-                            + " or ".join(map(str, shapes)))
+        got = None if policy.table is None else policy.table.shape
+        raise ShapeMismatch(f"{where or policy.kind + ' table'}: expected shape "
+                            + " or ".join(map(str, shapes)) + f", got {got}")
 
 
 def _add_matvec(out, M, x, tmp):
@@ -255,8 +264,8 @@ def _bundles(sol: DeterministicSolution, arrs) -> Iterator[PathBundle]:
     for level in (Y, V):
         np.cumsum(level[:, 1:], axis=1, out=level[:, 1:])
     for p, cost in enumerate(arrs["cost"]):
-        yield PathBundle(sol.grid, X[p], Y[p], Xhat[p], X[p] - Xhat[p], V[p],
-                         arrs["u"][p], float(cost))
+        yield PathBundle(sol.grid, X[p], Y[p], Xhat[p], V[p], arrs["u"][p],
+                         float(cost))
 
 
 def simulate_closed_loop(model: ModelSpec, sol: DeterministicSolution,

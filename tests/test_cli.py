@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 from dataclasses import asdict
 
 import numpy as np
@@ -221,6 +222,11 @@ def test_bad_scalar_field_exits_2_naming_it(tmp_path, capsys, field, value):
     ("cost.G", {"cost": {**bench_doc()["cost"], "G": [["2"]]}}),
     ("coefficients.constant.A", {"coefficients": {"constant": {
         **bench_doc()["coefficients"]["constant"], "A": [[True]]}}}),
+    ("policy.label", {"policy": {"kind": "open_loop", "table": [[0.0]] * 101,
+                                 "label": 5}}),
+    # a policy table must fit the scenario's own grid, not only the kernel's
+    ("policy.table", {"policy": {"kind": "open_loop", "table": [[0.0]] * 3}}),
+    ("policy.offset", {"policy": {"kind": "perturbed_feedback", "offset": [[0.5]]}}),
 ])
 def test_bad_list_field_exits_2_naming_it(tmp_path, capsys, field, section):
     # rejected while parsing, before validate passes or simulate blames the kernel
@@ -387,6 +393,64 @@ def test_simulate_writes_deterministic_files(tmp_path, capsys):
     _, out2 = run_simulate(tmp_path, bench_doc(), "b")
     for name in files:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def _cpus(monkeypatch, n):
+    """Let this process run on n CPUs, and count the writers it forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _tree(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("n_paths, steps, forks", [
+    (2, 100, (0, 1, 1)),      # fewer paths than writers
+    (1030, 2, (0, 2, 4)),     # a second kernel chunk forks its own writers
+])
+def test_simulate_files_do_not_depend_on_writer_count(tmp_path, capsys, monkeypatch,
+                                                      n_paths, steps, forks):
+    path = write_doc(tmp_path, bench_doc())
+    trees = []
+    for cpus, nforks in zip((1, 2, 3), forks):
+        counted = _cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["simulate", "--scenario", path, "--out", str(out),
+                     "--paths", str(n_paths), "--steps", str(steps)]) == 0
+        assert capsys.readouterr().out == f"wrote {n_paths} path file(s) to {out}\n"
+        assert len(counted) == nforks
+        trees.append(_tree(out))
+    assert sorted(trees[0]) == [f"path_{j:05d}.csv" for j in range(n_paths)]
+    assert trees[1] == trees[0] and trees[2] == trees[0]
+
+
+@pytest.mark.parametrize("n_paths, cpus", [(4, 2), (6, 2), (6, 3)])
+def test_failed_writer_surfaces_and_leaves_no_process(tmp_path, capsys, monkeypatch,
+                                                      n_paths, cpus):
+    # path 2 falls to a child in (4, 2) and (6, 3), to this process in (6, 2)
+    path = write_doc(tmp_path, bench_doc())
+    out = tmp_path / "o"
+    (out / "path_00002.csv").mkdir(parents=True)
+    _cpus(monkeypatch, cpus)
+    assert main(["simulate", "--scenario", path, "--out", str(out),
+                 "--paths", str(n_paths)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and str(out / "path_00002.csv") in err
+    cuts = [w * n_paths // cpus for w in range(cpus + 1)]
+    written = {p.name for p in out.iterdir() if p.is_file()}
+    for a, b in zip(cuts, cuts[1:]):
+        if not a <= 2 < b:
+            assert {f"path_{j:05d}.csv" for j in range(a, b)} <= written
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_simulate_zero_paths(tmp_path, capsys):

@@ -25,3 +25,12 @@ def test_import_does_not_load_numpy_random():
     code = "import sys, polqg.cli; sys.exit('numpy.random' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code],
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}).returncode == 0
+
+
+def test_import_does_not_load_process_pools():
+    # `polqg validate` imports cli, and multiprocessing alone costs 5-8 ms of
+    # import; simulate forks its writers with os.fork instead
+    code = ("import sys, polqg.cli; "
+            "sys.exit(bool({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    assert subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}).returncode == 0
