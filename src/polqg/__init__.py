@@ -23,7 +23,6 @@ from .model import (
     ModelSpec,
     NodeTable,
     TimeGrid,
-    ToleranceConfig,
     ValidationReport,
     resample,
     validate,

@@ -54,12 +54,11 @@ from .model import (
     Dimensions,
     ModelSpec,
     TimeGrid,
-    ToleranceConfig,
     ValidationReport,
     interp_table,  # noqa: F401  bench/tracer.py counts its calls here by name
     validate,
 )
-from .simulate import ControlPolicy, _check_policy_table, bundle_to_csv
+from .simulate import _POLICY_KINDS, ControlPolicy, _check_policy_table, bundle_to_csv
 from .value import ValueBreakdown, optimal_value
 from .verify import (
     brownianity_report,
@@ -96,7 +95,6 @@ class Scenario:
     probe_times: tuple[float, ...] | None
     out_dir: str | None
     formats: tuple[str, ...]
-    tolerances: ToleranceConfig
     report: ValidationReport
 
 
@@ -133,14 +131,6 @@ def _list(value, where: str) -> list:
     return value
 
 
-def _numbers(value, where: str) -> np.ndarray:
-    """A number or nested list of numbers as a float array; each entry must
-    pass _number, so null, NaN and infinities name the field."""
-    def walk(v):
-        return [walk(e) for e in v] if isinstance(v, list) else _number(v, where)
-    return np.asarray(walk(value), dtype=float)
-
-
 def _array(value, where: str) -> np.ndarray:
     """A model array as floats.  Only integers and floats are read: null,
     strings, booleans and ragged lists are scenario errors, never coerced;
@@ -149,15 +139,24 @@ def _array(value, where: str) -> np.ndarray:
         arr = np.asarray(value)
     except ValueError:
         arr = None
-    if arr is None or arr.dtype.kind not in "if":
+    ok = arr is not None and arr.dtype.kind in "if"
+    if ok:  # numpy reads true and false beside numbers as 1 and 0
+        unit = (arr == 0) | (arr == 1)
+        ok = not (unit.any() and any(isinstance(v, bool)
+                                     for v in np.asarray(value, dtype=object)[unit]))
+    if not ok:
         raise ScenarioSyntaxError(
             f"{where}: expected an array of numbers, got {reprlib.repr(value)}")
     return arr.astype(float, copy=False)
 
 
-# the one array field each policy kind reads
-_POLICY_FIELD = {"filter_feedback": None, "zero": None,
-                 "open_loop": "table", "perturbed_feedback": "offset"}
+def _numbers(value, where: str) -> np.ndarray:
+    """_array with every entry finite: validate never sees a policy table."""
+    arr = _array(value, where)
+    if not np.isfinite(arr).all():
+        raise ScenarioSyntaxError(
+            f"{where}: expected finite numbers, got {reprlib.repr(value)}")
+    return arr
 
 
 def _policy_from_spec(spec, grid: TimeGrid, m: int) -> ControlPolicy:
@@ -166,20 +165,19 @@ def _policy_from_spec(spec, grid: TimeGrid, m: int) -> ControlPolicy:
     _expect(spec, "policy", allowed=("kind", "table", "offset", "label"),
             required=("kind",))
     kind = spec["kind"]
-    if not isinstance(kind, str) or kind not in _POLICY_FIELD:
+    if not isinstance(kind, str) or kind not in _POLICY_KINDS:
         raise ScenarioSyntaxError(f"policy: unknown kind {kind!r}")
     label = spec.get("label", "")
     if not isinstance(label, str):
         raise ScenarioSyntaxError(f"policy.label: expected a string, got {label!r}")
-    field = _POLICY_FIELD[kind]
+    field = _POLICY_KINDS[kind]
     for name in ("table", "offset"):
         if name != field and name in spec:
             raise ScenarioSyntaxError(f"policy.{name}: expected none for kind {kind!r}")
-    if field is None:
-        return ControlPolicy(kind, label=label)
-    if field not in spec:
+    if field is not None and field not in spec:
         raise ScenarioSyntaxError(f"policy: kind {kind!r} needs policy.{field}")
-    policy = ControlPolicy(kind, _numbers(spec[field], f"policy.{field}"), label)
+    table = None if field is None else _numbers(spec[field], f"policy.{field}")
+    policy = ControlPolicy(kind, table, label)
     try:
         _check_policy_table(policy, grid, m, f"policy.{field}")
     except ShapeMismatch as e:
@@ -236,23 +234,21 @@ def parse_scenario(text: str) -> Scenario:
             required=("G", "g"))
     cost = _per_node_fields(wspec, "cost", grid.steps + 1, _COST_SHAPES)
 
-    tol = ToleranceConfig()
+    tols = {"delta": _number(doc["delta"], "delta")} if "delta" in doc else {}
     if "tolerances" in doc:
         _expect(doc["tolerances"], "tolerances",
                 allowed=("psd_tol", "sym_tol", "k_cond_bound"))
-        tol = ToleranceConfig(**{
-            name: _number(doc["tolerances"].get(name, getattr(tol, name)),
-                          f"tolerances.{name}")
-            for name in ("psd_tol", "sym_tol", "k_cond_bound")})
+        tols.update({name: _number(v, f"tolerances.{name}")
+                     for name, v in doc["tolerances"].items()})
 
     model = ModelSpec(dims, grid, x0, **coeffs, **cost,
                       G=_array(wspec["G"], "cost.G"), g=_array(wspec["g"], "cost.g"),
-                      delta=_number(doc.get("delta", 1e-6), "delta"))
-    report = validate(model, tol)
+                      **tols)
+    report = validate(model)
     if not report.passed:
         raise ValidationFailure(report)
 
-    policy = ControlPolicy.filter_feedback()
+    policy = ControlPolicy("filter_feedback")
     if "policy" in doc:
         policy = _policy_from_spec(doc["policy"], grid, dims.m)
 
@@ -286,7 +282,7 @@ def parse_scenario(text: str) -> Scenario:
 
     return Scenario(model=model, policy=policy, n_paths=n_paths,
                     seed=seed, probe_times=probe_times, out_dir=out_dir,
-                    formats=formats, tolerances=tol, report=report)
+                    formats=formats, report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +413,7 @@ def cmd_validate(args) -> int:
 
 def cmd_solve(args) -> int:
     sc, grid, _, _ = _load_scenario(args)
-    sol = solve_all(sc.model, grid, sc.tolerances)
+    sol = solve_all(sc.model, grid)
     vb = optimal_value(sc.model, sol)
     print(f"total optimal value: {vb.total:.17g}")
     out = _output_dir(args, sc)
@@ -475,7 +471,7 @@ _SIM_CHUNK = 1024
 
 def cmd_simulate(args) -> int:
     sc, grid, seed, n_paths = _load_scenario(args)
-    sol = solve_all(sc.model, grid, sc.tolerances)
+    sol = solve_all(sc.model, grid)
     out = _output_dir(args, sc)
     bundles = iter_path_bundles(sc.model, sol, sc.policy, n_paths, seed, _SIM_CHUNK)
     for j0 in range(0, n_paths, _SIM_CHUNK):
@@ -484,11 +480,11 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _scaled_sigma_solution(sol, scale, tol) -> DeterministicSolution:
+def _scaled_sigma_solution(sol, scale) -> DeterministicSolution:
     """Rebuild the paths that depend on Sigma, the filter gain included,
     from a scaled Sigma (debug aid: the result is deliberately inconsistent
     and verification should fail)."""
-    return replace(sol, **solve_filter_side(sol.Sigma * scale, sol.table, tol))
+    return replace(sol, **solve_filter_side(sol.Sigma * scale, sol.table))
 
 
 def _band_floor(target: float) -> float:
@@ -505,18 +501,18 @@ def _run_checks(sc: Scenario, grid: TimeGrid, seed: int, n_paths: int,
     polqg.verify).  Every estimate that carries an Euler bias is also read
     off the grid with twice the steps, where only the feedback and
     perturbed policies run, and the gap widens its band (see check)."""
-    model, tol = sc.model, sc.tolerances
-    sol = solve_all(model, grid, tol)
+    model = sc.model
+    sol = solve_all(model, grid)
     grid2 = TimeGrid(grid.T, 2 * grid.steps)
-    sol2 = solve_all(model, grid2, tol)
+    sol2 = solve_all(model, grid2)
     if sigma_scale != 1.0:
-        sol = _scaled_sigma_solution(sol, sigma_scale, tol)
-        sol2 = _scaled_sigma_solution(sol2, sigma_scale, tol)
+        sol = _scaled_sigma_solution(sol, sigma_scale)
+        sol2 = _scaled_sigma_solution(sol2, sigma_scale)
     probes = _probe_indices(sc, grid)
     eps = np.full(model.dims.m, 0.5)
-    perturbed = ControlPolicy.perturbed_feedback(eps)
+    perturbed = ControlPolicy("perturbed_feedback", eps)
     stats = simulate_statistics(model, sol, n_paths, seed, probes,
-                                [ControlPolicy.zero(), perturbed])
+                                [ControlPolicy("zero"), perturbed])
     stats2 = simulate_statistics(model, sol2, n_paths, seed,
                                  [2 * pn for pn in probes], [perturbed])
 

@@ -53,7 +53,6 @@ from .model import (
     ModelSpec,
     NodeTable,
     TimeGrid,
-    ToleranceConfig,
     _eig_floor,
     at_knots,
     solve_stack,
@@ -181,15 +180,14 @@ def _riccati_operators(tab: NodeTable, name: str, curlyA: np.ndarray | None):
 
 
 def _solve_riccati(tab: NodeTable, names=("P", "Sigma"),
-                   tol: ToleranceConfig = ToleranceConfig(),
                    curlyA: np.ndarray | None = None) -> dict[str, np.ndarray]:
     """The paths named in `names` ("P", "Sigma" or "Pi"; Pi needs curlyA)
     in one RK4 loop over a stacked (len(names), n, n) array.
 
     P and Pi end at G and Sigma starts at 0, all stored bitwise; every
     step is symmetrized, and each path is checked positive semidefinite at
-    every node.  A blow-up raises NonFinite naming the equation and its
-    node.
+    every node against tab.psd_tol.  A blow-up raises NonFinite naming the
+    equation and its node.
     """
     N, n = tab.grid.steps, tab.dims.n
     F, M_half, minus_C = (np.stack(ops, axis=1) for ops in zip(
@@ -212,14 +210,14 @@ def _solve_riccati(tab: NodeTable, names=("P", "Sigma"),
     paths = {}
     for k, nm in enumerate(names):
         paths[nm] = np.ascontiguousarray(out[::-1, k] if nm == "Sigma" else out[:, k])
-        _assert_psd(nm, paths[nm], tol.psd_tol)
+        _assert_psd(nm, paths[nm], tab.psd_tol)
     return paths
 
 
-def solve_P(tab: NodeTable, tol: ToleranceConfig = ToleranceConfig()) -> np.ndarray:
+def solve_P(tab: NodeTable) -> np.ndarray:
     """Backward Riccati path with terminal value G, symmetrized each step
     and checked positive semidefinite at every node."""
-    return _solve_riccati(tab, ("P",), tol)["P"]
+    return _solve_riccati(tab, ("P",))["P"]
 
 
 def compute_Theta(P: np.ndarray, tab: NodeTable) -> np.ndarray:
@@ -245,9 +243,9 @@ def compute_ff(phi: np.ndarray, tab: NodeTable) -> np.ndarray:
     return solve_stack(tab.R[::2], v[:, :, None], "R", tab.grid.nodes)[:, :, 0]
 
 
-def solve_Sigma(tab: NodeTable, tol: ToleranceConfig = ToleranceConfig()) -> np.ndarray:
+def solve_Sigma(tab: NodeTable) -> np.ndarray:
     """Forward filter error covariance from Sigma(0) = 0."""
-    return _solve_riccati(tab, ("Sigma",), tol)["Sigma"]
+    return _solve_riccati(tab, ("Sigma",))["Sigma"]
 
 
 def compute_Delta(Sigma: np.ndarray, tab: NodeTable) -> np.ndarray:
@@ -266,12 +264,11 @@ def compute_curlyA(gain: np.ndarray, tab: NodeTable) -> np.ndarray:
     return tab.A[::2] - gain @ tab.H[::2]
 
 
-def solve_Pi(tab: NodeTable, curlyA: np.ndarray,
-             tol: ToleranceConfig = ToleranceConfig()) -> np.ndarray:
+def solve_Pi(tab: NodeTable, curlyA: np.ndarray) -> np.ndarray:
     """Backward Lyapunov path with terminal value G, on the Riccati loop
     body with M = 0, symmetrized each step and checked positive
     semidefinite at every node."""
-    return _solve_riccati(tab, ("Pi",), tol, curlyA)["Pi"]
+    return _solve_riccati(tab, ("Pi",), curlyA)["Pi"]
 
 
 def solve_pi(tab: NodeTable, curlyA: np.ndarray) -> np.ndarray:
@@ -282,29 +279,28 @@ def solve_pi(tab: NodeTable, curlyA: np.ndarray) -> np.ndarray:
                                 tab.grid, "backward", what="pi")
 
 
-def solve_filter_side(Sigma: np.ndarray, tab: NodeTable,
-                      tol: ToleranceConfig = ToleranceConfig()) -> dict[str, np.ndarray]:
+def solve_filter_side(Sigma: np.ndarray, tab: NodeTable) -> dict[str, np.ndarray]:
     """Every path that depends on Sigma: Delta, the gain, curlyA and Pi,
     keyed by their DeterministicSolution field names (Sigma included)."""
     gain = compute_gain(Sigma, tab)
     curlyA = compute_curlyA(gain, tab)
     return {"Sigma": Sigma, "Delta": compute_Delta(Sigma, tab), "gain": gain,
-            "curlyA": curlyA, "Pi": solve_Pi(tab, curlyA, tol)}
+            "curlyA": curlyA, "Pi": solve_Pi(tab, curlyA)}
 
 
-def solve_all(model: ModelSpec, grid: TimeGrid,
-              tol: ToleranceConfig = ToleranceConfig()) -> DeterministicSolution:
+def solve_all(model: ModelSpec, grid: TimeGrid) -> DeterministicSolution:
     """Solve every deterministic path on one grid from one NodeTable.
 
     P and Sigma first, in one loop; then Theta, phi and the feed-forward;
-    then Delta, the gain, curlyA and Pi.
+    then Delta, the gain, curlyA and Pi.  P, Sigma and Pi are checked
+    positive semidefinite against the model's psd_tol.
     """
     tab = NodeTable.build(model, grid)
-    riccati = _solve_riccati(tab, ("P", "Sigma"), tol)
+    riccati = _solve_riccati(tab, ("P", "Sigma"))
     P = riccati["P"]
     Theta = compute_Theta(P, tab)
     phi = solve_phi(tab, Theta, P)
     return DeterministicSolution(
         table=tab, P=P, Theta=Theta, phi=phi, ff=compute_ff(phi, tab),
-        **solve_filter_side(riccati["Sigma"], tab, tol),
+        **solve_filter_side(riccati["Sigma"], tab),
     )

@@ -11,8 +11,8 @@ values on that grid, piecewise linear in time in between, and x0, G and g
 have no node axis.  _COEFF_SHAPES and _COST_SHAPES declare the per-node
 fields; the split between them is kept only where the assumptions treat
 coefficients and cost weights apart.  `validate` checks the standing
-assumptions: a finite x0, finite bounded coefficients, invertible K, and
-the usual definiteness conditions on the cost weights.
+assumptions at the model's own tolerances: a finite x0, finite bounded
+coefficients, invertible K, and the usual definiteness of the cost weights.
 
 A solve works on a NodeTable: every coefficient and cost weight resampled
 once onto the knots of the solve grid (its nodes and the RK4 midpoints
@@ -39,7 +39,6 @@ __all__ = [
     "TimeGrid",
     "Dimensions",
     "ModelSpec",
-    "ToleranceConfig",
     "NodeTable",
     "CheckResult",
     "ValidationReport",
@@ -110,8 +109,8 @@ class ModelSpec:
     Every coefficient and running cost weight is an (N+1, ...) table of its
     values at the nodes of `grid`, with the trailing shape that
     _COEFF_SHAPES and _COST_SHAPES declare; x0 and the terminal weights G
-    and g have no node axis, and delta is the uniform definiteness floor
-    for R.
+    and g have no node axis; delta (R's uniform definiteness floor) and the
+    three fields after it are validate's tolerances, written nowhere else.
     """
 
     dims: Dimensions
@@ -133,19 +132,15 @@ class ModelSpec:
     G: np.ndarray   # (n, n)
     g: np.ndarray   # (n,)
     delta: float = 1e-6
+    psd_tol: float = 1e-9      # eigenvalue floor is -psd_tol*(1+||M||)
+    sym_tol: float = 1e-12     # absolute bound on ||M - M^T||
+    k_cond_bound: float = 1e8  # condition number cap for K
 
     def __post_init__(self):
         for name in ("x0", *_COEFF_SHAPES, *_COST_SHAPES, "G", "g"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if not self.delta > 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
-
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    psd_tol: float = 1e-9     # eigenvalue floor is -psd_tol*(1+||M||)
-    sym_tol: float = 1e-12    # absolute bound on ||M - M^T||
-    k_cond_bound: float = 1e8  # condition number cap for K
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +237,7 @@ class NodeTable:
     BRBt: np.ndarray   # B R^{-1} B^T
     Qbar: np.ndarray   # Q - S^T R^{-1} S
     HNH: np.ndarray    # H^T N^{-1} H = (K^{-1} H)^T K^{-1} H
+    psd_tol: float     # the model's, the one tolerance the solver reads
 
     @classmethod
     def build(cls, model: "ModelSpec", grid: TimeGrid) -> "NodeTable":
@@ -266,6 +262,7 @@ class NodeTable:
             BRBt=B @ RinvBt,
             Qbar=f["Q"] - S.mT @ RinvS,
             HNH=KinvH.mT @ KinvH,
+            psd_tol=model.psd_tol,
         )
 
 
@@ -357,8 +354,8 @@ def _worst_node(name: str, slacks: np.ndarray) -> CheckResult:
     return CheckResult(name, slack >= 0, worst, slack)
 
 
-def validate(model: ModelSpec, tol: ToleranceConfig = ToleranceConfig()) -> ValidationReport:
-    """Check the standing assumptions at every node.
+def validate(model: ModelSpec) -> ValidationReport:
+    """Check the standing assumptions at every node, at the model's tolerances.
 
     Shape inconsistencies raise ShapeMismatch; everything else is reported
     as a pass/fail entry with the worst node and its margin.
@@ -380,23 +377,23 @@ def validate(model: ModelSpec, tol: ToleranceConfig = ToleranceConfig()) -> Vali
     conds = np.full(finite_K.shape, np.inf)
     conds[finite_K] = np.linalg.cond(model.K[finite_K])
     worst = int(np.argmax(conds))
-    margin = tol.k_cond_bound - float(conds[worst])
+    margin = model.k_cond_bound - float(conds[worst])
     checks.append(CheckResult("A2_K_invertible", margin >= 0, worst, margin))
 
     checks.append(_finite_check(
         "A3_cost_finite",
         {f: getattr(model, f) for f in ("G", "g", *_COST_SHAPES)}))
 
-    g_sym = float(_sym_slack(model.G, tol.sym_tol))
+    g_sym = float(_sym_slack(model.G, model.sym_tol))
     checks.append(CheckResult("A3_G_symmetric", g_sym >= 0, None, g_sym))
-    checks.append(_worst_node("A3_Q_symmetric", _sym_slack(model.Q, tol.sym_tol)))
-    checks.append(_worst_node("A3_R_symmetric", _sym_slack(model.R, tol.sym_tol)))
+    checks.append(_worst_node("A3_Q_symmetric", _sym_slack(model.Q, model.sym_tol)))
+    checks.append(_worst_node("A3_R_symmetric", _sym_slack(model.R, model.sym_tol)))
 
-    g_slack = float(_eig_floor(model.G, tol.psd_tol))
+    g_slack = float(_eig_floor(model.G, model.psd_tol))
     checks.append(CheckResult("A3_G_psd", g_slack >= 0, None, g_slack))
 
     checks.append(_worst_node("A3_R_uniformly_definite",
-                              _eig_floor(model.R, tol.psd_tol) - model.delta))
+                              _eig_floor(model.R, model.psd_tol) - model.delta))
 
     # Q - S^T R^{-1} S with the symmetric part of R; a singular or non-finite
     # R fails the node outright and is swapped for I so the stacked solve
@@ -406,7 +403,7 @@ def validate(model: ModelSpec, tol: ToleranceConfig = ToleranceConfig()) -> Vali
     singular[~singular] = np.linalg.det(Rs[~singular]) == 0.0
     Rs[singular] = np.eye(model.dims.m)
     M = model.Q - model.S.mT @ np.linalg.solve(Rs, model.S)
-    slacks = np.where(singular, -np.inf, _eig_floor(M, tol.psd_tol))
+    slacks = np.where(singular, -np.inf, _eig_floor(M, model.psd_tol))
     checks.append(_worst_node("A3_QSRS_psd", slacks))
 
     return ValidationReport(tuple(checks))

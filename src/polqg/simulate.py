@@ -97,14 +97,19 @@ def draw_noise(seed: int, path_index: int, grid: TimeGrid, dims: Dimensions) -> 
                      scale * gen.standard_normal((grid.steps, dims.k)))
 
 
+# policy kind -> the scenario field of the table it reads, if any
+_POLICY_KINDS = {"filter_feedback": None, "zero": None,
+                 "open_loop": "table", "perturbed_feedback": "offset"}
+
+
 @dataclass(frozen=True)
 class ControlPolicy:
     """Admissible control law fed to the simulator.
 
-    kind is one of 'filter_feedback', 'zero', 'open_loop',
-    'perturbed_feedback'.  Open-loop tables are grid-aligned, one control
-    per node; perturbation offsets are either grid-aligned or a single
-    constant m-vector.
+    kind is a key of _POLICY_KINDS, and a table is given exactly when the
+    kind reads one: the per-node controls of 'open_loop', one per node of
+    the grid, or the offset that 'perturbed_feedback' adds to the optimal
+    feedback, grid-aligned or a single constant m-vector.
     """
 
     kind: str
@@ -112,28 +117,15 @@ class ControlPolicy:
     label: str = ""
 
     def __post_init__(self):
-        if self.kind not in ("filter_feedback", "zero", "open_loop", "perturbed_feedback"):
+        if self.kind not in _POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
+        reads = _POLICY_KINDS[self.kind]
+        if (self.table is None) != (reads is None):
+            raise ValueError(f"policy kind {self.kind!r} reads {reads or 'no table'}")
         if self.table is not None:
             object.__setattr__(self, "table", np.asarray(self.table, dtype=float))
         if not self.label:
             object.__setattr__(self, "label", self.kind)
-
-    @classmethod
-    def filter_feedback(cls) -> "ControlPolicy":
-        return cls("filter_feedback")
-
-    @classmethod
-    def zero(cls) -> "ControlPolicy":
-        return cls("zero")
-
-    @classmethod
-    def open_loop(cls, table, label="open_loop") -> "ControlPolicy":
-        return cls("open_loop", table, label)
-
-    @classmethod
-    def perturbed_feedback(cls, offset, label="perturbed_feedback") -> "ControlPolicy":
-        return cls("perturbed_feedback", offset, label)
 
 
 @dataclass(frozen=True)
@@ -176,10 +168,9 @@ def _check_policy_table(policy: ControlPolicy, grid: TimeGrid, m: int,
     unless the policy's table fits m controls on grid."""
     shapes = {"open_loop": ((grid.steps + 1, m),),
               "perturbed_feedback": ((m,), (grid.steps + 1, m))}.get(policy.kind)
-    if shapes and (policy.table is None or policy.table.shape not in shapes):
-        got = None if policy.table is None else policy.table.shape
+    if shapes and policy.table.shape not in shapes:
         raise ShapeMismatch(f"{where or policy.kind + ' table'}: expected shape "
-                            + " or ".join(map(str, shapes)) + f", got {got}")
+                            + " or ".join(map(str, shapes)) + f", got {policy.table.shape}")
 
 
 def _add_matvec(out, M, x, tmp):

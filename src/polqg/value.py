@@ -24,11 +24,12 @@ integrands read the solution's NodeTable and feed-forward at the nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .detsolve import DeterministicSolution
+from .errors import NonFinite
 from .model import ModelSpec, NodeTable
 from .model import interp_table  # noqa: F401  bench/tracer.py counts its calls here by name
 from .model import table_at_nodes  # noqa: F401  bench/tracer.py wraps it here by name
@@ -69,6 +70,12 @@ def _matvec(M: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
+def _first_nonfinite(f: np.ndarray, default: int) -> int:
+    """The first index on the last axis of f with an entry not finite, else default."""
+    bad = ~np.isfinite(f).reshape(-1, f.shape[-1]).all(axis=0)
+    return int(bad.argmax()) if bad.any() else default
+
+
 def path_cost(tab: NodeTable, X: np.ndarray, U) -> np.ndarray:
     """Cost of each path: X is (paths, N+1, n) on the nodes of tab's grid,
     U the controls, (paths, N+1, m) or anything that broadcasts to it.
@@ -77,7 +84,9 @@ def path_cost(tab: NodeTable, X: np.ndarray, U) -> np.ndarray:
     weights at those nodes; the controls at node N are never read.  It is
     summed over blocks of about N/16 nodes, so the temporaries stay a small
     fraction of X.  Every product is a _matvec and a path's blocks are the
-    same in any batch, so a path's cost does not depend on its batch.
+    same in any batch, so a path's cost does not depend on its batch.  A
+    cost that is not finite raises NonFinite at the first node whose
+    running cost is not finite, or at node N for the terminal term.
     """
     N = X.shape[1] - 1
     U = np.broadcast_to(U, X.shape[:2] + (tab.dims.m,))
@@ -90,17 +99,20 @@ def path_cost(tab: NodeTable, X: np.ndarray, U) -> np.ndarray:
         return _matvec(a[..., None, :], b)[..., 0]
 
     XT = X[:, -1]
-    cost = dot(_matvec(tab.G, XT), XT) + 2.0 * dot(tab.g, XT)
-    width = -(-N // 16)
-    for t0 in range(0, N, width):
-        b = slice(t0, min(t0 + width, N))
-        Xs, Us = X[:, b], U[:, b]
-        f = dot(_matvec(Q[b], Xs), Xs)
-        f += 2.0 * dot(_matvec(S[b], Xs), Us)
-        f += dot(_matvec(R[b], Us), Us)
-        f += 2.0 * dot(q[b], Xs)
-        f += 2.0 * dot(r[b], Us)
-        cost += np.einsum("pt,t->p", f, dt[b])
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as NonFinite
+        cost = dot(_matvec(tab.G, XT), XT) + 2.0 * dot(tab.g, XT)
+        width = -(-N // 16)
+        for t0 in range(0, N, width):
+            b = slice(t0, min(t0 + width, N))
+            Xs, Us = X[:, b], U[:, b]
+            f = dot(_matvec(Q[b], Xs), Xs)
+            f += 2.0 * dot(_matvec(S[b], Xs), Us)
+            f += dot(_matvec(R[b], Us), Us)
+            f += 2.0 * dot(q[b], Xs)
+            f += 2.0 * dot(r[b], Us)
+            cost += np.einsum("pt,t->p", f, dt[b])
+            if not np.isfinite(cost).all():
+                raise NonFinite("path_cost", t0 + _first_nonfinite(f, N - t0))
     return cost
 
 
@@ -109,24 +121,32 @@ def optimal_value(model: ModelSpec, sol: DeterministicSolution) -> ValueBreakdow
 
     Boundary terms are evaluated exactly; the five integrals use the
     trapezoid rule on the solution grid, so the total converges at O(h^2)
-    once the deterministic paths are resolved.
+    once the deterministic paths are resolved.  A part that is not finite
+    raises NonFinite naming it and the first node where its integrand is not
+    finite, else node N; the boundary terms and the total name node 0.
     """
     tab = sol.table
     C, D, a, R = tab.C[::2], tab.D[::2], tab.a[::2], tab.R[::2]
     Pi, P, Delta, phi, ff = sol.Pi, sol.P, sol.Delta, sol.phi, sol.ff
-    DC = Delta + C
-    integrands = (
-        np.einsum("tac,tab,tbc->t", D, Pi, D),
-        np.einsum("tac,tab,tbc->t", Delta, Pi, Delta),
-        np.einsum("tac,tab,tbc->t", DC, P, DC),
-        # -<R^{-1} v, v> with v = B^T phi + r, written through ff = R^{-1} v
-        -np.einsum("ta,tab,tb->t", ff, R, ff),
-        2.0 * np.einsum("tn,tn->t", phi, a),
-    )
-    x0 = model.x0
-    parts = (float(x0 @ (P[0] @ x0)), 2.0 * float(phi[0] @ x0),
-             *(float(np.trapezoid(f, sol.grid.nodes)) for f in integrands))
-    return ValueBreakdown(*parts, total=float(sum(parts)))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as NonFinite
+        DC = Delta + C
+        integrands = (
+            np.einsum("tac,tab,tbc->t", D, Pi, D),
+            np.einsum("tac,tab,tbc->t", Delta, Pi, Delta),
+            np.einsum("tac,tab,tbc->t", DC, P, DC),
+            # -<R^{-1} v, v> with v = B^T phi + r, written through ff = R^{-1} v
+            -np.einsum("ta,tab,tb->t", ff, R, ff),
+            2.0 * np.einsum("tn,tn->t", phi, a),
+        )
+        x0 = model.x0
+        parts = (float(x0 @ (P[0] @ x0)), 2.0 * float(phi[0] @ x0),
+                 *(float(np.trapezoid(f, sol.grid.nodes)) for f in integrands))
+    vb = ValueBreakdown(*parts, total=float(sum(parts)))
+    for field, f in zip(fields(vb), (None, None, *integrands, None)):
+        if not np.isfinite(getattr(vb, field.name)):
+            node = 0 if f is None else _first_nonfinite(f, sol.grid.steps)
+            raise NonFinite(f"optimal_value.{field.name}", node)
+    return vb
 
 
 def tilde_J(model: ModelSpec, sol: DeterministicSolution) -> float:

@@ -63,7 +63,7 @@ __all__ = [
     "default_probe_nodes",
 ]
 
-_FEEDBACK = ControlPolicy.filter_feedback()
+_FEEDBACK = ControlPolicy("filter_feedback")
 
 
 def _mean_se(a: np.ndarray):

@@ -38,8 +38,8 @@ from oracles import benchmark_model, random_validated_model
 
 SEED = 20260
 N_PATHS = 20000
-FEEDBACK = ControlPolicy.filter_feedback()
-PERTURBED = ControlPolicy.perturbed_feedback(np.array([0.5]))
+FEEDBACK = ControlPolicy("filter_feedback")
+PERTURBED = ControlPolicy("perturbed_feedback", np.array([0.5]))
 
 
 def report(num, ok, detail):
@@ -70,7 +70,7 @@ def mc_passes(bench400, bench800):
     t0 = time.perf_counter()
     st4 = simulate_statistics(model4, sol4, N_PATHS, SEED,
                               probes=(100, 200, 300, 400),
-                              policies=[ControlPolicy.zero(), PERTURBED])
+                              policies=[ControlPolicy("zero"), PERTURBED])
     st8 = simulate_statistics(model8, sol8, N_PATHS, SEED,
                               policies=[PERTURBED])
     elapsed = time.perf_counter() - t0

@@ -1,6 +1,7 @@
 """The benchmark's tracer patches polqg functions by (module, name) from
 outside the package; these tests keep those hooks in place."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -9,7 +10,8 @@ import pathlib
 
 import numpy as np
 
-TRACER_PATH = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "bench" / "tracer.py"
 
 
 def _tracer():
@@ -30,6 +32,23 @@ def test_every_traced_name_resolves():
     for module, name in _targets(tracer):
         assert callable(getattr(importlib.import_module(module), name, None)), \
             f"{module}.{name}"
+
+
+def test_every_unused_import_is_a_traced_name():
+    # a name imported only for the tracer is marked `# noqa: F401`; once the
+    # tracer stops wrapping it, the import is dead and should go
+    targets = set(_targets(_tracer()))
+    sources = sorted((ROOT / "src" / "polqg").glob("*.py"))
+    assert sources
+    for path in sources:
+        text = path.read_text()
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if "# noqa: F401" in lines[alias.lineno - 1]:
+                        name = (f"polqg.{path.stem}", alias.asname or alias.name)
+                        assert name in targets, f"{path.name}:{alias.lineno} {name[1]}"
 
 
 def test_wrapped_signatures_take_the_tracer_arguments():

@@ -8,8 +8,8 @@ import pytest
 
 from polqg import (
     ControlPolicy,
+    NodeTable,
     TimeGrid,
-    ToleranceConfig,
     ValidationFailure,
     compute_gain,
     default_probe_nodes,
@@ -227,6 +227,11 @@ def test_bad_scalar_field_exits_2_naming_it(tmp_path, capsys, field, value):
     # a policy table must fit the scenario's own grid, not only the kernel's
     ("policy.table", {"policy": {"kind": "open_loop", "table": [[0.0]] * 3}}),
     ("policy.offset", {"policy": {"kind": "perturbed_feedback", "offset": [[0.5]]}}),
+    # numpy reads true and false beside numbers as 1 and 0
+    ("coefficients.table.B", {"coefficients": {"table": {
+        **{k: [v] * 101 for k, v in bench_doc()["coefficients"]["constant"].items()},
+        "B": [[[1.0]]] * 100 + [[[True]]]}}}),
+    ("cost.G", {"cost": {**bench_doc()["cost"], "G": [[1.0, False]]}}),
 ])
 def test_bad_list_field_exits_2_naming_it(tmp_path, capsys, field, section):
     # rejected while parsing, before validate passes or simulate blames the kernel
@@ -235,6 +240,18 @@ def test_bad_list_field_exits_2_naming_it(tmp_path, capsys, field, section):
     assert f"scenario error: {field}: expected" in capsys.readouterr().err
     assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
     assert f"scenario error: {field}: expected" in capsys.readouterr().err
+
+
+def test_scenario_tolerances_reach_the_model_and_its_table():
+    doc = bench_doc(tolerances={"psd_tol": 1e-7, "k_cond_bound": 1e6}, delta=1e-5)
+    model = parse_scenario(json.dumps(doc)).model
+    assert (model.psd_tol, model.sym_tol, model.k_cond_bound, model.delta) == (
+        1e-7, 1e-12, 1e6, 1e-5)
+    assert NodeTable.build(model, model.grid).psd_tol == 1e-7
+    # a scenario without them keeps the model's defaults
+    model = parse_scenario(json.dumps(bench_doc())).model
+    assert (model.psd_tol, model.sym_tol, model.k_cond_bound, model.delta) == (
+        1e-9, 1e-12, 1e8, 1e-6)
 
 
 def test_wrong_format_version(tmp_path, capsys):
@@ -253,6 +270,20 @@ def test_nonfinite_x0_exits_2(tmp_path, capsys):
     assert "x0_finite" in out and "FAIL" in out
     assert main(["solve", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
     assert "x0_finite" in capsys.readouterr().err
+
+
+def test_overflowed_cost_exits_3_naming_the_node(tmp_path, capsys):
+    # x0 is finite, so validate passes, but x0^2 overflows in every cost
+    path = write_doc(tmp_path, bench_doc(x0=[1e307]))
+    assert main(["solve", "--scenario", path, "--steps", "4",
+                 "--out", str(tmp_path / "s")]) == 3
+    out, err = capsys.readouterr()
+    assert "total optimal value" not in out
+    assert "numerical failure: optimal_value.quadratic_term: non-finite value at node 0" in err
+    assert main(["simulate", "--scenario", path, "--paths", "2", "--steps", "4",
+                 "--out", str(tmp_path / "p")]) == 3
+    assert "numerical failure: path_cost: non-finite value at node 0" in capsys.readouterr().err
+    assert not list((tmp_path / "p").iterdir())
 
 
 # --------------------------------------------------------------------- solve
@@ -573,13 +604,13 @@ def _expected_checks(sc):
     plain numpy from the per-path numbers of the passes on both grids."""
     model, grid, n_paths = sc.model, sc.model.grid, sc.n_paths
     grid2 = TimeGrid(grid.T, 2 * grid.steps)
-    sol = solve_all(model, grid, sc.tolerances)
-    sol2 = solve_all(model, grid2, sc.tolerances)
+    sol = solve_all(model, grid)
+    sol2 = solve_all(model, grid2)
     probes = list(dict.fromkeys(default_probe_nodes(grid)))
     eps = np.full(model.dims.m, 0.5)
-    pert = ControlPolicy.perturbed_feedback(eps)
+    pert = ControlPolicy("perturbed_feedback", eps)
     st = simulate_statistics(model, sol, n_paths, sc.seed, probes,
-                             [ControlPolicy.zero(), pert])
+                             [ControlPolicy("zero"), pert])
     st2 = simulate_statistics(model, sol2, n_paths, sc.seed,
                               [2 * pn for pn in probes], [pert])
     rows = {}
@@ -678,14 +709,13 @@ def test_scaled_sigma_by_one_is_the_solution():
     # the debug path rebuilds the filter side with the function solve_all uses
     model, grid = random_validated_model(np.random.default_rng(4),
                                          time_varying=True)
-    tol = ToleranceConfig()
-    sol = solve_all(model, grid, tol)
-    again = _scaled_sigma_solution(sol, 1.0, tol)
+    sol = solve_all(model, grid)
+    again = _scaled_sigma_solution(sol, 1.0)
     for name in ("Sigma", "Delta", "curlyA", "gain", "Pi"):
         np.testing.assert_array_equal(getattr(again, name),
                                       getattr(sol, name), err_msg=name)
     # a scaled Sigma reaches the gain the simulated filter uses
-    scaled = _scaled_sigma_solution(sol, 2.0, tol)
+    scaled = _scaled_sigma_solution(sol, 2.0)
     np.testing.assert_array_equal(scaled.gain,
                                   compute_gain(scaled.Sigma, sol.table))
     assert not np.array_equal(scaled.gain, sol.gain)

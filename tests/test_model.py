@@ -10,7 +10,6 @@ from polqg import (
     OutOfRange,
     ShapeMismatch,
     TimeGrid,
-    ToleranceConfig,
     resample,
     validate,
 )
@@ -153,10 +152,9 @@ def test_validate_nonfinite_K_is_reported():
 def test_validate_ill_conditioned_K():
     model, grid = benchmark_model(4)
     K = np.full((5, 1, 1), 1e-12)
-    # tiny but invertible scalar K has condition number 1; force a real
-    # 2x2 case through the tolerance config instead
-    report = validate(replace(model, K=K),
-                      ToleranceConfig(k_cond_bound=0.5))
+    # tiny but invertible scalar K has condition number 1; force a failure
+    # through the model's own condition number cap instead
+    report = validate(replace(model, K=K, k_cond_bound=0.5))
     assert not report.check("A2_K_invertible").passed
 
 

@@ -123,10 +123,10 @@ def kernel_cases(bench):
 
 def all_policies(grid, m):
     rng = np.random.default_rng(4)
-    return [ControlPolicy.filter_feedback(), ControlPolicy.zero(),
-            ControlPolicy.open_loop(rng.standard_normal((grid.steps + 1, m))),
-            ControlPolicy.perturbed_feedback(rng.standard_normal(m)),
-            ControlPolicy.perturbed_feedback(
+    return [ControlPolicy("filter_feedback"), ControlPolicy("zero"),
+            ControlPolicy("open_loop", rng.standard_normal((grid.steps + 1, m))),
+            ControlPolicy("perturbed_feedback", rng.standard_normal(m)),
+            ControlPolicy("perturbed_feedback",
                 rng.standard_normal((grid.steps + 1, m)), label="table")]
 
 
@@ -147,7 +147,7 @@ def test_nonfinite_noise_names_the_node(bench):
     dW, dWp = _noise_stack(3, 0, 5, grid, model.dims)
     dW[2, 7] = np.inf
     with pytest.raises(NonFinite) as err:
-        _closed_loop_arrays(model, sol, ControlPolicy.filter_feedback(), dW, dWp)
+        _closed_loop_arrays(model, sol, ControlPolicy("filter_feedback"), dW, dWp)
     assert (err.value.what, err.value.node) == ("simulate_closed_loop", 8)
 
 
@@ -175,7 +175,7 @@ def test_kernel_temporaries_stay_below_one_buffer(kernel_cases):
 
 def test_zero_noise_filter_tracks_exactly(bench):
     model, grid, sol = bench
-    bundle = simulate_closed_loop(model, sol, ControlPolicy.filter_feedback(),
+    bundle = simulate_closed_loop(model, sol, ControlPolicy("filter_feedback"),
                                   zero_noise(grid, model.dims))
     np.testing.assert_array_equal(bundle.X, bundle.Xhat)
     assert (bundle.Xtil == 0.0).all()
@@ -184,7 +184,7 @@ def test_zero_noise_filter_tracks_exactly(bench):
 
 def test_initial_conditions(bench):
     model, grid, sol = bench
-    bundle = simulate_closed_loop(model, sol, ControlPolicy.filter_feedback(),
+    bundle = simulate_closed_loop(model, sol, ControlPolicy("filter_feedback"),
                                   draw_noise(0, 0, grid, model.dims))
     np.testing.assert_array_equal(bundle.X[0], model.x0)
     np.testing.assert_array_equal(bundle.Xhat[0], model.x0)
@@ -197,7 +197,7 @@ def test_initial_conditions(bench):
 def test_error_identity_benchmark(bench):
     model, grid, sol = bench
     noise = draw_noise(11, 0, grid, model.dims)
-    bundle = simulate_closed_loop(model, sol, ControlPolicy.filter_feedback(),
+    bundle = simulate_closed_loop(model, sol, ControlPolicy("filter_feedback"),
                                   noise)
     direct = simulate_error_direct(model, sol, noise)
     scale = 1.0 + np.abs(bundle.X).max()
@@ -210,7 +210,7 @@ def test_error_identity_random_time_varying_model():
     sol = solve_all(model, grid)
     for j in range(5):
         noise = draw_noise(99, j, grid, model.dims)
-        bundle = simulate_closed_loop(model, sol, ControlPolicy.zero(), noise)
+        bundle = simulate_closed_loop(model, sol, ControlPolicy("zero"), noise)
         direct = simulate_error_direct(model, sol, noise)
         scale = 1.0 + np.abs(bundle.X).max()
         assert np.abs(bundle.Xtil - direct).max() <= 1e-10 * scale
@@ -220,8 +220,8 @@ def test_error_path_independent_of_policy(bench):
     # the estimation error never sees the control
     model, grid, sol = bench
     noise = draw_noise(5, 2, grid, model.dims)
-    a = simulate_closed_loop(model, sol, ControlPolicy.filter_feedback(), noise)
-    b = simulate_closed_loop(model, sol, ControlPolicy.zero(), noise)
+    a = simulate_closed_loop(model, sol, ControlPolicy("filter_feedback"), noise)
+    b = simulate_closed_loop(model, sol, ControlPolicy("zero"), noise)
     assert np.abs(a.Xtil - b.Xtil).max() <= 1e-12
 
 
@@ -229,7 +229,7 @@ def test_innovation_increments(bench):
     # dV_i = h H Xtil_i + K dW_i, here with H = K = 1
     model, grid, sol = bench
     noise = draw_noise(21, 0, grid, model.dims)
-    bundle = simulate_closed_loop(model, sol, ControlPolicy.filter_feedback(),
+    bundle = simulate_closed_loop(model, sol, ControlPolicy("filter_feedback"),
                                   noise)
     dV = np.diff(bundle.V, axis=0)
     expect = grid.h * bundle.Xtil[:-1] + noise.dW
@@ -243,7 +243,7 @@ def test_policy_feedback_matches_kernel(bench, tv):
     # tables at the nodes, not from the solution's feed-forward
     for model, grid, sol in (bench, tv):
         noise = draw_noise(2, 7, grid, model.dims)
-        bundle = simulate_closed_loop(model, sol, ControlPolicy.filter_feedback(),
+        bundle = simulate_closed_loop(model, sol, ControlPolicy("filter_feedback"),
                                       noise)
         for i in (0, 57, grid.steps):
             v = model.B[i].T @ sol.phi[i] + model.r[i]
@@ -253,7 +253,7 @@ def test_policy_feedback_matches_kernel(bench, tv):
 
 def test_zero_policy_controls(bench):
     model, grid, sol = bench
-    bundle = simulate_closed_loop(model, sol, ControlPolicy.zero(),
+    bundle = simulate_closed_loop(model, sol, ControlPolicy("zero"),
                                   draw_noise(3, 0, grid, model.dims))
     assert (bundle.u == 0.0).all()
 
@@ -261,9 +261,9 @@ def test_zero_policy_controls(bench):
 def test_perturbed_zero_offset_is_feedback(bench):
     model, grid, sol = bench
     noise = draw_noise(17, 4, grid, model.dims)
-    a = simulate_closed_loop(model, sol, ControlPolicy.filter_feedback(), noise)
+    a = simulate_closed_loop(model, sol, ControlPolicy("filter_feedback"), noise)
     b = simulate_closed_loop(
-        model, sol, ControlPolicy.perturbed_feedback(np.zeros(model.dims.m)),
+        model, sol, ControlPolicy("perturbed_feedback", np.zeros(model.dims.m)),
         noise)
     np.testing.assert_array_equal(a.X, b.X)
     np.testing.assert_array_equal(a.u, b.u)
@@ -273,9 +273,9 @@ def test_perturbed_zero_offset_is_feedback(bench):
 def test_perturbed_offset_shifts_first_control(bench):
     model, grid, sol = bench
     noise = draw_noise(17, 4, grid, model.dims)
-    a = simulate_closed_loop(model, sol, ControlPolicy.filter_feedback(), noise)
+    a = simulate_closed_loop(model, sol, ControlPolicy("filter_feedback"), noise)
     b = simulate_closed_loop(
-        model, sol, ControlPolicy.perturbed_feedback(np.array([0.25])), noise)
+        model, sol, ControlPolicy("perturbed_feedback", np.array([0.25])), noise)
     # both filters start at x0, so the offset is exact at the first node
     np.testing.assert_allclose(b.u[0] - a.u[0], [0.25], rtol=1e-14)
 
@@ -284,8 +284,8 @@ def test_open_loop_replays_feedback_run(bench):
     # feeding a recorded control table back in reproduces the whole path
     model, grid, sol = bench
     noise = draw_noise(29, 1, grid, model.dims)
-    a = simulate_closed_loop(model, sol, ControlPolicy.filter_feedback(), noise)
-    b = simulate_closed_loop(model, sol, ControlPolicy.open_loop(a.u), noise)
+    a = simulate_closed_loop(model, sol, ControlPolicy("filter_feedback"), noise)
+    b = simulate_closed_loop(model, sol, ControlPolicy("open_loop", a.u), noise)
     np.testing.assert_array_equal(a.X, b.X)
     np.testing.assert_array_equal(a.Xhat, b.Xhat)
     np.testing.assert_array_equal(a.u, b.u)
@@ -297,10 +297,10 @@ def test_open_loop_wrong_shape(bench):
     noise = draw_noise(0, 0, grid, model.dims)
     with pytest.raises(ShapeMismatch):
         simulate_closed_loop(model, sol,
-                             ControlPolicy.open_loop(np.zeros((3, 1))), noise)
+                             ControlPolicy("open_loop", np.zeros((3, 1))), noise)
     with pytest.raises(ShapeMismatch):
         simulate_closed_loop(
-            model, sol, ControlPolicy.perturbed_feedback(np.zeros((2, 2))),
+            model, sol, ControlPolicy("perturbed_feedback", np.zeros((2, 2))),
             noise)
 
 
@@ -309,12 +309,21 @@ def test_policy_kind_checked():
         ControlPolicy("bang_bang")
 
 
+@pytest.mark.parametrize("kind, table", [
+    ("zero", [1.0]), ("filter_feedback", [1.0]),
+    ("open_loop", None), ("perturbed_feedback", None),
+])
+def test_policy_table_given_exactly_when_its_kind_reads_one(kind, table):
+    with pytest.raises(ValueError, match=f"policy kind '{kind}' reads"):
+        ControlPolicy(kind, table)
+
+
 def test_grid_mismatch_rejected(bench):
     model, grid, sol = bench
     other = TimeGrid(1.0, grid.steps + 1)
     noise = draw_noise(0, 0, other, model.dims)
     with pytest.raises(ShapeMismatch):
-        simulate_closed_loop(model, sol, ControlPolicy.zero(), noise)
+        simulate_closed_loop(model, sol, ControlPolicy("zero"), noise)
     with pytest.raises(ShapeMismatch):
         simulate_error_direct(model, sol, noise)
 
@@ -324,7 +333,7 @@ def test_grid_mismatch_rejected(bench):
 def test_cost_is_left_riemann_plus_terminal(bench, tv):
     for model, grid, sol in (bench, tv):
         noise = draw_noise(31, 6, grid, model.dims)
-        bundle = simulate_closed_loop(model, sol, ControlPolicy.filter_feedback(),
+        bundle = simulate_closed_loop(model, sol, ControlPolicy("filter_feedback"),
                                       noise)
         acc = 0.0
         for i in range(grid.steps):
@@ -341,7 +350,7 @@ def test_cost_is_left_riemann_plus_terminal(bench, tv):
 
 def test_csv_matches_per_value_reference(tv):
     model, grid, sol = tv
-    bundle = simulate_closed_loop(model, sol, ControlPolicy.filter_feedback(),
+    bundle = simulate_closed_loop(model, sol, ControlPolicy("filter_feedback"),
                                   draw_noise(8, 0, grid, model.dims))
     n, d, m = model.dims.n, model.dims.d, model.dims.m
     cols = (["t"] + [f"X{j+1}" for j in range(n)] + [f"Y{j+1}" for j in range(d)]
@@ -361,7 +370,7 @@ def test_csv_matches_per_value_reference(tv):
 
 def test_csv_layout_and_determinism(bench):
     model, grid, sol = bench
-    bundle = simulate_closed_loop(model, sol, ControlPolicy.filter_feedback(),
+    bundle = simulate_closed_loop(model, sol, ControlPolicy("filter_feedback"),
                                   draw_noise(8, 0, grid, model.dims))
     buf1, buf2 = io.StringIO(), io.StringIO()
     bundle_to_csv(bundle, buf1)

@@ -1,4 +1,4 @@
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from polqg import (
     ControlPolicy,
     NodeTable,
+    NonFinite,
     hat_J_floor,
     iter_path_bundles,
     optimal_value,
@@ -64,6 +65,38 @@ def test_running_cost_cross_terms():
     assert cost[0] == pytest.approx(running * 2.0 + 14.0, rel=1e-14)
 
 
+def test_path_cost_names_the_first_nonfinite_node():
+    # 40 steps make blocks of 3 nodes: node 7 sits inside the block 6..8
+    model, grid = scalar_model(G=1.0, steps=40)
+    tab = NodeTable.build(model, grid)
+    X, U = constant_paths(grid, 1.0, 0.0)
+    X = np.repeat(X, 2, axis=0)
+    X[1, 7] = 1e200  # x^2 overflows on the second path only
+    X[0, 8] = np.nan
+    with pytest.raises(NonFinite, match="path_cost: non-finite value at node 7$"):
+        path_cost(tab, X, U)
+    # the terminal term is node N; the controls there are never read
+    X, U = constant_paths(grid, 1.0, 0.0)
+    U[0, -1] = np.inf
+    assert np.isfinite(path_cost(tab, X, U)).all()
+    X[0, -1] = 1e200
+    with pytest.raises(NonFinite, match="path_cost: non-finite value at node 40$"):
+        path_cost(tab, X, U)
+
+
+def test_optimal_value_names_the_part_and_its_node():
+    model, grid = benchmark_model(20)
+    sol = solve_all(model, grid)
+    with pytest.raises(NonFinite,
+                       match=r"optimal_value\.quadratic_term: non-finite value at node 0$"):
+        optimal_value(replace(model, x0=np.array([1e200])), sol)
+    a = sol.table.a.copy()
+    a[2 * 5] = np.inf  # knot 10 is node 5
+    with pytest.raises(NonFinite,
+                       match=r"optimal_value\.phia_integral: non-finite value at node 5$"):
+        optimal_value(model, replace(sol, table=replace(sol.table, a=a)))
+
+
 def test_path_cost_independent_of_batch_size():
     # the scalar benchmark, and time-varying draws 100 and 102 (n = 3 and 2)
     cases = [benchmark_model(100)] + [
@@ -72,7 +105,7 @@ def test_path_cost_independent_of_batch_size():
     for model, grid in cases:
         sol = solve_all(model, grid)
         bundles = list(iter_path_bundles(
-            model, sol, ControlPolicy.filter_feedback(), 300, seed=4))
+            model, sol, ControlPolicy("filter_feedback"), 300, seed=4))
         X = np.stack([b.X for b in bundles])
         U = np.stack([b.u for b in bundles])
         Xtil = np.stack([b.Xtil for b in bundles])

@@ -20,7 +20,7 @@ from polqg import verify
 
 from oracles import TOTAL, benchmark_model, random_validated_model, scalar_model
 
-FEEDBACK = ControlPolicy.filter_feedback()
+FEEDBACK = ControlPolicy("filter_feedback")
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +76,7 @@ def test_run_batch_chunk_invariance(any_n):
     # every report read off the pass
     for model, grid, sol in any_n:
         pn = grid.steps // 2
-        alternatives = [ControlPolicy.zero(), ControlPolicy.perturbed_feedback(
+        alternatives = [ControlPolicy("zero"), ControlPolicy("perturbed_feedback",
             np.full(model.dims.m, 0.5))]
         passes = [simulate_statistics(model, sol, 100, seed=5, probes=(pn,),
                                       policies=alternatives, chunk_size=cs)
@@ -151,8 +151,8 @@ def test_compare_policies_rows(bench100):
     model, grid, sol = bench100
     comp = compare_policies(simulate_statistics(
         model, sol, 600, seed=23,
-        policies=[ControlPolicy.zero(),
-                  ControlPolicy.perturbed_feedback(np.zeros(1), label="same")]))
+        policies=[ControlPolicy("zero"),
+                  ControlPolicy("perturbed_feedback", np.zeros(1), label="same")]))
     means = [r.cost_mean for r in comp.rows]
     assert means == sorted(means)
     assert comp.row("filter_feedback").excess_mean is None
@@ -165,7 +165,7 @@ def test_compare_policies_rows(bench100):
 def test_compare_policies_zero_control_strictly_worse(bench100):
     model, grid, sol = bench100
     comp = compare_policies(simulate_statistics(
-        model, sol, 2000, seed=29, policies=[ControlPolicy.zero()]))
+        model, sol, 2000, seed=29, policies=[ControlPolicy("zero")]))
     zero = comp.row("zero")
     assert zero.excess_mean >= 2.0 * zero.excess_se
     assert comp.rows[0].label == "filter_feedback"
@@ -178,10 +178,10 @@ def test_compare_policies_duplicate_labels(bench100):
         simulate_statistics(model, sol, 10, seed=0, policies=[FEEDBACK])
     with pytest.raises(ValueError):
         simulate_statistics(model, sol, 10, seed=0,
-                            policies=[ControlPolicy.zero()] * 2)
+                            policies=[ControlPolicy("zero")] * 2)
     with pytest.raises(InsufficientPaths):
         simulate_statistics(model, sol, 1, seed=0,
-                            policies=[ControlPolicy.zero()])
+                            policies=[ControlPolicy("zero")])
 
 
 # --------------------------------------------------------------- brownianity
