@@ -241,9 +241,14 @@ def parse_scenario(text: str) -> Scenario:
         tols.update({name: _number(v, f"tolerances.{name}")
                      for name, v in doc["tolerances"].items()})
 
-    model = ModelSpec(dims, grid, x0, **coeffs, **cost,
-                      G=_array(wspec["G"], "cost.G"), g=_array(wspec["g"], "cost.g"),
-                      **tols)
+    try:
+        model = ModelSpec(dims, grid, x0, **coeffs, **cost,
+                          G=_array(wspec["G"], "cost.G"), g=_array(wspec["g"], "cost.g"),
+                          **tols)
+    except ValueError as e:  # ModelSpec names the tolerance it bounds before a colon
+        if str(e).partition(":")[0] not in doc.get("tolerances", {}):
+            raise
+        raise ScenarioSyntaxError(f"tolerances.{e}") from None
     report = validate(model)
     if not report.passed:
         raise ValidationFailure(report)

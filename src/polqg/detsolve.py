@@ -1,7 +1,7 @@
 """Deterministic backbone of the control problem.
 
 Everything the optimal policy and the value formula need is a handful of
-matrix/vector ODEs on one shared grid, integrated with fixed-step classical
+matrix/vector ODEs on one shared grid, stepped with fixed-step classical
 RK4 (no adaptivity, so reruns are bitwise reproducible):
 
   P      backward Riccati equation for the control problem
@@ -15,27 +15,42 @@ RK4 (no adaptivity, so reruns are bitwise reproducible):
   ff     feed-forward R^{-1}(B^T phi + r) of the optimal control
 
 All of them read one NodeTable: the model's coefficients resampled once
-onto the nodes of the solve grid and the RK4 midpoints between them,
-together with every operator the RK4 stages need, so no stage solves a
-linear system.  solve_all steps the four ODEs in three RK4 loops, two of
-them on one Riccati loop body, -(Y F + (Y F)^T - Y M Y + C) for knot
-arrays F, M and C (_solve_riccati):
+onto the knots of the solve grid (its nodes and the midpoints between
+them).  No equation is stepped node by node.  Each is the image of a
+linear system, and RK4 on a linear system z' = L z is a linear map per
+step, so every step map is built at once from the knot arrays
+(_rk4_maps) and the maps are composed (_scan_backward):
 
-  1. P and Sigma together, on a stacked (2, n, n) array with Sigma in
-     reversed time.
-  2. phi, on its own, from the knot arrays -(A + B Theta)^T and
-     -Theta^T r - P a - q (solve_phi).
-  3. Pi, with M = 0, inside solve_filter_side, so a rescaled Sigma
-     rebuilds it.
+  Riccati  P, Sigma and Pi share dY/dt = -(Y F + (Y F)^T - Y M Y + C)
+           for knot arrays F, M and C (_riccati_operators).  By Radon's
+           lemma Y = V U^{-1}, where [U; V]' = L [U; V] with the
+           Hamiltonian L = [[F, -M], [-C, -F^T]] and [U; V](T) = [I; Y(T)]
+           (Davison & Maki, IEEE TAC 18(1), 1973).  A product S of step
+           maps carries Y to (S21 + S22 Y)(S11 + S12 Y)^{-1}.  P and
+           Sigma are composed together, Sigma in reversed time
+           (_solve_riccati); Pi has M = 0 and is solved inside
+           solve_filter_side, so a rescaled Sigma rebuilds it.
+  phi      dphi/dt = -(A + B Theta)^T phi - Theta^T r - P a - q is affine,
+           so z = [phi; 1] is linear and a product S carries phi to
+           S11 phi + S12.  That is RK4 on phi itself, up to roundoff.
+
+Composition runs from t_N down, a fixed chunk of _CHUNK steps at a time,
+so no (2N+1, 2n, 2n) array is ever held.  A chunk is cut into blocks
+wherever the summed log-norms of a block's maps would pass _LOG_CAP, far
+below overflow; inside a block the product of the maps from each step to
+the block's top is formed by Hillis-Steele doubling (the associative scan
+of Sarkka & Garcia-Fernandez, IEEE TAC 66(1), 2021), and every node of the
+block is the block's top value mapped by its product, in one batched
+solve.  Each block restarts from [I; Y] at its top, symmetrized, which
+renormalizes the products.  The Hamiltonian maps are RK4 on [U; V], not on
+Y, so P, Sigma and Pi differ from RK4 on the Riccati itself by O(h^4).
 
 Every path is a plain (N+1, ...) array of its values at the nodes of
-table.grid.  An RK4 stage indexes the table by knot; a path already
-computed on the grid enters the stages of a later equation the same way,
-its midpoint values interpolated linearly between nodes.  Symmetric
-matrices are re-symmetrized after every step so roundoff cannot
-accumulate skew.
-For callers that need one path, solve_P and solve_Sigma run loop 1 on
-that equation alone.  solve_pi steps the backward offset
+table.grid.  A path already computed on the grid enters the knot arrays
+of a later equation with its midpoint values interpolated linearly
+between nodes.  Symmetric paths are symmetrized at every node.
+For callers that need one path, solve_P and solve_Sigma compose that
+equation alone.  solve_pi steps the backward offset
 dpi/dt = -(curlyA^T pi + q), pi(T) = g, which no value term reads: pi
 could enter only through 2<pi, E Xtil>, and E Xtil = 0 since Xtil_0 = 0
 and the error recursion has no forcing term; solve_all does not call it.
@@ -100,8 +115,112 @@ class DeterministicSolution:
         return self.table.grid
 
 
+_CHUNK = 256      # steps whose maps are built and composed at once
+_LOG_CAP = 200.0  # bound on log ||product|| within a block; overflow is at 709
+
+
 def _symmetrize(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.mT)
+    # halves first, so a finite M near the overflow threshold stays finite
+    return 0.5 * M + 0.5 * M.mT
+
+
+def _rk4_maps(L: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """Backward RK4 step maps of the linear system z' = L z.
+
+    L holds the values (2s+1, ..., p, p) of s consecutive steps at their
+    knots and hs their signed lengths; map i carries z from the step's
+    upper node to its lower one through knots 2i+2, 2i+1 and 2i, the
+    stages integrate_matrix_ode evaluates.
+    """
+    h = hs.reshape(hs.shape + (1,) * (L.ndim - 1))
+    Lb, Lm, La = L[2::2], L[1::2], L[:-1:2]
+    # K1 = Lb, K2 = Lm (I + h/2 K1), K3 = Lm (I + h/2 K2), K4 = La (I + h K3),
+    # each formed in place, and Phi = I + h/6 (K1 + 2 K2 + 2 K3 + K4)
+    K = Lm @ Lb
+    K *= 0.5 * h
+    K += Lm
+    Phi = Lb + K
+    Phi += K
+    K = Lm @ K
+    K *= 0.5 * h
+    K += Lm
+    Phi += K
+    Phi += K
+    K = La @ K
+    K *= h
+    K += La
+    Phi += K
+    Phi *= h / 6.0
+    Phi += np.eye(L.shape[-1])
+    return Phi
+
+
+def _solve_right(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """V U^{-1} for each stacked pair; a pair whose U is singular or not
+    finite gives NaN, which the caller reports as a blow-up."""
+    try:
+        return np.linalg.solve(U.mT, V.mT).mT
+    except np.linalg.LinAlgError:
+        out = np.full(V.shape, np.nan)
+        for j in np.ndindex(U.shape[:-2]):
+            try:
+                out[j] = np.linalg.solve(U[j].T, V[j].T).T
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _scan_backward(grid: TimeGrid, L_at: Callable[[slice], np.ndarray],
+                   boundary: np.ndarray, apply, blowup) -> np.ndarray:
+    """Node values y_0..y_N of y_i = apply(Phi_i, y_{i+1}), where Phi_i is
+    the RK4 map of step i of z' = L z and apply(S, y) maps y through a
+    product S = Phi_i Phi_{i+1} ... Phi_{j-1} all at once.
+
+    L_at(knots) returns L at a slice of the grid's knots.  The maps are
+    built _CHUNK steps at a time from t_N down, and each chunk is cut into
+    blocks (see the module docstring); apply(S, y) takes a block's stacked
+    products and its top value and returns the value at every node of the
+    block.  y_N is `boundary`, stored unchanged.  The first node, counted
+    from t_N, whose value is not finite raises blowup(value, node).
+    """
+    N = grid.steps
+    hs = -np.diff(grid.nodes)
+    y = np.asarray(boundary, dtype=float)
+    out = np.empty((N + 1,) + y.shape)
+    out[N] = y
+    for k1 in range(N, 0, -_CHUNK):
+        k0 = max(k1 - _CHUNK, 0)
+        # processing order: row r is step k1 - 1 - r
+        S = np.ascontiguousarray(_rk4_maps(L_at(slice(2 * k0, 2 * k1 + 1)), hs[k0:k1])[::-1])
+        s = len(S)
+        # a block's rows sum to at most _LOG_CAP, so no product overflows
+        c = np.cumsum(np.log(np.maximum(np.abs(S).sum(axis=-1).reshape(s, -1).max(axis=1), 1.0)))
+        starts = [0]
+        while True:
+            base = c[starts[-1] - 1] if starts[-1] else 0.0
+            nxt = max(int(np.searchsorted(c, base + _LOG_CAP, side="right")), starts[-1] + 1)
+            if nxt >= s:
+                break
+            starts.append(nxt)
+        ends = starts[1:] + [s]
+        first = np.repeat(starts, np.subtract(ends, starts))
+        # Hillis-Steele: row r becomes the product of rows r, r-1, ..., first[r]
+        rows, d = np.arange(s), 1
+        while True:
+            r = rows[d:][rows[d:] - d >= first[d:]]
+            if not r.size:
+                break
+            S[r] = S[r] @ S[r - d]
+            d *= 2
+        for a, b in zip(starts, ends):
+            vals = apply(S[a:b], y)
+            bad = ~np.isfinite(vals).reshape(b - a, -1).all(axis=1)
+            if bad.any():
+                r = int(np.argmax(bad))
+                raise blowup(vals[r], k1 - 1 - a - r)
+            out[k1 - b:k1 - a] = vals[::-1]
+            y = vals[-1]
+    return out
 
 
 def integrate_matrix_ode(
@@ -123,6 +242,12 @@ def integrate_matrix_ode(
     produces a NaN or infinity at node i it raises NonFinite(what, i), or,
     when `what` is callable, what(y, i), so a stacked solve can name the
     equation that blew up.
+
+    solve_all composes step maps instead (see the module docstring).  This
+    loop stays as the plain form of the same RK4: solve_pi, which solve_all
+    does not call, steps it, so do the tests' per-equation references of
+    the Riccati equations as written, and bench/tracer.py counts its steps
+    by this name.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
@@ -181,32 +306,37 @@ def _riccati_operators(tab: NodeTable, name: str, curlyA: np.ndarray | None):
 
 def _solve_riccati(tab: NodeTable, names=("P", "Sigma"),
                    curlyA: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    """The paths named in `names` ("P", "Sigma" or "Pi"; Pi needs curlyA)
-    in one RK4 loop over a stacked (len(names), n, n) array.
+    """The paths named in `names` ("P", "Sigma" or "Pi"; Pi needs curlyA),
+    composed together from the step maps of their Hamiltonian systems.
 
     P and Pi end at G and Sigma starts at 0, all stored bitwise; every
-    step is symmetrized, and each path is checked positive semidefinite at
+    node is symmetrized, and each path is checked positive semidefinite at
     every node against tab.psd_tol.  A blow-up raises NonFinite naming the
     equation and its node.
     """
     N, n = tab.grid.steps, tab.dims.n
-    F, M_half, minus_C = (np.stack(ops, axis=1) for ops in zip(
-        *(_riccati_operators(tab, nm, curlyA) for nm in names)))
-    M_half *= 0.5
-    np.negative(minus_C, out=minus_C)
+    ops = [_riccati_operators(tab, nm, curlyA) for nm in names]
 
-    def rhs(j, Y):
-        # two products: Y F + (Y F)^T - Y M Y = Z + Z^T for Z = Y (F - M Y / 2)
-        Z = Y @ (F[j] - M_half[j] @ Y)
-        return minus_C[j] - (Z + Z.mT)
+    def hamiltonian(knots):
+        L = np.empty((knots.stop - knots.start, len(ops), 2 * n, 2 * n))
+        for e, (F, M, C) in enumerate(ops):
+            L[:, e, :n, :n] = F[knots]
+            L[:, e, :n, n:] = -M[knots]
+            L[:, e, n:, :n] = -C[knots]
+            L[:, e, n:, n:] = -F[knots].mT
+        return L
+
+    def moebius(S, Y):
+        # [U; V] = S [I; Y], and Y at each node is V U^{-1}
+        W = S[..., :n] + S[..., n:] @ Y
+        return _symmetrize(_solve_right(W[..., :n, :], W[..., n:, :]))
 
     def blowup(Y, i):
         k = int(np.argmin(np.isfinite(Y).all(axis=(1, 2))))
         return NonFinite(names[k], N - i if names[k] == "Sigma" else i)
 
     boundary = np.stack([np.zeros((n, n)) if nm == "Sigma" else tab.G for nm in names])
-    out = integrate_matrix_ode(rhs, boundary, tab.grid, "backward",
-                               post_step=_symmetrize, what=blowup)
+    out = _scan_backward(tab.grid, hamiltonian, boundary, moebius, blowup)
     paths = {}
     for k, nm in enumerate(names):
         paths[nm] = np.ascontiguousarray(out[::-1, k] if nm == "Sigma" else out[:, k])
@@ -215,8 +345,8 @@ def _solve_riccati(tab: NodeTable, names=("P", "Sigma"),
 
 
 def solve_P(tab: NodeTable) -> np.ndarray:
-    """Backward Riccati path with terminal value G, symmetrized each step
-    and checked positive semidefinite at every node."""
+    """Backward Riccati path with terminal value G, symmetrized and checked
+    positive semidefinite at every node."""
     return _solve_riccati(tab, ("P",))["P"]
 
 
@@ -228,13 +358,17 @@ def compute_Theta(P: np.ndarray, tab: NodeTable) -> np.ndarray:
 
 def solve_phi(tab: NodeTable, Theta: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Backward affine offset with terminal value g:
-    dphi/dt = -(A + B Theta)^T phi - Theta^T r - P a - q, whose matrix and
-    constant term are built at every knot before the loop."""
+    dphi/dt = -(A + B Theta)^T phi - Theta^T r - P a - q, composed from
+    the step maps of z = [phi; 1], whose matrix [[F, c], [0, 0]] is built
+    at every knot first."""
+    n = tab.dims.n
     Th_k, P_k = (at_knots(tab.grid, tab.grid, v) for v in (Theta, P))
-    F = -(tab.A + tab.B @ Th_k).mT
-    c = -(Th_k.mT @ tab.r[..., None] + P_k @ tab.a[..., None])[..., 0] - tab.q
-    return integrate_matrix_ode(lambda j, phi: F[j] @ phi + c[j], tab.g,
-                                tab.grid, "backward", what="phi")
+    L = np.zeros((2 * tab.grid.steps + 1, n + 1, n + 1))
+    L[:, :n, :n] = -(tab.A + tab.B @ Th_k).mT
+    L[:, :n, n] = -(Th_k.mT @ tab.r[..., None] + P_k @ tab.a[..., None])[..., 0] - tab.q
+    return _scan_backward(tab.grid, lambda knots: L[knots], tab.g,
+                          lambda S, phi: S[..., :n, :n] @ phi + S[..., :n, n],
+                          lambda _, i: NonFinite("phi", i))
 
 
 def compute_ff(phi: np.ndarray, tab: NodeTable) -> np.ndarray:
@@ -265,9 +399,9 @@ def compute_curlyA(gain: np.ndarray, tab: NodeTable) -> np.ndarray:
 
 
 def solve_Pi(tab: NodeTable, curlyA: np.ndarray) -> np.ndarray:
-    """Backward Lyapunov path with terminal value G, on the Riccati loop
-    body with M = 0, symmetrized each step and checked positive
-    semidefinite at every node."""
+    """Backward Lyapunov path with terminal value G, composed as a Riccati
+    path with M = 0, symmetrized and checked positive semidefinite at
+    every node."""
     return _solve_riccati(tab, ("Pi",), curlyA)["Pi"]
 
 

@@ -141,6 +141,14 @@ class ModelSpec:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if not self.delta > 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
+        # a looser tolerance would let validate pass what the assumptions forbid
+        for name in ("psd_tol", "sym_tol"):
+            if not 0.0 <= getattr(self, name) <= 1e-6:
+                raise ValueError(f"{name}: expected a number in [0, 1e-6], "
+                                 f"got {getattr(self, name)}")
+        if not 0.0 < self.k_cond_bound < np.inf:
+            raise ValueError("k_cond_bound: expected a positive finite number, "
+                             f"got {self.k_cond_bound}")
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +212,12 @@ class NodeTable:
     grid, each resampled once.
 
     Every per-time field has a leading axis of 2N+1 knots: knot 2i is node
-    t_i and knot 2i+1 the RK4 midpoint 0.5*(t_i + t_{i+1}), so field[j]
-    feeds RK4 stage j and field[::2] holds the node values.  The derived
-    fields depend on the model alone; with them P and Sigma share the
-    right-hand side -(Y F + (Y F)^T - Y M Y + C) for knot arrays F, M and
-    C (see detsolve._riccati_operators).
+    t_i and knot 2i+1 the RK4 midpoint 0.5*(t_i + t_{i+1}), so the RK4 map
+    of step i reads knots 2i, 2i+1 and 2i+2, and field[::2] holds the node
+    values.  The derived fields depend on the model alone; with them P and
+    Sigma share the Riccati form -(Y F + (Y F)^T - Y M Y + C) for knot
+    arrays F, M and C, whose Hamiltonian [[F, -M], [-C, -F^T]] the solver
+    steps (see detsolve._riccati_operators).
     """
 
     grid: TimeGrid

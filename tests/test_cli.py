@@ -254,6 +254,22 @@ def test_scenario_tolerances_reach_the_model_and_its_table():
         1e-9, 1e-12, 1e8, 1e-6)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("psd_tol", 1e6), ("psd_tol", -1e-9), ("sym_tol", 1e-3),
+    ("k_cond_bound", 0.0), ("k_cond_bound", float("inf")),
+])
+def test_tolerance_outside_its_bounds_exits_2_naming_it(tmp_path, capsys, field, value):
+    # psd_tol = 1e6 once let an indefinite R through validate, and solve
+    # printed a value with exit 0
+    doc = bench_doc(tolerances={field: value})
+    doc["cost"]["constant"]["R"] = [[-0.5]]
+    path = write_doc(tmp_path, doc)
+    assert main(["validate", "--scenario", path]) == 2
+    assert f"scenario error: tolerances.{field}: expected" in capsys.readouterr().err
+    assert main(["solve", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"scenario error: tolerances.{field}: expected" in capsys.readouterr().err
+
+
 def test_wrong_format_version(tmp_path, capsys):
     path = write_doc(tmp_path, bench_doc(format_version=99))
     assert main(["validate", "--scenario", path]) == 2

@@ -10,7 +10,9 @@ from polqg import (
     compute_Delta,
     compute_gain,
     compute_Theta,
+    detsolve,
     integrate_matrix_ode,
+    optimal_value,
     solve_all,
     solve_P,
     solve_phi,
@@ -88,14 +90,90 @@ def test_integrator_blowup_raises_nonfinite():
 
 
 def test_blown_up_P_names_the_equation():
-    # B=0 leaves dP/dt = -2AP - Q; with A=1000 each backward RK4 step
-    # multiplies P by about 8000, which overflows long before t=0
-    model, grid = scalar_model(A=1000.0, B=0.0, G=1.0, steps=100)
+    # B=0 leaves dP/dt = -2AP - Q, so P(t) = (G + Q/2A) e^{2A(T-t)} - Q/2A
+    # overflows below t = 1 - log(max float / (G + Q/2A)) / 2A; 4000 steps
+    # resolve it, and the blow-up names P at the first node below that time
+    model, grid = scalar_model(A=1000.0, B=0.0, G=1.0, steps=4000)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NonFinite) as err:
         solve_P(NodeTable.build(model, grid))
     assert err.value.what == "P"
     assert str(err.value).startswith("P: non-finite value at node ")
+    t_over = 1.0 - np.log(np.finfo(float).max / (1.0 + 1.0 / 2000.0)) / 2000.0
+    assert err.value.node == int(np.floor(t_over * grid.steps))
+
+
+def _max_abs_log_det(tab, name, curlyA=None):
+    """max_i |log det Phi_i| over the Hamiltonian step maps of one equation;
+    every exact map has det 1, so a large value shows an under-resolved grid."""
+    F, M, C = detsolve._riccati_operators(tab, name, curlyA)
+    Phi = detsolve._rk4_maps(np.block([[F, -M], [-C, -F.mT]]), -np.diff(tab.grid.nodes))
+    return np.abs(np.linalg.slogdet(Phi)[1]).max()
+
+
+def test_singular_map_gives_nan_for_that_node_only():
+    # one singular U fails the whole batched solve; the pairs are then
+    # solved one by one, so the scan reports the blow-up at its own node
+    U = np.stack([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)])
+    Y = detsolve._solve_right(U, np.ones((3, 2, 2)))
+    np.testing.assert_array_equal(Y[0], np.ones((2, 2)))
+    assert np.isnan(Y[1]).all()
+    np.testing.assert_array_equal(Y[2], np.full((2, 2), 0.5))
+
+
+def test_log_det_witness_is_zero_on_resolved_grids():
+    models = [benchmark_model(400)] + [
+        random_validated_model(np.random.default_rng(seed), time_varying=True)
+        for seed in (100, 101, 102, 103)]
+    for model, grid in models:
+        sol = solve_all(model, grid)
+        for name in ("P", "Sigma"):
+            assert _max_abs_log_det(sol.table, name) <= grid.h ** 5, name
+        assert _max_abs_log_det(sol.table, "Pi", sol.curlyA) <= grid.h ** 5
+
+
+def test_under_resolved_blowup_is_finite_but_witnessed():
+    # the 100-step grid of the model above: each step's Hamiltonian map
+    # scales U by p(-10) and V by p(10), p the RK4 polynomial, instead of
+    # e^{-10} and e^{10}, so P(0) comes out finite and far too small.
+    # Nothing in the solve flags it; the step maps' log det does.
+    model, grid = scalar_model(A=1000.0, B=0.0, G=1.0, steps=100)
+    tab = NodeTable.build(model, grid)
+    P = solve_P(tab)
+    assert np.isfinite(P).all()
+    assert 1e34 < P[0, 0, 0] < 1e35
+    assert _max_abs_log_det(tab, "P") > 1.0
+
+
+def test_under_resolved_filter_drift_fails_on_Pi():
+    # C = -1000 makes the filter drift 1000; at 100 steps Sigma is finite
+    # and the failure surfaces in Pi, where the Sigma maps' log det shows
+    # that Sigma was never resolved
+    model, grid = scalar_model(C=-1000.0, steps=100)
+    tab = NodeTable.build(model, grid)
+    assert _max_abs_log_det(tab, "Sigma") > 1.0
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(PSDViolation) as err:
+        solve_all(model, grid)
+    assert (err.value.what, err.value.node) == ("Pi", 0)
+
+
+@pytest.mark.parametrize("A,steps,rtol", [(40.0, 20, 1e-12), (300.0, 100, 1e-12),
+                                          (1000.0, 100, 1e-12), (3000.0, 100, 2e-4)])
+def test_stiff_P_matches_refined_solve(A, steps, rtol):
+    # dP/dt = -2AP + P^2 - 1 settles at A + sqrt(A^2 + 1) within 1/(2A) of
+    # t = 1; the Hamiltonian maps carry that steady state for any step, so
+    # coarse grids match a 64x-refined solve.  At A=3000 and 100 steps the
+    # approach to it is still under-resolved (5999.42 against 6000.00017).
+    def P0(n):
+        model, grid = scalar_model(A=A, steps=n)
+        return solve_P(NodeTable.build(model, grid))[0, 0, 0]
+
+    got, ref = P0(steps), P0(64 * steps)
+    assert abs(ref - (A + np.sqrt(A * A + 1.0))) <= 1e-12 * ref
+    assert abs(got - ref) <= rtol * ref
+    if A == 3000.0:
+        assert abs(got - 5999.42) < 0.01
 
 
 # ------------------------------------------------------------------- Riccati
@@ -299,7 +377,7 @@ def _knots(values):
 
 
 def _per_equation_reference(model, grid):
-    """Every solve_all path, each equation on its own RK4 loop with its
+    """P, Sigma and Pi, each equation on its own RK4 loop with its
     right-hand side written from the raw knot coefficients and a linear
     solve at every stage."""
     tab = NodeTable.build(model, grid)
@@ -322,6 +400,21 @@ def _per_equation_reference(model, grid):
     P = integrate_matrix_ode(rhs_P, model.G, grid, "backward", post_step=sym)
     Sigma = integrate_matrix_ode(rhs_Sigma, np.zeros((n, n)), grid, "forward",
                                  post_step=sym)
+    C, H, K = tab.C[::2], tab.H[::2], tab.K[::2]
+    gain = np.linalg.solve(K @ K.mT, (Sigma @ H.mT + C @ K.mT).mT).mT
+    Av_k = _knots(tab.A[::2] - gain @ H)
+
+    def rhs_Pi(j, Pi):
+        return -(Pi @ Av_k[j]) - Av_k[j].T @ Pi - tab.Q[j]
+
+    return {"P": P, "Sigma": Sigma,
+            "Pi": integrate_matrix_ode(rhs_Pi, model.G, grid, "backward",
+                                       post_step=sym)}
+
+
+def _phi_reference(model, grid, P):
+    """phi on its own RK4 loop, fed the given P path."""
+    tab = NodeTable.build(model, grid)
     B, S, R = tab.B[::2], tab.S[::2], tab.R[::2]
     Th_k, P_k = _knots(-np.linalg.solve(R, B.mT @ P + S)), _knots(P)
 
@@ -330,31 +423,52 @@ def _per_equation_reference(model, grid):
         return (-(tab.A[j] + tab.B[j] @ Th).T @ phi - Th.T @ tab.r[j]
                 - P_k[j] @ tab.a[j] - tab.q[j])
 
-    C, H, K = tab.C[::2], tab.H[::2], tab.K[::2]
-    gain = np.linalg.solve(K @ K.mT, (Sigma @ H.mT + C @ K.mT).mT).mT
-    Av_k = _knots(tab.A[::2] - gain @ H)
-
-    def rhs_Pi(j, Pi):
-        return -(Pi @ Av_k[j]) - Av_k[j].T @ Pi - tab.Q[j]
-
-    return {
-        "P": P, "Sigma": Sigma,
-        "phi": integrate_matrix_ode(rhs_phi, model.g, grid, "backward"),
-        "Pi": integrate_matrix_ode(rhs_Pi, model.G, grid, "backward",
-                                   post_step=sym),
-    }
+    return integrate_matrix_ode(rhs_phi, model.g, grid, "backward")
 
 
 @pytest.mark.parametrize("seed", [100, 101, 102, 103])
 def test_fused_loops_match_per_equation_reference(seed):
     # time-varying coefficients and cost weights, so an operator read at
-    # the wrong knot shows
+    # the wrong knot shows.  The Riccati paths come from RK4 on their
+    # Hamiltonian systems, which differs from RK4 on the Riccati itself by
+    # O(h^4) (up to 1.7 h^4 on these draws); phi's maps are its own RK4.
     model, grid = random_validated_model(np.random.default_rng(seed),
                                          time_varying=True)
     sol = solve_all(model, grid)
     for name, ref in _per_equation_reference(model, grid).items():
         got = getattr(sol, name)
-        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
+        assert np.abs(got - ref).max() <= 4.0 * grid.h ** 4 * np.abs(ref).max(), name
+    ref = _phi_reference(model, grid, sol.P)
+    assert np.abs(sol.phi - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("seed", [100, 101, 102, 103])
+def test_solve_all_matches_refined_solve(seed):
+    # the draws are linear in t, so 16x the steps is the same model; P and
+    # Sigma are fourth order, phi, Pi and the value second order, because
+    # Theta and curlyA reach their knots by linear interpolation
+    def solve(steps):
+        model, grid = random_validated_model(np.random.default_rng(seed),
+                                             steps=steps, time_varying=True)
+        sol = solve_all(model, grid)
+        return sol, optimal_value(model, sol).total
+
+    (sol, value), (fine, fine_value) = solve(60), solve(960)
+    h = sol.grid.h
+    for name, tol in (("P", h ** 4), ("Sigma", h ** 4), ("phi", h ** 2), ("Pi", h ** 2)):
+        ref = getattr(fine, name)[::16]
+        assert np.abs(getattr(sol, name) - ref).max() <= tol * (1.0 + np.abs(ref).max()), name
+    assert abs(value - fine_value) <= h ** 2 * (1.0 + abs(fine_value))
+
+
+def test_solve_all_never_steps_the_rk4_loop(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_all stepped integrate_matrix_ode")
+
+    monkeypatch.setattr(detsolve, "integrate_matrix_ode", refuse)
+    model, grid = random_validated_model(np.random.default_rng(100), time_varying=True)
+    sol = solve_all(model, grid)
+    assert np.isfinite(sol.Pi).all()
 
 
 @pytest.mark.parametrize("seed", [None, 100, 101, 102, 103])
@@ -379,14 +493,16 @@ def test_duality_residual_is_second_order(seed):
 
 
 def test_fused_blowup_names_Sigma_and_its_node():
-    # C = -1000 makes the filter drift 1000: Sigma overflows going forward
-    # while P, stepped in the same loop, stays finite
-    model, grid = scalar_model(C=-1000.0, steps=100)
+    # H = 0 leaves dSigma/dt = 2A Sigma + DD^T, so with A = 1000 Sigma(t) =
+    # (e^{2000 t} - 1)/2000 overflows past t = log(2000 max float)/2000,
+    # while P, composed with it, settles near 2A; 4000 steps resolve it
+    model, grid = scalar_model(A=1000.0, H=0.0, steps=4000)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NonFinite) as err:
         solve_all(model, grid)
     assert err.value.what == "Sigma"
-    assert err.value.node == 4
+    t_over = (np.log(2000.0) + np.log(np.finfo(float).max)) / 2000.0
+    assert err.value.node == int(np.ceil(t_over * grid.steps))
 
 
 def test_solve_all_single_step_grid():

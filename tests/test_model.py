@@ -158,6 +158,19 @@ def test_validate_ill_conditioned_K():
     assert not report.check("A2_K_invertible").passed
 
 
+@pytest.mark.parametrize("field, value", [
+    ("psd_tol", 2e-6), ("psd_tol", -1e-12), ("psd_tol", float("nan")),
+    ("sym_tol", 1.0), ("sym_tol", -1.0),
+    ("k_cond_bound", 0.0), ("k_cond_bound", -1.0), ("k_cond_bound", float("inf")),
+])
+def test_model_rejects_tolerance_outside_its_bounds(field, value):
+    model, _ = benchmark_model(4)
+    with pytest.raises(ValueError, match=f"^{field}: expected"):
+        replace(model, **{field: value})
+    # the bounds themselves, and a stricter condition cap, are accepted
+    replace(model, psd_tol=0.0, sym_tol=1e-6, k_cond_bound=0.5)
+
+
 def test_validate_asymmetric_G():
     grid = TimeGrid(1.0, 4)
     dims = Dimensions(2, 1, 1, 1)
