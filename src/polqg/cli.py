@@ -5,10 +5,11 @@ cannot silently change a run.  Result documents are compact JSON whose
 only timestamp is meta.generated_at; per-path CSV files carry no
 timestamps at all and rerunning a simulation writes byte-identical files.
 
-`simulate` formats and writes its path files from one writer process
-per CPU this process may run on, forked after each kernel chunk; each file
-depends on its path alone, so the files are byte-identical for any number
-of writers.
+`simulate` formats and writes its path files, and `verify` runs its Monte
+Carlo passes, in one forked worker per CPU this process may run on, through
+the one fork helper verify._run_in_shares.  Each path file depends on its
+path alone and each verify statistic is reduced from complete per-path
+arrays, so every output is byte-identical for any number of workers.
 
 Exit codes: 0 success, 2 validation problem (scenario or model), 3
 numerical blow-up, 4 a verification check failed, 5 I/O problem.
@@ -61,6 +62,7 @@ from .model import (
 from .simulate import _POLICY_KINDS, ControlPolicy, _check_policy_table, bundle_to_csv
 from .value import ValueBreakdown, optimal_value
 from .verify import (
+    _run_in_shares,
     brownianity_report,
     compare_policies,
     decomposition_check,
@@ -430,44 +432,19 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _write_share(out: str, bundles, j0: int):
-    for j, bundle in enumerate(bundles, j0):
-        with open(os.path.join(out, f"path_{j:05d}.csv"), "w") as f:
-            bundle_to_csv(bundle, f)
-
-
 def _write_path_files(out: str, block: list, j0: int):
-    """Write block[i] to path_{j0 + i}.csv, in one contiguous share per CPU
-    this process may run on.  Forked children write the shares after the
-    first and leave through os._exit, never returning here; this process
-    writes the first.  Every child is reaped, also when this process's own
-    share raises, and the share of a child that could not start or did not
-    exit 0 is written again here, so its error surfaces as in one process.
-    Each file depends on its bundle alone: the files are byte-identical for
-    any number of writers."""
-    writers = min(len(os.sched_getaffinity(0)), len(block))
-    cuts = [w * len(block) // writers for w in range(writers + 1)]
-    children, redo = {}, []
-    try:
-        for a, b in zip(cuts[1:], cuts[2:]):
-            try:
-                pid = os.fork()
-            except OSError:
-                redo.append((a, b))
-                continue
-            if pid == 0:
-                code = 1
-                try:
-                    _write_share(out, block[a:b], j0 + a)
-                    code = 0
-                finally:
-                    os._exit(code)
-            children[pid] = (a, b)
-        _write_share(out, block[:cuts[1]], j0)
-    finally:
-        redo += [share for pid, share in children.items() if os.waitpid(pid, 0)[1]]
-    for a, b in redo:
-        _write_share(out, block[a:b], j0 + a)
+    """Write block[i] to path_{j0 + i}.csv in one forked writer per CPU
+    (verify._run_in_shares).  The share of a writer that did not exit 0 is
+    written again here, so its error surfaces as in one process.  Each file
+    depends on its bundle alone: the files are byte-identical for any
+    number of writers."""
+    def write(a: int, b: int):
+        for i in range(a, b):
+            with open(os.path.join(out, f"path_{j0 + i:05d}.csv"), "w") as f:
+                bundle_to_csv(block[i], f)
+
+    for a, b in _run_in_shares(len(block), write):
+        write(a, b)
 
 
 # paths per kernel chunk, and per block of path files

@@ -21,15 +21,26 @@ and Sigma on the solution; no report copies them.
 
 Per-path noise comes from draw_noise(seed, path_index) and every per-path
 number is bitwise independent of the chunk its path ran in (see
-polqg.simulate).  The reports reduce the complete per-path arrays with
-numpy, so they are bitwise reproducible for fixed (model, seed, n_paths,
-policies), independent of chunk size or scheduling.
+polqg.simulate).  The pass cuts paths 0..n_paths-1 into one contiguous
+share per CPU this process may run on (_run_in_shares): forked children
+run the shares after the first and this process the first, each writing
+its rows into PathStatistics arrays carved before the fork from one
+anonymous shared mmap.  The reports reduce the complete per-path arrays
+with numpy after every child is reaped, so they are bitwise reproducible
+for fixed (model, seed, n_paths, policies), independent of chunk size,
+worker count or scheduling.  If any share fails, in a child or here, the
+whole pass runs again in this process, so that an error names the first
+bad node over the same chunks, with the same message and exit code, as a
+single-process run.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import os
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -90,12 +101,15 @@ def _noise_stack(seed: int, j0: int, j1: int, grid, dims):
 
 
 def _simulate_chunks(model: ModelSpec, sol: DeterministicSolution,
-                     policies: Sequence[ControlPolicy], n_paths: int,
+                     policies: Sequence[ControlPolicy], first: int, stop: int,
                      seed: int, chunk_size: int):
-    """Yield (j0, j1, policy, kernel output) chunk by chunk: each chunk's
-    noise is drawn once and every policy runs on it, in the given order."""
-    for j0 in range(0, n_paths, chunk_size):
-        j1 = min(j0 + chunk_size, n_paths)
+    """Yield (j0, j1, policy, kernel output) for paths first..stop-1 chunk
+    by chunk: each chunk's noise is drawn once and every policy runs on it,
+    in the given order."""
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
+    for j0 in range(first, stop, chunk_size):
+        j1 = min(j0 + chunk_size, stop)
         dW, dWp = _noise_stack(seed, j0, j1, sol.grid, model.dims)
         for policy in policies:
             yield j0, j1, policy, _closed_loop_arrays(model, sol, policy, dW, dWp)
@@ -106,9 +120,58 @@ def iter_path_bundles(model: ModelSpec, sol: DeterministicSolution,
                       chunk_size: int = 1024) -> Iterator[PathBundle]:
     """Yield PathBundles for path indices 0..n_paths-1 in order, simulated
     in chunks so memory stays bounded."""
-    for _, _, _, arrs in _simulate_chunks(model, sol, (policy,), n_paths,
+    for _, _, _, arrs in _simulate_chunks(model, sol, (policy,), 0, n_paths,
                                           seed, chunk_size):
         yield from _bundles(sol, arrs)
+
+
+# ---------------------------------------------------------------------------
+# forked workers
+
+def _run_in_shares(count: int, work: Callable[[int, int], None]) -> list[tuple[int, int]]:
+    """Call work(a, b) on range(count), count >= 1, cut into one contiguous
+    share [a, b) per CPU this process may run on, at most count shares.
+    Forked children run the shares after the first and leave through
+    os._exit, never returning here; this process runs the first, then any
+    share whose child could not be forked.  Every child is reaped, also
+    when this process's own work raises.  Returns the shares whose child
+    did not exit 0, for the caller to redo in this process so that their
+    error surfaces."""
+    workers = min(len(os.sched_getaffinity(0)), count)
+    cuts = [w * count // workers for w in range(workers + 1)]
+    children, here = {}, [(0, cuts[1])]
+    try:
+        for a, b in zip(cuts[1:], cuts[2:]):
+            try:
+                pid = os.fork()
+            except OSError:
+                here.append((a, b))
+                continue
+            if pid == 0:
+                code = 1
+                try:
+                    work(a, b)
+                    code = 0
+                finally:
+                    os._exit(code)
+            children[pid] = (a, b)
+        for a, b in here:
+            work(a, b)
+    finally:
+        failed = [share for pid, share in children.items() if os.waitpid(pid, 0)[1]]
+    return failed
+
+
+def _shared_zeros(*shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Zero float arrays of the given shapes, carved from one anonymous
+    shared mmap, so that what a forked child writes reaches this process."""
+    import mmap  # here, so that `polqg solve` and `validate` never load it
+
+    sizes = [math.prod(shape) for shape in shapes]
+    buf = mmap.mmap(-1, 8 * sum(sizes))
+    starts = itertools.accumulate(sizes, initial=0)
+    return [np.frombuffer(buf, float, size, 8 * start).reshape(shape)
+            for shape, size, start in zip(shapes, sizes, starts)]
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +222,8 @@ def simulate_statistics(model: ModelSpec, sol: DeterministicSolution,
                         chunk_size: int = 2048) -> PathStatistics:
     """Simulate paths 0..n_paths-1 under filter feedback and, on the same
     noise, under each extra policy; keep the per-path numbers every report
-    needs, with the error statistics at each probe node."""
+    needs, with the error statistics at each probe node.  The paths run in
+    one forked worker per CPU (see the module docstring)."""
     if n_paths < 2:
         raise InsufficientPaths(f"need at least 2 paths, got {n_paths}")
     for pn in probes:
@@ -171,23 +235,33 @@ def simulate_statistics(model: ModelSpec, sol: DeterministicSolution,
         raise ValueError(f"policy labels must be unique, got {labels}")
     n, d = model.dims.n, model.dims.d
 
+    costs, outer, orth, incs, split = _shared_zeros(
+        (len(labels), n_paths), (len(probes), n_paths, n, n),
+        (len(probes), n_paths), (3, n_paths, d), (2, n_paths))
     stats = PathStatistics(
         sol=sol, n_paths=n_paths,
         analytic_value=optimal_value(model, sol).total,
         tildeJ_analytic=tilde_J(model, sol),
-        costs={lab: np.empty(n_paths) for lab in labels},
-        error_outer={pn: np.empty((n_paths, n, n)) for pn in probes},
-        orth={pn: np.empty(n_paths) for pn in probes},
-        inc_sums=np.empty((n_paths, d)), inc_sq=np.empty((n_paths, d)),
-        lag_sums=np.empty((n_paths, d)),
-        hatJ=np.empty(n_paths), tildeJ=np.empty(n_paths),
+        costs=dict(zip(labels, costs)),
+        error_outer=dict(zip(probes, outer)), orth=dict(zip(probes, orth)),
+        inc_sums=incs[0], inc_sq=incs[1], lag_sums=incs[2],
+        hatJ=split[0], tildeJ=split[1],
     )
-    for j0, j1, policy, arrs in _simulate_chunks(model, sol, runs, n_paths,
-                                                 seed, chunk_size):
-        stats.costs[policy.label][j0:j1] = arrs["cost"]
-        if policy is _FEEDBACK:
-            _record_feedback(arrs, stats, slice(j0, j1))
-        del arrs  # free this output before the next kernel call
+
+    def fill(first: int, stop: int):
+        for j0, j1, policy, arrs in _simulate_chunks(model, sol, runs, first, stop,
+                                                     seed, chunk_size):
+            stats.costs[policy.label][j0:j1] = arrs["cost"]
+            if policy is _FEEDBACK:
+                _record_feedback(arrs, stats, slice(j0, j1))
+            del arrs  # free this output before the next kernel call
+
+    try:
+        whole = bool(_run_in_shares(n_paths, fill))
+    except Exception:  # this process's share failed: rerun the pass below
+        whole = True
+    if whole:  # in one process, so an error names the node a single-process run does
+        fill(0, n_paths)
     return stats
 
 

@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import inspect
 import json
+import os
 import pathlib
 
 import numpy as np
@@ -60,7 +61,10 @@ def test_wrapped_signatures_take_the_tracer_arguments():
     inspect.signature(integrate_matrix_ode).bind("rhs", "boundary", "grid", "forward")
 
 
-def test_traced_verify_runs(tmp_path):
+def test_traced_verify_runs(tmp_path, monkeypatch):
+    # the tracer sees only this process's spans, and verify forks one
+    # worker per CPU: run on one CPU, so every path runs here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     tracer = _tracer()
     originals = {t: getattr(importlib.import_module(t[0]), t[1]) for t in _targets(tracer)}
     doc = {

@@ -16,6 +16,7 @@ from polqg import (
     simulate_statistics,
     solve_all,
 )
+from polqg import verify
 from polqg.cli import (
     _run_checks,
     _scaled_sigma_solution,
@@ -443,7 +444,7 @@ def test_simulate_writes_deterministic_files(tmp_path, capsys):
 
 
 def _cpus(monkeypatch, n):
-    """Let this process run on n CPUs, and count the writers it forks."""
+    """Let this process run on n CPUs, and count the workers it forks."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
     forks = []
     real_fork = os.fork
@@ -605,6 +606,85 @@ def test_verify_detects_broken_sigma(tmp_path, capsys):
         assert report["params"]["sigma_scale"] == float(scale)
         failed = [c["name"] for c in report["checks"] if not c["passed"]]
         assert any(n.startswith("error_cov_node") for n in failed)
+
+
+def _verify_run(path, out, capsys, *extra):
+    """Exit code, stdout, stderr and every output of one verify run, with
+    the report's meta masked."""
+    code = main(["verify", "--scenario", path, "--out", str(out), *extra])
+    printed = capsys.readouterr()
+    files = _tree(out) if out.exists() else {}
+    if "report.json" in files:
+        report = json.loads(files["report.json"])
+        report["meta"] = None
+        files["report.json"] = report
+    return code, printed.out, printed.err, files
+
+
+def _tv3_doc():
+    model, grid = random_validated_model(np.random.default_rng(100),
+                                         time_varying=True)
+    assert model.dims.n == 3
+    return {**model_doc(model, grid), "mc": {"n_paths": 200, "seed": 6}}
+
+
+@pytest.mark.parametrize("case, code", [
+    ("scalar", 0), ("scalar_sigma2", 4), ("time_varying_3d", 0)])
+def test_verify_outputs_do_not_depend_on_worker_count(tmp_path, capsys, monkeypatch,
+                                                      case, code):
+    doc = (_tv3_doc() if case == "time_varying_3d"
+           else bench_doc(steps=60, mc={"n_paths": 400, "seed": 3}))
+    extra = ("--debug-scale-sigma", "2") if case == "scalar_sigma2" else ()
+    path = write_doc(tmp_path, doc)
+    runs = []
+    for cpus in (1, 2, 3):
+        counted = _cpus(monkeypatch, cpus)
+        runs.append(_verify_run(path, tmp_path / f"cpus{cpus}", capsys, *extra))
+        assert len(counted) == 2 * (cpus - 1)  # one pass per grid
+    assert sorted(runs[0][3]) == ["checks.csv", "report.json", "series.csv"]
+    assert runs[0][0] == code
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus, first_bad, fork_ok", [
+    (2, 30, True),   # only the child's share fails
+    (2, 10, True),   # both fail; this process's share alone names node 81
+    (3, 30, True),
+    (3, 5, True),
+    (2, 10, False),  # os.fork fails: both shares run here
+])
+def test_failed_share_reruns_the_pass_and_leaves_no_process(tmp_path, capsys, monkeypatch,
+                                                            cpus, first_bad, fork_ok):
+    # path j >= first_bad draws an infinite increment at step 99 - j, so
+    # the first bad node over a set of paths is 100 minus its largest j
+    real_stack = verify._noise_stack
+
+    def bad_noise(seed, j0, j1, grid, dims):
+        dW, dWp = real_stack(seed, j0, j1, grid, dims)
+        for j in range(max(j0, first_bad), j1):
+            dW[j - j0, grid.steps - 1 - j] = np.inf
+        return dW, dWp
+
+    monkeypatch.setattr(verify, "_noise_stack", bad_noise)
+    path = write_doc(tmp_path, bench_doc())  # 40 paths, 100 steps
+    runs = []
+    for n in (1, cpus):
+        counted = _cpus(monkeypatch, n)
+        if not fork_ok:
+            def failing_fork():
+                counted.append(1)
+                raise OSError(11, "Resource temporarily unavailable")
+            monkeypatch.setattr(os, "fork", failing_fork)
+        code, out, err, _ = _verify_run(path, tmp_path / f"cpus{n}", capsys)
+        runs.append((code, out, err))
+        assert len(counted) == n - 1  # the first pass fails
+    assert runs[0] == (3, "", "numerical failure: simulate_closed_loop: "
+                              "non-finite value at node 61\n")
+    assert runs[1] == runs[0]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _mean_se(a):

@@ -93,6 +93,16 @@ def test_run_batch_chunk_invariance(any_n):
                                                   getattr(want, field), field)
 
 
+@pytest.mark.parametrize("chunk_size", [0, -5])
+def test_chunk_size_below_one_rejected(bench100, chunk_size):
+    model, grid, sol = bench100
+    with pytest.raises(ValueError, match="chunk_size"):
+        simulate_statistics(model, sol, 10, seed=0, chunk_size=chunk_size)
+    with pytest.raises(ValueError, match="chunk_size"):
+        list(iter_path_bundles(model, sol, FEEDBACK, 10, seed=0,
+                               chunk_size=chunk_size))
+
+
 def test_iter_path_bundles_matches_single_simulation(any_n):
     for model, grid, sol in any_n:
         bundles = list(iter_path_bundles(model, sol, FEEDBACK, 6, seed=17,
