@@ -5,11 +5,13 @@ cannot silently change a run.  Result documents are compact JSON whose
 only timestamp is meta.generated_at; per-path CSV files carry no
 timestamps at all and rerunning a simulation writes byte-identical files.
 
-`simulate` formats and writes its path files, and `verify` runs its Monte
-Carlo passes, in one forked worker per CPU this process may run on, through
-the one fork helper verify._run_in_shares.  Each path file depends on its
-path alone and each verify statistic is reduced from complete per-path
-arrays, so every output is byte-identical for any number of workers.
+`solve` writes solution.json, series.csv and value.json, and `simulate`
+its path files, through one write helper (_write_files) that runs one
+forked writer per CPU this process may run on; `verify` runs its Monte
+Carlo passes the same way.  Both go through the one fork helper
+verify._run_in_shares.  Each file depends on its own writer alone and each
+verify statistic is reduced from complete per-path arrays, so every output
+is byte-identical for any number of workers.
 
 Exit codes: 0 success, 2 validation problem (scenario or model), 3
 numerical blow-up, 4 a verification check failed, 5 I/O problem.
@@ -21,6 +23,7 @@ then the scenario's mc.seed, then 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -299,17 +302,6 @@ def _meta() -> dict:
     return {"generated_at": datetime.now(timezone.utc).isoformat()}
 
 
-def _solution_document(sol: DeterministicSolution) -> dict:
-    paths = {name: getattr(sol, name).tolist() for name in
-             ("P", "Theta", "phi", "Sigma", "Delta", "curlyA", "Pi")}
-    nodes = [{"index": i, "t": t, **{name: v[i] for name, v in paths.items()}}
-             for i, t in enumerate(sol.grid.nodes.tolist())]
-    return {"format_version": FORMAT_VERSION, "kind": "solution",
-            "meta": _meta(),
-            "grid": {"T": sol.grid.T, "steps": sol.grid.steps},
-            "nodes": nodes}
-
-
 def _value_document(vb: ValueBreakdown) -> dict:
     return {"format_version": FORMAT_VERSION, "kind": "value",
             "meta": _meta(), "breakdown": asdict(vb)}
@@ -329,36 +321,89 @@ def _series_rows(sol: DeterministicSolution):
 
 def _write_series_csv(path: str, blocks):
     """Write (names, t, values) blocks as series,t,value rows: for each
-    time t[i], one row per name k with the value values[i, k].  Each block
-    is formatted by one %.17g template repeated over its times."""
+    time t[i], one row per name k with the value values[i, k].  Each time
+    is formatted once with %.17g, and each block by one row template
+    repeated over its times."""
     with open(path, "w") as f:
         f.write("series,t,value\n")
         for names, t, values in blocks:
-            t = np.asarray(t, dtype=float)
-            row = "".join(f"{nm},%.17g,%.17g\n" for nm in names)
-            args = np.empty((len(t), len(names), 2))
-            args[:, :, 0] = t[:, None]
-            args[:, :, 1] = values
-            f.write((row * len(t)) % tuple(args.ravel().tolist()))
+            ts = ["%.17g" % x for x in np.asarray(t, dtype=float).tolist()]
+            row = "".join(f"{nm},%s,%.17g\n" for nm in names)
+            args = [None] * (2 * len(ts) * len(names))
+            args[0::2] = [x for x in ts for _ in names]
+            args[1::2] = np.asarray(values, dtype=float).ravel().tolist()
+            f.write((row * len(ts)) % tuple(args))
+
+
+# the per-node paths of solution.json, in the order of its node keys
+_SOLUTION_PATHS = ("P", "Theta", "phi", "Sigma", "Delta", "curlyA", "Pi")
+# nodes per formatting block of solution.json
+_NODE_BLOCK = 256
+
+
+def _check_solution_finite(sol: DeterministicSolution):
+    """NonFinite naming the first path, and its first node, that holds a
+    NaN or infinity: %r would write those as nan and inf, which are not
+    JSON, and no file of a blown-up solution should be written at all."""
+    for name in _SOLUTION_PATHS:
+        v = getattr(sol, name)
+        bad = ~np.isfinite(v.reshape(len(v), -1)).all(axis=1)
+        if bad.any():
+            raise NonFinite(f"solution.{name}", int(bad.argmax()))
+
+
+def _json_template(shape: tuple[int, ...]) -> str:
+    """json.dumps of a nested list of this shape, with %r for each float."""
+    if not shape:
+        return "%r"
+    return "[" + ", ".join([_json_template(shape[1:])] * shape[0]) + "]"
+
+
+def _write_solution_json(path: str, sol: DeterministicSolution):
+    """Write the solution document, byte for byte what json.dumps writes
+    for it: a head, then one object per node with its index, t and every
+    path of _SOLUTION_PATHS.  Each block of _NODE_BLOCK nodes is one node
+    template repeated and applied with % to a float block (index, t, each
+    path flattened); for a finite float %r is what json's encoder writes,
+    so every path must be finite (_check_solution_finite)."""
+    ts = sol.grid.nodes
+    paths = [getattr(sol, name) for name in _SOLUTION_PATHS]
+    node = "{" + ", ".join(['"index": %d', '"t": %r'] + [
+        f"{json.dumps(name)}: {_json_template(v.shape[1:])}"
+        for name, v in zip(_SOLUTION_PATHS, paths)]) + "}"
+    columns = [np.arange(len(ts)), ts] + [v.reshape(len(ts), -1) for v in paths]
+    head = {"format_version": FORMAT_VERSION, "kind": "solution", "meta": _meta(),
+            "grid": {"T": sol.grid.T, "steps": sol.grid.steps}}
+    with open(path, "w") as f:
+        f.write(json.dumps(head)[:-1] + ', "nodes": [')
+        for a in range(0, len(ts), _NODE_BLOCK):
+            block = np.column_stack([c[a:a + _NODE_BLOCK] for c in columns])
+            f.write((", " if a else "") + ", ".join([node] * len(block))
+                    % tuple(block.ravel().tolist()))
+        f.write("]}\n")
 
 
 def _write_json(path: str, doc: dict):
-    """Write json.dumps(doc), a top-level value or list item at a time:
-    json.dumps runs the C encoder (json.dump and indent do not), and the
-    text of a large document is never held whole."""
+    """Write json.dumps(doc), which runs the C encoder (json.dump and
+    indent do not), for the few-KB value and verify report documents."""
     with open(path, "w") as f:
-        sep = "{"
-        for key, val in doc.items():
-            f.write(f"{sep}{json.dumps(key)}: ")
-            if isinstance(val, list):
-                f.write("[")
-                for i, item in enumerate(val):
-                    f.write((", " if i else "") + json.dumps(item))
-                f.write("]")
-            else:
-                f.write(json.dumps(val))
-            sep = ", "
-        f.write("}\n")
+        f.write(json.dumps(doc) + "\n")
+
+
+def _write_files(writers: list):
+    """Call each writer, a function of no arguments that writes one file,
+    in one forked writer per CPU (verify._run_in_shares): contiguous shares
+    of the list, this process's the first.  A share whose writer did not
+    exit 0 is written again here, so its error surfaces as in one process.
+    A file depends on its writer alone, so it is byte-identical for any
+    number of writers."""
+    def write(a: int, b: int):
+        for w in writers[a:b]:
+            w()
+
+    if writers:
+        for a, b in _run_in_shares(len(writers), write):
+            write(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -421,30 +466,21 @@ def cmd_validate(args) -> int:
 def cmd_solve(args) -> int:
     sc, grid, _, _ = _load_scenario(args)
     sol = solve_all(sc.model, grid)
+    _check_solution_finite(sol)
     vb = optimal_value(sc.model, sol)
     print(f"total optimal value: {vb.total:.17g}")
     out = _output_dir(args, sc)
-    if "json" in sc.formats:
-        _write_json(os.path.join(out, "solution.json"), _solution_document(sol))
-        _write_json(os.path.join(out, "value.json"), _value_document(vb))
-    if "csv" in sc.formats:
-        _write_series_csv(os.path.join(out, "series.csv"), _series_rows(sol))
+    files = [("json", "solution.json", _write_solution_json, sol),
+             ("csv", "series.csv", _write_series_csv, _series_rows(sol)),
+             ("json", "value.json", _write_json, _value_document(vb))]
+    _write_files([functools.partial(write, os.path.join(out, name), data)
+                  for form, name, write, data in files if form in sc.formats])
     return EXIT_OK
 
 
-def _write_path_files(out: str, block: list, j0: int):
-    """Write block[i] to path_{j0 + i}.csv in one forked writer per CPU
-    (verify._run_in_shares).  The share of a writer that did not exit 0 is
-    written again here, so its error surfaces as in one process.  Each file
-    depends on its bundle alone: the files are byte-identical for any
-    number of writers."""
-    def write(a: int, b: int):
-        for i in range(a, b):
-            with open(os.path.join(out, f"path_{j0 + i:05d}.csv"), "w") as f:
-                bundle_to_csv(block[i], f)
-
-    for a, b in _run_in_shares(len(block), write):
-        write(a, b)
+def _write_bundle_csv(path: str, bundle):
+    with open(path, "w") as f:
+        bundle_to_csv(bundle, f)
 
 
 # paths per kernel chunk, and per block of path files
@@ -457,7 +493,10 @@ def cmd_simulate(args) -> int:
     out = _output_dir(args, sc)
     bundles = iter_path_bundles(sc.model, sol, sc.policy, n_paths, seed, _SIM_CHUNK)
     for j0 in range(0, n_paths, _SIM_CHUNK):
-        _write_path_files(out, list(itertools.islice(bundles, _SIM_CHUNK)), j0)
+        block = itertools.islice(bundles, _SIM_CHUNK)
+        _write_files([functools.partial(_write_bundle_csv,
+                                        os.path.join(out, f"path_{j:05d}.csv"), bundle)
+                      for j, bundle in enumerate(block, j0)])
     print(f"wrote {n_paths} path file(s) to {out}")
     return EXIT_OK
 

@@ -1,7 +1,10 @@
 import copy
 import json
 import os
-from dataclasses import asdict
+import re
+import subprocess
+import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -13,10 +16,11 @@ from polqg import (
     ValidationFailure,
     compute_gain,
     default_probe_nodes,
+    optimal_value,
     simulate_statistics,
     solve_all,
 )
-from polqg import verify
+from polqg import cli, verify
 from polqg.cli import (
     _run_checks,
     _scaled_sigma_solution,
@@ -305,6 +309,23 @@ def test_overflowed_cost_exits_3_naming_the_node(tmp_path, capsys):
 
 # --------------------------------------------------------------------- solve
 
+def _cpus(monkeypatch, n):
+    """Let this process run on n CPUs, and count the workers it forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _tree(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
 def test_solve_outputs(tmp_path, capsys):
     path = write_doc(tmp_path, bench_doc())
     out = tmp_path / "out"
@@ -331,20 +352,25 @@ def test_solve_outputs(tmp_path, capsys):
     assert len(series) == 1 + 3 * 101
 
 
+def _reference_series_csv(sol):
+    """series.csv's text, a row per (node, entry), each value formatted on its own."""
+    rows = ["series,t,value\n"]
+    for name, vals in (("P", sol.P), ("Sigma", sol.Sigma),
+                       ("Theta", sol.Theta)):
+        for i, t in enumerate(sol.grid.nodes):
+            for r in range(vals.shape[1]):
+                for c in range(vals.shape[2]):
+                    v = float(vals[i, r, c])
+                    rows.append(f"{name}[{r},{c}],{float(t):.17g},{v:.17g}\n")
+    return "".join(rows)
+
+
 def test_series_csv_matches_per_value_reference(tmp_path):
     model, grid = random_validated_model(np.random.default_rng(100),
                                          time_varying=True)
     assert model.dims.n >= 2 and model.dims.m >= 2
     sol = solve_all(model, grid)
-    # a row per (node, entry), each value formatted on its own
-    want = ["series,t,value\n"]
-    for name, vals in (("P", sol.P), ("Sigma", sol.Sigma),
-                       ("Theta", sol.Theta)):
-        for i, t in enumerate(grid.nodes):
-            for r in range(vals.shape[1]):
-                for c in range(vals.shape[2]):
-                    v = float(vals[i, r, c])
-                    want.append(f"{name}[{r},{c}],{float(t):.17g},{v:.17g}\n")
+    want = [_reference_series_csv(sol)]
     # verify's extra rows are one-row blocks
     extra = [("cost_mean[zero]", 1.0, -1.0 / 3.0), ("emp_error_cov[0,0]", 0.25, 1e-300)]
     want += [f"{name},{t:.17g},{v:.17g}\n" for name, t, v in extra]
@@ -423,6 +449,126 @@ def test_out_flag_overrides_output_directory(tmp_path, capsys):
     assert not target.exists()
 
 
+_GENERATED_AT = re.compile(rb'"generated_at": "[^"]*"')
+
+
+def _masked(files):
+    return {name: _GENERATED_AT.sub(b'"generated_at": null', data)
+            for name, data in files.items()}
+
+
+def _reference_solve_files(doc, steps=None):
+    """solve's files as the per-node dict writer wrote them, each document
+    one json.dumps with meta.generated_at masked."""
+    sc = parse_scenario(json.dumps(doc))
+    grid = sc.model.grid if steps is None else TimeGrid(sc.model.grid.T, steps)
+    sol = solve_all(sc.model, grid)
+    vb = optimal_value(sc.model, sol)
+    names = ("P", "Theta", "phi", "Sigma", "Delta", "curlyA", "Pi")
+    nodes = [{"index": i, "t": t, **{nm: getattr(sol, nm)[i].tolist() for nm in names}}
+             for i, t in enumerate(grid.nodes.tolist())]
+    meta = {"generated_at": None}
+    solution = {"format_version": 1, "kind": "solution", "meta": meta,
+                "grid": {"T": grid.T, "steps": grid.steps}, "nodes": nodes}
+    value = {"format_version": 1, "kind": "value", "meta": meta, "breakdown": asdict(vb)}
+    return {"solution.json": (json.dumps(solution) + "\n").encode(),
+            "series.csv": _reference_series_csv(sol).encode(),
+            "value.json": (json.dumps(value) + "\n").encode()}
+
+
+def _solve_cases():
+    model, grid = random_validated_model(np.random.default_rng(100), time_varying=True)
+    dims = model.dims
+    assert len({dims.n, dims.m, dims.d}) == 3  # Theta is m x n, Delta n x d
+    return {"scalar": (bench_doc(), None),
+            "time_varying_3d": (model_doc(model, grid), None),
+            "one_step": (bench_doc(), 1)}
+
+
+@pytest.mark.parametrize("case", ["scalar", "time_varying_3d", "one_step"])
+@pytest.mark.parametrize("formats, forks", [
+    pytest.param(["json", "csv"], (0, 1, 2), id="json+csv"),  # solution.json here
+    pytest.param(["json"], (0, 1, 1), id="json"),
+    pytest.param(["csv"], (0, 0, 0), id="csv"),
+    pytest.param([], (0, 0, 0), id="none"),
+])
+def test_solve_files_match_reference_for_any_writer_count(tmp_path, capsys, monkeypatch,
+                                                          case, formats, forks):
+    doc, steps = _solve_cases()[case]
+    doc["output"] = {"formats": formats}
+    path = write_doc(tmp_path, doc)
+    want = _reference_solve_files(doc, steps)
+    want = {name: data for name, data in want.items()
+            if ("json" if name.endswith(".json") else "csv") in formats}
+    extra = () if steps is None else ("--steps", str(steps))
+    for cpus, nforks in zip((1, 2, 3), forks):
+        counted = _cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["solve", "--scenario", path, "--out", str(out), *extra]) == 0
+        assert capsys.readouterr().out.count("total optimal value:") == 1
+        assert len(counted) == nforks
+        assert _masked(_tree(out)) == want
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("blocked", ["series.csv", "solution.json"])
+def test_failed_solve_writer_surfaces_and_leaves_no_process(tmp_path, capsys, monkeypatch,
+                                                            cpus, blocked):
+    # on 2 CPUs series.csv falls to the child, solution.json to this process
+    path = write_doc(tmp_path, bench_doc())
+    out = tmp_path / "o"
+    (out / blocked).mkdir(parents=True)
+    _cpus(monkeypatch, cpus)
+    assert main(["solve", "--scenario", path, "--out", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and str(out / blocked) in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_solve_prints_its_value_once_through_a_pipe(tmp_path):
+    # a block-buffered stdout is copied into each forked writer, which must
+    # leave without flushing it
+    path = write_doc(tmp_path, bench_doc())
+    code = ("import os, runpy, sys; os.sched_getaffinity = lambda pid: {0, 1, 2}; "
+            "sys.argv[0] = 'polqg'; runpy.run_module('polqg.cli', run_name='__main__')")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    res = subprocess.run([sys.executable, "-c", code, "solve", "--scenario", path,
+                          "--out", str(tmp_path / "o")],
+                         env={**env, "PYTHONPATH": os.pathsep.join(sys.path)},
+                         stdout=subprocess.PIPE, text=True, check=True)
+    assert res.stdout.count("total optimal value:") == 1
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [
+        "series.csv", "solution.json", "value.json"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_nonfinite_solution_exits_3_and_writes_no_token(tmp_path, capsys, monkeypatch, cpus):
+    # %r writes nan and inf, which are not JSON: nothing of it may reach a file
+    real_solve = cli.solve_all
+
+    def solve_inf(model, grid):
+        sol = real_solve(model, grid)
+        theta = sol.Theta.copy()
+        theta[7, 0, 0] = np.inf
+        return replace(sol, Theta=theta)
+
+    monkeypatch.setattr(cli, "solve_all", solve_inf)
+    _cpus(monkeypatch, cpus)
+    path = write_doc(tmp_path, bench_doc())
+    out = tmp_path / "o"
+    assert main(["solve", "--scenario", path, "--out", str(out)]) == 3
+    printed = capsys.readouterr()
+    assert "total optimal value" not in printed.out
+    assert printed.err == "numerical failure: solution.Theta: non-finite value at node 7\n"
+    for data in (_tree(out) if out.exists() else {}).values():
+        assert not re.search(rb"(?i)nan|inf", data)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 # ------------------------------------------------------------------ simulate
 
 def run_simulate(tmp_path, doc, outname, extra=()):
@@ -441,23 +587,6 @@ def test_simulate_writes_deterministic_files(tmp_path, capsys):
     _, out2 = run_simulate(tmp_path, bench_doc(), "b")
     for name in files:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-
-def _cpus(monkeypatch, n):
-    """Let this process run on n CPUs, and count the workers it forks."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    forks = []
-    real_fork = os.fork
-
-    def fork():
-        forks.append(1)
-        return real_fork()
-    monkeypatch.setattr(os, "fork", fork)
-    return forks
-
-
-def _tree(out):
-    return {p.name: p.read_bytes() for p in out.iterdir()}
 
 
 @pytest.mark.parametrize("n_paths, steps, forks", [

@@ -29,8 +29,8 @@ def test_import_does_not_load_numpy_random():
 
 def test_import_does_not_load_process_pools():
     # `polqg validate` imports cli, and multiprocessing alone costs 5-8 ms of
-    # import; simulate forks its writers, and verify its Monte Carlo
-    # workers, with os.fork instead
+    # import; solve and simulate fork their file writers, and verify its
+    # Monte Carlo workers, with os.fork instead
     code = ("import sys, polqg.cli; "
             "sys.exit(bool({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
     assert subprocess.run([sys.executable, "-c", code],
