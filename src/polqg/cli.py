@@ -62,7 +62,13 @@ from .model import (
     interp_table,  # noqa: F401  bench/tracer.py counts its calls here by name
     validate,
 )
-from .simulate import _POLICY_KINDS, ControlPolicy, _check_policy_table, bundle_to_csv
+from .simulate import (
+    _POLICY_KINDS,
+    ControlPolicy,
+    _check_policy_table,
+    _format_rows_17g,
+    bundle_to_csv,
+)
 from .value import ValueBreakdown, optimal_value
 from .verify import (
     _run_in_shares,
@@ -319,26 +325,60 @@ def _series_rows(sol: DeterministicSolution):
     return blocks
 
 
+# nodes per formatting block of solution.json and series.csv
+_NODE_BLOCK = 256
+
+
+def _series_batches(blocks):
+    """The (names, t, values) blocks cut and merged into batches of at
+    most _NODE_BLOCK times, each a list of (names, t, values) pieces."""
+    batch, room = [], _NODE_BLOCK
+    for names, t, values in blocks:
+        t, values = np.asarray(t, dtype=float), np.asarray(values, dtype=float)
+        a = 0
+        while a < len(t):
+            b = min(len(t), a + room)
+            batch.append((names, t[a:b], values[a:b]))
+            room -= b - a
+            a = b
+            if not room:
+                yield batch
+                batch, room = [], _NODE_BLOCK
+    if batch:
+        yield batch
+
+
 def _write_series_csv(path: str, blocks):
     """Write (names, t, values) blocks as series,t,value rows: for each
-    time t[i], one row per name k with the value values[i, k].  Each time
-    is formatted once with %.17g, and each block by one row template
-    repeated over its times."""
+    time t[i], one row per name k with the value values[i, k].
+
+    The numbers are written by simulate._format_rows_17g, the same bytes
+    as %.17g, which leaves to '%.17g' % x only the cells whose digits it
+    cannot prove (NaN, infinities, subnormals, |x| outside (1e-290,
+    1e290), near-ties).  The blocks are cut and merged into batches of at
+    most _NODE_BLOCK times (_series_batches), and each batch is one call
+    on its times, each formatted once, followed by its values.  So solve's
+    temporaries stay a batch long, and verify's one-row blocks all go in
+    one call."""
     with open(path, "w") as f:
         f.write("series,t,value\n")
-        for names, t, values in blocks:
-            ts = ["%.17g" % x for x in np.asarray(t, dtype=float).tolist()]
-            row = "".join(f"{nm},%s,%.17g\n" for nm in names)
-            args = [None] * (2 * len(ts) * len(names))
-            args[0::2] = [x for x in ts for _ in names]
-            args[1::2] = np.asarray(values, dtype=float).ravel().tolist()
-            f.write((row * len(ts)) % tuple(args))
+        for batch in _series_batches(blocks):
+            nt = sum(len(t) for _, t, _ in batch)
+            cells = _format_rows_17g(np.concatenate(
+                [t for _, t, _ in batch] + [v.ravel() for _, _, v in batch])[:, None]
+            ).split("\n")
+            times = iter(cells[:nt])
+            args = [None] * (2 * (len(cells) - 1 - nt))
+            args[0::2] = [tc for names, t, v in batch
+                          for tc in itertools.islice(times, len(t)) for nm in names]
+            args[1::2] = cells[nt:-1]
+            row = "".join("".join(f"{nm},%s,%s\n" for nm in names) * len(t)
+                          for names, t, _ in batch)
+            f.write(row % tuple(args))
 
 
 # the per-node paths of solution.json, in the order of its node keys
 _SOLUTION_PATHS = ("P", "Theta", "phi", "Sigma", "Delta", "curlyA", "Pi")
-# nodes per formatting block of solution.json
-_NODE_BLOCK = 256
 
 
 def _check_solution_finite(sol: DeterministicSolution):
@@ -609,6 +649,17 @@ def _run_checks(sc: Scenario, grid: TimeGrid, seed: int, n_paths: int,
     return checks, series
 
 
+def _write_checks_csv(path: str, checks: list[dict]):
+    """Write one row per check, its numbers with %.17g.  The rows are few
+    and mix text with numbers, so they stay on f-strings rather than
+    simulate._format_rows_17g."""
+    with open(path, "w") as f:
+        f.write("name,estimate,se,target,band,passed\n")
+        for c in checks:
+            f.write(f"{c['name']},{c['estimate']:.17g},{c['se']:.17g},"
+                    f"{c['target']:.17g},{c['band']:.17g},{c['passed']}\n")
+
+
 def cmd_verify(args) -> int:
     sc, grid, seed, n_paths = _load_scenario(args)
     sigma_scale = getattr(args, "debug_scale_sigma", 1.0)
@@ -623,11 +674,7 @@ def cmd_verify(args) -> int:
     if "json" in sc.formats:
         _write_json(os.path.join(out, "report.json"), doc)
     if "csv" in sc.formats:
-        with open(os.path.join(out, "checks.csv"), "w") as f:
-            f.write("name,estimate,se,target,band,passed\n")
-            for c in checks:
-                f.write(f"{c['name']},{c['estimate']:.17g},{c['se']:.17g},"
-                        f"{c['target']:.17g},{c['band']:.17g},{c['passed']}\n")
+        _write_checks_csv(os.path.join(out, "checks.csv"), checks)
         _write_series_csv(os.path.join(out, "series.csv"),
                           [([name], [t], [[v]]) for name, t, v in series])
     for c in checks:

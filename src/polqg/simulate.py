@@ -32,11 +32,22 @@ batch size: per-node products are two-operand np.einsum, all-node ones
 _add_matvec or value._matvec, each contracting a path in the same order
 in any batch, so for every n a path's outputs and cost are bitwise the
 same alone, in any batch and at any chunk size.
+
+Path files, and cli's series.csv, are CSV of %.17g numbers.
+_format_rows_17g writes a whole float block at once in numpy, byte for
+byte what '%.17g' % x gives: the 17 correctly rounded digits from a
+double-double product with a table of powers of ten, built on first use,
+then the %g layout as bytes.  A cell goes to '%.17g' % x alone when the
+fast path cannot prove its digits: NaN, infinities, subnormals and |x|
+outside (1e-290, 1e290), a product that is not finite, and a fraction
+within 1e-6 of one half, which covers every tie.  Zeros stay on the fast
+path.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -284,16 +295,213 @@ def simulate_error_direct(model: ModelSpec, sol: DeterministicSolution,
     return Xt[0]
 
 
+# decimal exponents of the power-of-ten table; |x| in (1e-290, 1e290)
+# has its exponent in -290..289, and one correction step either way
+_E_LO, _E_HI = -291, 290
+
+
+@functools.cache
+def _format_tables():
+    """The tables of _format_rows_17g, made on first use.
+
+    pow10[E - _E_LO] holds hi, lo and the 26-bit head of hi, where
+    hi + lo = 10**(16 - E) to 2**-106 relative, from exact integer
+    arithmetic: the head is split off here because Veltkamp's split of hi
+    itself overflows near 1e307.  The other tables are indexed by what
+    decides a cell's layout: for E (from _E_LO - 1 to _E_HI + 1), `point`
+    is the number of digits before the point, at least 1, and `layout`
+    has four columns per E, for (fraction follows, negative), whose eight
+    rows are the masks and bytes of the words _format_rows_17g writes.
+    zeros[w, k] adds '0' to the bytes of digit word w that hold one of the
+    first k digits.
+    """
+    pow10 = []
+    for E in range(_E_LO, _E_HI + 1):
+        num, den = (10 ** (16 - E), 1) if E <= 16 else (1, 10 ** (E - 16))
+        hi = num / den  # int division rounds correctly
+        a, b = hi.as_integer_ratio()
+        m, e = math.frexp(hi)
+        head = math.ldexp(round(math.ldexp(m, 26)), e - 26)
+        pow10.append((hi, (num * b - a * den) / (den * b), head))
+    layout, point = [], []
+    for E in range(_E_LO - 1, _E_HI + 2):
+        fixed = -4 <= E < 17
+        p = E + 1 if fixed else 1  # the point sits before digit p
+        # per digit word (digits 1..8, then 9..16): bytes before the point, '.'
+        low = [(1 << 8 * (p - b)) - 1 if 0 <= p - b < 8 else _M64 for b in (1, 9)]
+        dot = [0x2E << 8 * (p - b) if 0 <= p - b < 8 else 0 for b in (1, 9)]
+        split1 = low[0] != _M64
+        prefix = b"0.000"[:1 - E] if fixed and E < 0 else b""
+        suffix = b"" if fixed else b"e%+03d" % E
+        for frac in (0, 1):
+            for sign in (b"\0", b"-"):
+                # word 0's sign and prefix; word 1's mask of W1 and '.';
+                # word 2's masks of W1 and W2 and '.'; word 3's mask of
+                # W2; word 4's exponent (the separator is added later)
+                layout.append((int.from_bytes(sign + prefix, "little"),
+                               low[0], dot[0] * frac, _M64 ^ low[0],
+                               0 if split1 else low[1], dot[1] * frac,
+                               _M64 if split1 else _M64 ^ low[1],
+                               int.from_bytes(suffix, "little")))
+        point.append(max(p, 1))
+    zeros = [[sum(0x30 << 8 * j for j in range(8) if b + j < k) for k in range(18)]
+             for b in (1, 9)]
+    return (np.array(pow10), np.array(layout, np.uint64).T.copy(),
+            np.array(point, np.uint8), np.array(zeros, np.uint64))
+
+
+def _scaled(ax, E):
+    """hi, lo with hi + lo = ax * 10**(16 - E) within 1e-14, for ax in
+    (1e-290, 1e290): Dekker's exact product of ax and the table's hi, plus
+    ax times its lo."""
+    T = np.take(_format_tables()[0], E - _E_LO, axis=0)
+    H, L, Hh = T[:, 0], T[:, 1], T[:, 2]
+    Hl = H - Hh
+    p = ax * H
+    c = ax * 134217729.0  # 2**27 + 1: Veltkamp's split of ax
+    xh = c - (c - ax)
+    xl = ax - xh
+    return p, ((xh * Hh - p) + xh * Hl + xl * Hh) + xl * Hl + ax * L
+
+
+def _digit_bytes(v):
+    """The 8 decimal digits of each v < 1e8 (uint64, overwritten) as the
+    bytes of a uint64, most significant in byte 0: split into halves of 4
+    digits, each into 2, each into 1, by multiply-and-shift."""
+    hi = v // 10000
+    v -= hi * 10000
+    v <<= 32
+    v |= hi
+    q = ((v * 10486) >> 20) & 0x0000007F0000007F
+    v -= q * 100
+    v <<= 16
+    v |= q
+    q = ((v * 103) >> 10) & 0x000F000F000F000F
+    v -= q * 10
+    v <<= 8
+    v |= q
+    return v
+
+
+def _significant(w):
+    """The number of bytes of each _digit_bytes word up to its last nonzero one."""
+    s = w + 0x7F7F7F7F7F7F7F7F
+    s &= 0x8080808080808080
+    s |= s >> 8
+    s |= s >> 16
+    s |= s >> 32
+    return np.bitwise_count(s)
+
+
+def _nearest_digits(x):
+    """E, D and whether D is proven, for each cell of x: E = floor(log10
+    |x|) and D (uint64) the integer nearest to y = |x| 10**(16 - E), from
+    _scaled's double-double y, whose error is below 1e-14.  E is corrected
+    where y falls outside [1e16, 1e17), and D = 10**17 becomes 10**16 at
+    E + 1.  D is not proven where x is zero, NaN, infinite, subnormal or
+    outside (1e-290, 1e290), where y is not finite, or where the fraction
+    of y is within 1e-6 of one half, which holds every tie."""
+    ax = np.abs(x)
+    proven = (ax > 1e-290) & (ax < 1e290)
+    ax[~proven] = 1.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        E = np.floor(np.log10(ax)).astype(np.int64)
+        hi, lo = _scaled(ax, E)
+        # +1 where y < 1e16, -1 where y >= 1e17, by hi and lo together:
+        # hi alone rounds onto the bounds
+        fix = (((hi - 1e16) + lo < 0).view(np.int8)
+               - ((hi - 1e17) + lo >= 0).view(np.int8))
+        moved = np.flatnonzero(fix)
+        if moved.size:
+            E[moved] -= fix[moved]
+            h, l = _scaled(ax[moved], E[moved])
+            hi[moved], lo[moved] = h, l
+            proven[moved] &= ((h - 1e16) + l >= 0) & ((h - 1e17) + l < 0)
+        whole = np.floor(lo)
+        lo -= whole
+        proven &= np.isfinite(whole) & (np.abs(lo - 0.5) > 1e-6)
+        D = hi.astype(np.int64)
+        D += whole.astype(np.int64)
+        D += lo > 0.5
+    carry = D == 10 ** 17
+    E += carry
+    D -= carry * (9 * 10 ** 16)
+    return E, D.view(np.uint64), proven
+
+
+def _cell_17g(x: float) -> bytes:
+    """One cell whose digits _format_rows_17g cannot prove, as Python writes it."""
+    return b"%.17g" % x
+
+
+def _format_rows_17g(block: np.ndarray) -> str:
+    """The text of a 2-D float block: each cell as '%.17g' % x, a comma
+    between cells and a newline after each row.
+
+    Each cell's 17 digits come from _nearest_digits, zeros are written as
+    D = 0, and every other cell whose D is not proven is written by
+    _cell_17g.  Each cell fills five little-endian uint64 words, 40 bytes,
+    and the NUL bytes are padding deleted at the end.  Word 0 holds the
+    sign, the '0.000' of fixed notation below 1, and the leading digit;
+    words 1 to 3 hold digits 1..16, trailing zeros dropped, in two words
+    of 8 with the one holding the point split into its bytes before the
+    point plus '.' and its bytes after; word 4 holds the exponent of e
+    notation and the separator.
+    """
+    x = np.ascontiguousarray(block, dtype=float)
+    rows, cols = x.shape
+    x = x.ravel()
+    _, layout, point, zeros = _format_tables()
+    E, D, proven = _nearest_digits(x)
+    zero = x == 0
+    d0 = D // 10 ** 16
+    D -= d0 * 10 ** 16
+    d0 -= zero
+    W = np.empty((2, len(x)), np.uint64)
+    np.floor_divide(D, 10 ** 8, out=W[0])
+    np.subtract(D, W[0] * 10 ** 8, out=W[1])
+    W = _digit_bytes(W)
+    n1, n2 = _significant(W)
+    n2 += (n2 > 0) * np.uint8(8)
+    nsig = np.maximum(n1, n2)
+    nsig += 1
+    at = E - (_E_LO - 1)  # the cell's column of the layout tables
+    p = point[at]
+    W += np.take(zeros, np.maximum(nsig, p), axis=1)  # integer digits stay
+    at <<= 2
+    at += (nsig > p) * 2
+    at += np.signbit(x)
+    W1, W2 = W
+    text = bytearray(40 * len(x))
+    words = np.frombuffer(text, "<u8").reshape(-1, 5)  # byte 0 is the low byte
+    d0 += 0x30
+    d0 <<= 48
+    words[:, 0] = layout[0][at] | d0
+    words[:, 1] = (W1 & layout[1][at]) | layout[2][at]
+    words[:, 2] = (W1 & layout[3][at]) | (W2 & layout[4][at]) | layout[5][at]
+    words[:, 3] = W2 & layout[6][at]
+    sep = np.full((rows, cols), ord(",") << 40, np.uint64)
+    sep[:, -1] = ord("\n") << 40
+    words[:, 4] = layout[7][at] | sep.ravel()
+    cells = words.view(np.uint8)
+    for i in np.flatnonzero(~(proven | zero)).tolist():
+        cell = _cell_17g(float(x[i]))
+        cells[i, :37] = 0  # all but the separator, byte 5 of word 4
+        cells[i, :len(cell)] = np.frombuffer(cell, np.uint8)
+    return text.translate(None, b"\0").decode()
+
+
 def bundle_to_csv(bundle: PathBundle, fileobj):
     """Write one path as CSV: a row per node, 17 significant digits, and a
-    trailing comment record with the realized cost.  One %.17g row
-    template is applied over the whole (N+1, columns) block.  No
-    timestamps, so identical bundles serialize byte-identically."""
+    trailing comment record with the realized cost.  The whole (N+1,
+    columns) block is one _format_rows_17g call, the same bytes as a %.17g
+    row template applied over it: numpy writes every cell whose digits it
+    can prove, and '%.17g' % x the few others (see the module docstring).
+    No timestamps, so identical bundles serialize byte-identically."""
     levels = (("X", bundle.X), ("Y", bundle.Y), ("Xhat", bundle.Xhat),
               ("Xtil", bundle.Xtil), ("V", bundle.V), ("u", bundle.u))
     cols = ["t"] + [f"{name}{j+1}" for name, a in levels for j in range(a.shape[1])]
     fileobj.write(",".join(cols) + "\n")
     block = np.concatenate([bundle.grid.nodes[:, None]] + [a for _, a in levels], axis=1)
-    row = ",".join(["%.17g"] * len(cols)) + "\n"
-    fileobj.write((row * len(block)) % tuple(block.ravel().tolist()))
+    fileobj.write(_format_rows_17g(block))
     fileobj.write(f"# cost,{bundle.cost:.17g}\n")

@@ -200,14 +200,17 @@ def _record_feedback(arrs, stats: PathStatistics, rows: slice):
     """Write the per-path numbers of one chunk of filter feedback paths
     into rows of stats: the probe statistics, the innovation increment
     sums, and the cost split along X = Xhat + Xtil, where value.path_cost
-    prices Xhat with the applied controls and Xtil with none."""
+    prices Xhat with the applied controls and Xtil with none.  The
+    chunk's dV and X buffers are its scratch, for the increment products
+    and for Xtil, so arrs holds neither afterwards."""
     tab = stats.sol.table
     dvc = _matvec(tab.Kinv[:-1:2], arrs["dV"])  # K^{-1} dV
     stats.inc_sums[rows] = dvc.sum(axis=1)
-    stats.inc_sq[rows] = (dvc ** 2).sum(axis=1)
-    stats.lag_sums[rows] = (dvc[:, :-1] * dvc[:, 1:]).sum(axis=1)
-    del dvc  # before the path costs' temporaries
-    Xtil = arrs["X"] - arrs["Xhat"]
+    sq = arrs["dV"]
+    stats.inc_sq[rows] = np.square(dvc, out=sq).sum(axis=1)
+    stats.lag_sums[rows] = np.multiply(dvc[:, :-1], dvc[:, 1:], out=sq[:, :-1]).sum(axis=1)
+    del dvc, sq  # before the path costs' temporaries
+    Xtil = np.subtract(arrs["X"], arrs["Xhat"], out=arrs["X"])
     for pn in stats.error_outer:
         til = Xtil[:, pn]
         stats.error_outer[pn][rows] = til[:, :, None] * til[:, None, :]

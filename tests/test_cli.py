@@ -678,6 +678,51 @@ def test_simulate_noiseless_state_is_tracked(tmp_path, capsys):
         assert float(parts[ixt]) == 0.0
 
 
+def _reference_path_files(doc, n_paths):
+    """simulate's path files as the %.17g row template wrote them, from
+    the same bundles."""
+    sc = parse_scenario(json.dumps(doc))
+    sol = solve_all(sc.model, sc.model.grid)
+    files = {}
+    for j, b in enumerate(verify.iter_path_bundles(sc.model, sol, sc.policy,
+                                                   n_paths, sc.seed)):
+        levels = {"X": b.X, "Y": b.Y, "Xhat": b.Xhat, "Xtil": b.Xtil, "V": b.V, "u": b.u}
+        cols = ["t"] + [f"{k}{i + 1}" for k, a in levels.items() for i in range(a.shape[1])]
+        block = np.column_stack([b.grid.nodes, *levels.values()])
+        row = ",".join(["%.17g"] * len(cols)) + "\n"
+        text = ",".join(cols) + "\n" + (row * len(block)) % tuple(block.ravel().tolist())
+        files[f"path_{j:05d}.csv"] = (text + f"# cost,{b.cost:.17g}\n").encode()
+    return files
+
+
+def _noiseless_doc():
+    # Xtil is exactly zero at every node
+    return bench_doc(coefficients={"constant": {
+        **bench_doc()["coefficients"]["constant"], "D": [[0.0]]}})
+
+
+def _exponents_doc():
+    # t from 1e-5 and a state near 1e18: %.17g writes both in e notation
+    return bench_doc(T=1e-3, x0=[1e18])
+
+
+@pytest.mark.parametrize("doc, shows", [(_noiseless_doc, ",0,0,"),
+                                        (_exponents_doc, "1.0000000000000001e-05,")])
+def test_simulate_files_match_the_17g_template(tmp_path, capsys, monkeypatch, doc, shows):
+    doc = doc()
+    path = write_doc(tmp_path, doc)
+    want = _reference_path_files(doc, 3)
+    assert shows in want["path_00000.csv"].decode()
+    for cpus, nforks in zip((1, 2, 3), (0, 1, 2)):
+        counted = _cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["simulate", "--scenario", path, "--out", str(out), "--paths", "3"]) == 0
+        assert len(counted) == nforks
+        assert _tree(out) == want
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_simulate_open_loop_policy(tmp_path, capsys):
     doc = bench_doc(policy={"kind": "open_loop",
                             "table": [[0.125]] * 101})

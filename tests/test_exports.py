@@ -35,3 +35,12 @@ def test_import_does_not_load_process_pools():
             "sys.exit(bool({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
     assert subprocess.run([sys.executable, "-c", code],
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}).returncode == 0
+
+
+def test_import_does_not_build_the_format_tables():
+    # the power-of-ten and layout tables of simulate._format_rows_17g are
+    # made on the first path or series file, so `validate` never pays
+    code = ("import sys, polqg.cli, polqg.simulate as s; "
+            "sys.exit(s._format_tables.cache_info().currsize)")
+    assert subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}).returncode == 0

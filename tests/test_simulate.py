@@ -19,7 +19,8 @@ from polqg import (
     solve_all,
     validate,
 )
-from polqg.simulate import _closed_loop_arrays
+from polqg import simulate
+from polqg.simulate import _closed_loop_arrays, _format_rows_17g
 from polqg.verify import _noise_stack
 
 from oracles import benchmark_model, closed_loop_reference, random_validated_model
@@ -350,22 +351,97 @@ def test_cost_is_left_riemann_plus_terminal(bench, tv):
 
 def test_csv_matches_per_value_reference(tv):
     model, grid, sol = tv
-    bundle = simulate_closed_loop(model, sol, ControlPolicy("filter_feedback"),
-                                  draw_noise(8, 0, grid, model.dims))
+    plain = simulate_closed_loop(model, sol, ControlPolicy("filter_feedback"),
+                                 draw_noise(8, 0, grid, model.dims))
     n, d, m = model.dims.n, model.dims.d, model.dims.m
     cols = (["t"] + [f"X{j+1}" for j in range(n)] + [f"Y{j+1}" for j in range(d)]
             + [f"Xhat{j+1}" for j in range(n)] + [f"Xtil{j+1}" for j in range(n)]
             + [f"V{j+1}" for j in range(d)] + [f"u{j+1}" for j in range(m)])
-    # a row per node, each value formatted on its own
-    want = [",".join(cols) + "\n"]
-    for i, t in enumerate(grid.nodes):
-        vals = [t, *bundle.X[i], *bundle.Y[i], *bundle.Xhat[i], *bundle.Xtil[i],
-                *bundle.V[i], *bundle.u[i]]
-        want.append(",".join(f"{float(v):.17g}" for v in vals) + "\n")
-    want.append(f"# cost,{bundle.cost:.17g}\n")
-    buf = io.StringIO()
-    bundle_to_csv(bundle, buf)
-    assert buf.getvalue() == "".join(want)
+    # below 1e-4 and from 1e17 up, %.17g turns to e notation, 2 and 3 digits
+    for scales in ({}, {"X": 1e18, "Xhat": 1e18, "Y": 1e-9, "V": 1e-250, "u": 1e120}):
+        bundle = dataclasses.replace(plain, **{name: getattr(plain, name) * k
+                                               for name, k in scales.items()})
+        # a row per node, each value formatted on its own
+        want = [",".join(cols) + "\n"]
+        for i, t in enumerate(grid.nodes):
+            vals = [t, *bundle.X[i], *bundle.Y[i], *bundle.Xhat[i], *bundle.Xtil[i],
+                    *bundle.V[i], *bundle.u[i]]
+            want.append(",".join(f"{float(v):.17g}" for v in vals) + "\n")
+        want.append(f"# cost,{bundle.cost:.17g}\n")
+        buf = io.StringIO()
+        bundle_to_csv(bundle, buf)
+        assert buf.getvalue() == "".join(want)
+        rows = "".join(want[1:-1])
+        assert ("e+" in rows and "e-" in rows) == bool(scales)
+
+
+def _template_17g(block):
+    """What the %.17g row template writes for a 2-D block."""
+    row = ",".join(["%.17g"] * block.shape[1]) + "\n"
+    return (row * len(block)) % tuple(block.ravel().tolist())
+
+
+@pytest.fixture(scope="module")
+def formatter_cases():
+    """About 2e5 seeded cells in groups that reach every branch of the
+    formatter and its fallback."""
+    rng = np.random.default_rng(2026)
+    sign = lambda size: rng.choice([-1.0, 1.0], size)
+    tens = np.array([float(f"1e{e}") for e in range(-308, 309)])
+    near, up, down = [tens], tens, tens
+    for _ in range(4):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        near += [up, down]
+    near = np.concatenate(near)
+    tiny = np.nextafter(2.2250738585072014e-308, 0.0)  # the largest subnormal
+    return {
+        "scaled_normals": rng.standard_normal(70000)
+                          * 10.0 ** rng.integers(-300, 301, 70000),
+        "random_bits": rng.integers(0, 2 ** 64, 40000, dtype=np.uint64).view(float),
+        "powers_of_ten": np.concatenate([near, -near]),  # +-1..4 ulps
+        # odd m / 2**k: every 17-digit tie is one of these
+        "dyadic": sign(40000) * (rng.integers(0, 2 ** 52, 40000) * 2 + 1)
+                  / 2.0 ** rng.integers(1, 71, 40000),
+        "integers": sign(20000) * rng.integers(0, 2 ** 63, 20000, dtype=np.uint64,
+                                               endpoint=True).astype(float),
+        "range_edges": sign(20000) * 10.0 ** np.concatenate(
+            [rng.uniform(-290, -280, 10000), rng.uniform(280, 290, 10000)]),
+        "exponents": np.concatenate([1.25 * 10.0 ** np.arange(-310.0, 309.0),
+                                     -7.0 * 10.0 ** np.arange(-20.0, 20.0)]),
+        "special": np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
+                             -5e-324, tiny, -tiny, 1e-300, 1e300, 1e-290, 1e290,
+                             1.0, -1.0, 0.1, 1e16, 1e17, 1e-5, 1e-4, 9.9999999999999998e-201]),
+    }
+
+
+@pytest.mark.parametrize("case", ["scaled_normals", "random_bits", "powers_of_ten",
+                                  "dyadic", "integers", "range_edges", "exponents",
+                                  "special"])
+def test_format_rows_17g_matches_the_template(formatter_cases, case):
+    x = formatter_cases[case]
+    blocks = [x[:len(x) // 6 * 6].reshape(-1, 6), x[None, :]]  # and 1 x n
+    blocks += [x[i:i + 1, None] for i in range(0, len(x), max(1, len(x) // 50))]  # 1 x 1
+    for block in blocks:
+        assert _format_rows_17g(block) == _template_17g(block), block.shape
+
+
+def test_format_rows_17g_falls_back_only_where_it_cannot_prove(monkeypatch):
+    cells = []
+    real = simulate._cell_17g
+    monkeypatch.setattr(simulate, "_cell_17g", lambda x: cells.append(x) or real(x))
+    zeros = np.zeros((40, 5))
+    zeros[::3] = -0.0
+    assert _format_rows_17g(zeros) == _template_17g(zeros)
+    assert cells == []
+    normals = np.random.default_rng(5).standard_normal((2000, 8))
+    assert _format_rows_17g(normals) == _template_17g(normals)
+    assert cells == []
+    # NaN, infinities, a subnormal, |x| outside (1e-290, 1e290), and the
+    # exact tie 1 + 2**-17 = 1.00000762939453125, but not their neighbours
+    odd = np.array([[np.nan, np.inf, -np.inf, 5e-324, 1e-291, 1e291, 1 + 2.0 ** -17,
+                     1e-289, 1e289, 1 + 2.0 ** -16, 0.0, -0.0]])
+    assert _format_rows_17g(odd) == _template_17g(odd)
+    np.testing.assert_array_equal(cells, odd[0, :7])
 
 
 def test_csv_layout_and_determinism(bench):

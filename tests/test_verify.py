@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,26 @@ def pass4000(bench100):
 @pytest.fixture(scope="module")
 def batch4000(pass4000):
     return run_batch(pass4000, 100)
+
+
+def test_record_feedback_holds_one_increment_buffer(bench100):
+    # Xtil goes into the kernel's X buffer and the squared and lagged
+    # increments into its dV buffer, so besides K^{-1} dV the reduction
+    # holds no other (paths, N) array, where it held two
+    model, grid, sol = bench100
+    paths = 2000
+    stats = simulate_statistics(model, sol, paths, seed=101, probes=(50, 100))
+    dW, dWp = verify._noise_stack(101, 0, paths, grid, model.dims)
+    arrs = verify._closed_loop_arrays(model, sol, FEEDBACK, dW, dWp)
+    buffer = arrs["dV"].nbytes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        verify._record_feedback(arrs, stats, slice(0, paths))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 1.25 * buffer
 
 
 def test_default_probe_nodes():
