@@ -5,13 +5,13 @@ cannot silently change a run.  Result documents are compact JSON whose
 only timestamp is meta.generated_at; per-path CSV files carry no
 timestamps at all and rerunning a simulation writes byte-identical files.
 
-`solve` writes solution.json, series.csv and value.json, and `simulate`
-its path files, through one write helper (_write_files) that runs one
-forked writer per CPU this process may run on; `verify` runs its Monte
-Carlo passes the same way.  Both go through the one fork helper
-verify._run_in_shares.  Each file depends on its own writer alone and each
-verify statistic is reduced from complete per-path arrays, so every output
-is byte-identical for any number of workers.
+`solve` shares out its file writers, `simulate` its paths (a share
+simulates its paths and writes their files) and `verify` the paths of each
+Monte Carlo pass, one share per CPU this process may run on, through the
+one fork helper verify._run_in_shares, which reruns the work here if any
+share fails.  Each file depends on its own writer alone and each verify
+statistic is reduced from complete per-path arrays, so every output is
+byte-identical for any number of workers.
 
 Exit codes: 0 success, 2 validation problem (scenario or model), 3
 numerical blow-up, 4 a verification check failed, 5 I/O problem.
@@ -65,6 +65,7 @@ from .model import (
 from .simulate import (
     _POLICY_KINDS,
     ControlPolicy,
+    _bundles,
     _check_policy_table,
     _format_rows_17g,
     bundle_to_csv,
@@ -72,14 +73,15 @@ from .simulate import (
 from .value import ValueBreakdown, optimal_value
 from .verify import (
     _run_in_shares,
+    _simulate_chunks,
     brownianity_report,
     compare_policies,
     decomposition_check,
     default_probe_nodes,
-    iter_path_bundles,
     run_batch,
     simulate_statistics,
 )
+from .verify import iter_path_bundles  # noqa: F401  bench/tracer.py wraps it here by name
 
 __all__ = ["Scenario", "parse_scenario", "cmd_validate", "cmd_solve",
            "cmd_simulate", "cmd_verify", "main"]
@@ -430,22 +432,6 @@ def _write_json(path: str, doc: dict):
         f.write(json.dumps(doc) + "\n")
 
 
-def _write_files(writers: list):
-    """Call each writer, a function of no arguments that writes one file,
-    in one forked writer per CPU (verify._run_in_shares): contiguous shares
-    of the list, this process's the first.  A share whose writer did not
-    exit 0 is written again here, so its error surfaces as in one process.
-    A file depends on its writer alone, so it is byte-identical for any
-    number of writers."""
-    def write(a: int, b: int):
-        for w in writers[a:b]:
-            w()
-
-    if writers:
-        for a, b in _run_in_shares(len(writers), write):
-            write(a, b)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -513,17 +499,18 @@ def cmd_solve(args) -> int:
     files = [("json", "solution.json", _write_solution_json, sol),
              ("csv", "series.csv", _write_series_csv, _series_rows(sol)),
              ("json", "value.json", _write_json, _value_document(vb))]
-    _write_files([functools.partial(write, os.path.join(out, name), data)
-                  for form, name, write, data in files if form in sc.formats])
+    writers = [functools.partial(write, os.path.join(out, name), data)
+               for form, name, write, data in files if form in sc.formats]
+
+    def write_share(a: int, b: int):
+        for w in writers[a:b]:
+            w()
+
+    _run_in_shares(len(writers), write_share)
     return EXIT_OK
 
 
-def _write_bundle_csv(path: str, bundle):
-    with open(path, "w") as f:
-        bundle_to_csv(bundle, f)
-
-
-# paths per kernel chunk, and per block of path files
+# paths per kernel chunk within a share
 _SIM_CHUNK = 1024
 
 
@@ -531,12 +518,15 @@ def cmd_simulate(args) -> int:
     sc, grid, seed, n_paths = _load_scenario(args)
     sol = solve_all(sc.model, grid)
     out = _output_dir(args, sc)
-    bundles = iter_path_bundles(sc.model, sol, sc.policy, n_paths, seed, _SIM_CHUNK)
-    for j0 in range(0, n_paths, _SIM_CHUNK):
-        block = itertools.islice(bundles, _SIM_CHUNK)
-        _write_files([functools.partial(_write_bundle_csv,
-                                        os.path.join(out, f"path_{j:05d}.csv"), bundle)
-                      for j, bundle in enumerate(block, j0)])
+
+    def write_share(a: int, b: int):
+        for j0, _, _, arrs in _simulate_chunks(sc.model, sol, (sc.policy,), a, b,
+                                               seed, _SIM_CHUNK):
+            for j, bundle in enumerate(_bundles(sol, arrs), j0):
+                with open(os.path.join(out, f"path_{j:05d}.csv"), "w") as f:
+                    bundle_to_csv(bundle, f)
+
+    _run_in_shares(n_paths, write_share)
     print(f"wrote {n_paths} path file(s) to {out}")
     return EXIT_OK
 

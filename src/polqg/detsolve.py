@@ -30,9 +30,10 @@ step, so every step map is built at once from the knot arrays
            Sigma are composed together, Sigma in reversed time
            (_solve_riccati); Pi has M = 0 and is solved inside
            solve_filter_side, so a rescaled Sigma rebuilds it.
-  phi      dphi/dt = -(A + B Theta)^T phi - Theta^T r - P a - q is affine,
-           so z = [phi; 1] is linear and a product S carries phi to
-           S11 phi + S12.  That is RK4 on phi itself, up to roundoff.
+  phi, pi  dy/dt = -(F^T y + c), for phi with F = A + B Theta and
+           c = Theta^T r + P a + q, for pi with F = curlyA and c = q, is
+           affine (_solve_offset), so z = [y; 1] is linear and a product S
+           carries y to S11 y + S12.  That is RK4 on y itself, up to roundoff.
 
 Composition runs from t_N down, a fixed chunk of _CHUNK steps at a time,
 so no (2N+1, 2n, 2n) array is ever held.  A chunk is cut into blocks
@@ -50,8 +51,7 @@ table.grid.  A path already computed on the grid enters the knot arrays
 of a later equation with its midpoint values interpolated linearly
 between nodes.  Symmetric paths are symmetrized at every node.
 For callers that need one path, solve_P and solve_Sigma compose that
-equation alone.  solve_pi steps the backward offset
-dpi/dt = -(curlyA^T pi + q), pi(T) = g, which no value term reads: pi
+equation alone.  No value term reads the backward offset pi: pi
 could enter only through 2<pi, E Xtil>, and E Xtil = 0 since Xtil_0 = 0
 and the error recursion has no forcing term; solve_all does not call it.
 """
@@ -229,7 +229,7 @@ def integrate_matrix_ode(
     grid: TimeGrid,
     direction: Literal["forward", "backward"],
     post_step: Callable[[np.ndarray], np.ndarray] | None = None,
-    what: str | Callable[[np.ndarray, int], NonFinite] = "integrate_matrix_ode",
+    what: str = "integrate_matrix_ode",
 ) -> np.ndarray:
     """Classical fixed-step RK4 over the grid, either direction.
 
@@ -239,15 +239,12 @@ def integrate_matrix_ode(
     forward: boundary is the value at t_0, integrate up to t_N.
     backward: boundary is the value at t_N, integrate down to t_0.
     The boundary node stores `boundary` unchanged.  As soon as a step
-    produces a NaN or infinity at node i it raises NonFinite(what, i), or,
-    when `what` is callable, what(y, i), so a stacked solve can name the
-    equation that blew up.
+    produces a NaN or infinity at node i it raises NonFinite(what, i).
 
-    solve_all composes step maps instead (see the module docstring).  This
-    loop stays as the plain form of the same RK4: solve_pi, which solve_all
-    does not call, steps it, so do the tests' per-equation references of
-    the Riccati equations as written, and bench/tracer.py counts its steps
-    by this name.
+    Every solver in this module composes step maps instead (see the module
+    docstring).  This loop stays as the plain form of the same RK4 for the
+    tests' per-equation references, which step the equations as written,
+    and for bench/tracer.py, which counts its steps by this name.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
@@ -268,7 +265,7 @@ def integrate_matrix_ode(
         if post_step is not None:
             y = post_step(y)
         if not np.isfinite(y).all():
-            raise what(y, b) if callable(what) else NonFinite(what, b)
+            raise NonFinite(what, b)
         out[b] = y
     return out
 
@@ -356,19 +353,26 @@ def compute_Theta(P: np.ndarray, tab: NodeTable) -> np.ndarray:
     return -solve_stack(R, B.mT @ P + S, "R", tab.grid.nodes)
 
 
+def _solve_offset(tab: NodeTable, F: np.ndarray, c: np.ndarray, name: str) -> np.ndarray:
+    """Backward offset dy/dt = -(F^T y + c), y(T) = g, for knot arrays F and
+    c, composed from the step maps of z = [y; 1], whose matrix
+    [[-F^T, -c], [0, 0]] is built at every knot first; a blow-up raises
+    NonFinite(name, node)."""
+    n = tab.dims.n
+    L = np.zeros((len(F), n + 1, n + 1))
+    L[:, :n, :n] = -F.mT
+    L[:, :n, n] = -c
+    return _scan_backward(tab.grid, lambda knots: L[knots], tab.g,
+                          lambda S, y: S[..., :n, :n] @ y + S[..., :n, n],
+                          lambda _, i: NonFinite(name, i))
+
+
 def solve_phi(tab: NodeTable, Theta: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Backward affine offset with terminal value g:
-    dphi/dt = -(A + B Theta)^T phi - Theta^T r - P a - q, composed from
-    the step maps of z = [phi; 1], whose matrix [[F, c], [0, 0]] is built
-    at every knot first."""
-    n = tab.dims.n
+    dphi/dt = -(A + B Theta)^T phi - Theta^T r - P a - q."""
     Th_k, P_k = (at_knots(tab.grid, tab.grid, v) for v in (Theta, P))
-    L = np.zeros((2 * tab.grid.steps + 1, n + 1, n + 1))
-    L[:, :n, :n] = -(tab.A + tab.B @ Th_k).mT
-    L[:, :n, n] = -(Th_k.mT @ tab.r[..., None] + P_k @ tab.a[..., None])[..., 0] - tab.q
-    return _scan_backward(tab.grid, lambda knots: L[knots], tab.g,
-                          lambda S, phi: S[..., :n, :n] @ phi + S[..., :n, n],
-                          lambda _, i: NonFinite("phi", i))
+    c = (Th_k.mT @ tab.r[..., None] + P_k @ tab.a[..., None])[..., 0] + tab.q
+    return _solve_offset(tab, tab.A + tab.B @ Th_k, c, "phi")
 
 
 def compute_ff(phi: np.ndarray, tab: NodeTable) -> np.ndarray:
@@ -408,9 +412,7 @@ def solve_Pi(tab: NodeTable, curlyA: np.ndarray) -> np.ndarray:
 def solve_pi(tab: NodeTable, curlyA: np.ndarray) -> np.ndarray:
     """Backward linear offset dpi/dt = -(curlyA^T pi + q) with terminal
     value g; see the module docstring for why solve_all leaves it out."""
-    Av = at_knots(tab.grid, tab.grid, curlyA)
-    return integrate_matrix_ode(lambda j, p: -(Av[j].T @ p + tab.q[j]), tab.g,
-                                tab.grid, "backward", what="pi")
+    return _solve_offset(tab, at_knots(tab.grid, tab.grid, curlyA), tab.q, "pi")
 
 
 def solve_filter_side(Sigma: np.ndarray, tab: NodeTable) -> dict[str, np.ndarray]:

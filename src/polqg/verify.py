@@ -28,10 +28,10 @@ its rows into PathStatistics arrays carved before the fork from one
 anonymous shared mmap.  The reports reduce the complete per-path arrays
 with numpy after every child is reaped, so they are bitwise reproducible
 for fixed (model, seed, n_paths, policies), independent of chunk size,
-worker count or scheduling.  If any share fails, in a child or here, the
-whole pass runs again in this process, so that an error names the first
-bad node over the same chunks, with the same message and exit code, as a
-single-process run.
+worker count or scheduling.  _run_in_shares, the only place polqg forks,
+reruns the whole pass in this process if any share fails, in a child or
+here, so that an error names the first bad node over the same chunks,
+with the same message and exit code, as a single-process run.
 """
 
 from __future__ import annotations
@@ -128,18 +128,18 @@ def iter_path_bundles(model: ModelSpec, sol: DeterministicSolution,
 # ---------------------------------------------------------------------------
 # forked workers
 
-def _run_in_shares(count: int, work: Callable[[int, int], None]) -> list[tuple[int, int]]:
-    """Call work(a, b) on range(count), count >= 1, cut into one contiguous
-    share [a, b) per CPU this process may run on, at most count shares.
-    Forked children run the shares after the first and leave through
-    os._exit, never returning here; this process runs the first, then any
-    share whose child could not be forked.  Every child is reaped, also
-    when this process's own work raises.  Returns the shares whose child
-    did not exit 0, for the caller to redo in this process so that their
-    error surfaces."""
-    workers = min(len(os.sched_getaffinity(0)), count)
+def _run_in_shares(count: int, work: Callable[[int, int], None]):
+    """Call work(a, b) on range(count) cut into one contiguous share [a, b)
+    per CPU this process may run on, at most count shares and at least one
+    (work(0, 0) when count is 0).  Forked children run the shares after the
+    first and leave through os._exit, never returning here; this process
+    runs the first, then any share whose child could not be forked.  Every
+    child is reaped, also when this process's own work raises.  If any
+    share failed, here or in a child, work(0, count) runs again in this
+    process, so that an error is the one a single-process run raises."""
+    workers = max(min(len(os.sched_getaffinity(0)), count), 1)
     cuts = [w * count // workers for w in range(workers + 1)]
-    children, here = {}, [(0, cuts[1])]
+    children, here, failed = [], [(0, cuts[1])], False
     try:
         for a, b in zip(cuts[1:], cuts[2:]):
             try:
@@ -154,12 +154,15 @@ def _run_in_shares(count: int, work: Callable[[int, int], None]) -> list[tuple[i
                     code = 0
                 finally:
                     os._exit(code)
-            children[pid] = (a, b)
+            children.append(pid)
         for a, b in here:
             work(a, b)
+    except Exception:
+        failed = True
     finally:
-        failed = [share for pid, share in children.items() if os.waitpid(pid, 0)[1]]
-    return failed
+        failed |= any([os.waitpid(pid, 0)[1] for pid in children])  # a list: reap all
+    if failed:
+        work(0, count)
 
 
 def _shared_zeros(*shapes: tuple[int, ...]) -> list[np.ndarray]:
@@ -259,12 +262,7 @@ def simulate_statistics(model: ModelSpec, sol: DeterministicSolution,
                 _record_feedback(arrs, stats, slice(j0, j1))
             del arrs  # free this output before the next kernel call
 
-    try:
-        whole = bool(_run_in_shares(n_paths, fill))
-    except Exception:  # this process's share failed: rerun the pass below
-        whole = True
-    if whole:  # in one process, so an error names the node a single-process run does
-        fill(0, n_paths)
+    _run_in_shares(n_paths, fill)
     return stats
 
 

@@ -322,6 +322,52 @@ def _cpus(monkeypatch, n):
     return forks
 
 
+_FAILING_SHARES = pytest.mark.parametrize("cpus, first_bad, fork_ok", [
+    (2, 30, True),   # only the child's share fails
+    (2, 10, True),   # both fail; this process's share alone names node 81
+    (3, 30, True),
+    (3, 5, True),
+    (2, 10, False),  # os.fork fails: both shares run here
+])
+
+
+def _check_failed_share_reruns(tmp_path, capsys, monkeypatch, command,
+                               cpus, first_bad, fork_ok):
+    """Run `command` on 1 and on cpus CPUs of the 40-path, 100-step scalar
+    benchmark, where path j >= first_bad draws an infinite increment at
+    step 99 - j, so the first bad node over a set of paths is 100 minus its
+    largest j.  Both runs must fail as a single-process run does, at node
+    61, and leave no process behind."""
+    real_stack = verify._noise_stack
+
+    def bad_noise(seed, j0, j1, grid, dims):
+        dW, dWp = real_stack(seed, j0, j1, grid, dims)
+        for j in range(max(j0, first_bad), j1):
+            dW[j - j0, grid.steps - 1 - j] = np.inf
+        return dW, dWp
+
+    def failing_fork():
+        counted.append(1)
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(verify, "_noise_stack", bad_noise)
+    path = write_doc(tmp_path, bench_doc())
+    runs = []
+    for n in (1, cpus):
+        counted = _cpus(monkeypatch, n)
+        if not fork_ok:
+            monkeypatch.setattr(os, "fork", failing_fork)
+        code = main([command, "--scenario", path, "--out", str(tmp_path / f"cpus{n}")])
+        printed = capsys.readouterr()
+        runs.append((code, printed.out, printed.err))
+        assert len(counted) == n - 1  # the first pass fails
+    assert runs[0] == (3, "", "numerical failure: simulate_closed_loop: "
+                              "non-finite value at node 61\n")
+    assert runs[1] == runs[0]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _tree(out):
     return {p.name: p.read_bytes() for p in out.iterdir()}
 
@@ -591,7 +637,7 @@ def test_simulate_writes_deterministic_files(tmp_path, capsys):
 
 @pytest.mark.parametrize("n_paths, steps, forks", [
     (2, 100, (0, 1, 1)),      # fewer paths than writers
-    (1030, 2, (0, 2, 4)),     # a second kernel chunk forks its own writers
+    (1030, 2, (0, 1, 2)),     # a share runs more than one kernel chunk
 ])
 def test_simulate_files_do_not_depend_on_writer_count(tmp_path, capsys, monkeypatch,
                                                       n_paths, steps, forks):
@@ -628,6 +674,13 @@ def test_failed_writer_surfaces_and_leaves_no_process(tmp_path, capsys, monkeypa
             assert {f"path_{j:05d}.csv" for j in range(a, b)} <= written
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@_FAILING_SHARES
+def test_failed_simulate_share_reruns_and_leaves_no_process(tmp_path, capsys, monkeypatch,
+                                                            cpus, first_bad, fork_ok):
+    _check_failed_share_reruns(tmp_path, capsys, monkeypatch, "simulate",
+                               cpus, first_bad, fork_ok)
 
 
 def test_simulate_zero_paths(tmp_path, capsys):
@@ -822,43 +875,11 @@ def test_verify_outputs_do_not_depend_on_worker_count(tmp_path, capsys, monkeypa
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("cpus, first_bad, fork_ok", [
-    (2, 30, True),   # only the child's share fails
-    (2, 10, True),   # both fail; this process's share alone names node 81
-    (3, 30, True),
-    (3, 5, True),
-    (2, 10, False),  # os.fork fails: both shares run here
-])
+@_FAILING_SHARES
 def test_failed_share_reruns_the_pass_and_leaves_no_process(tmp_path, capsys, monkeypatch,
                                                             cpus, first_bad, fork_ok):
-    # path j >= first_bad draws an infinite increment at step 99 - j, so
-    # the first bad node over a set of paths is 100 minus its largest j
-    real_stack = verify._noise_stack
-
-    def bad_noise(seed, j0, j1, grid, dims):
-        dW, dWp = real_stack(seed, j0, j1, grid, dims)
-        for j in range(max(j0, first_bad), j1):
-            dW[j - j0, grid.steps - 1 - j] = np.inf
-        return dW, dWp
-
-    monkeypatch.setattr(verify, "_noise_stack", bad_noise)
-    path = write_doc(tmp_path, bench_doc())  # 40 paths, 100 steps
-    runs = []
-    for n in (1, cpus):
-        counted = _cpus(monkeypatch, n)
-        if not fork_ok:
-            def failing_fork():
-                counted.append(1)
-                raise OSError(11, "Resource temporarily unavailable")
-            monkeypatch.setattr(os, "fork", failing_fork)
-        code, out, err, _ = _verify_run(path, tmp_path / f"cpus{n}", capsys)
-        runs.append((code, out, err))
-        assert len(counted) == n - 1  # the first pass fails
-    assert runs[0] == (3, "", "numerical failure: simulate_closed_loop: "
-                              "non-finite value at node 61\n")
-    assert runs[1] == runs[0]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    _check_failed_share_reruns(tmp_path, capsys, monkeypatch, "verify",
+                               cpus, first_bad, fork_ok)
 
 
 def _mean_se(a):

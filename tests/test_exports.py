@@ -1,5 +1,7 @@
+import ast
 import importlib
 import os
+import pathlib
 import pkgutil
 import subprocess
 import sys
@@ -29,8 +31,8 @@ def test_import_does_not_load_numpy_random():
 
 def test_import_does_not_load_process_pools():
     # `polqg validate` imports cli, and multiprocessing alone costs 5-8 ms of
-    # import; solve and simulate fork their file writers, and verify its
-    # Monte Carlo workers, with os.fork instead
+    # import; solve, simulate and verify fork their workers with os.fork in
+    # verify._run_in_shares instead
     code = ("import sys, polqg.cli; "
             "sys.exit(bool({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
     assert subprocess.run([sys.executable, "-c", code],
@@ -44,3 +46,20 @@ def test_import_does_not_build_the_format_tables():
             "sys.exit(s._format_tables.cache_info().currsize)")
     assert subprocess.run([sys.executable, "-c", code],
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}).returncode == 0
+
+
+def test_only_the_share_driver_forks():
+    # one fork driver decides how work is shared out and what is rerun
+    # after a failure; a second call site would carry its own rules
+    def fork_callers(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "fork":
+            yield scope
+        for child in ast.iter_child_nodes(node):
+            yield from fork_callers(child, scope)
+
+    package = pathlib.Path(polqg.__file__).parent
+    callers = [(path.name, scope) for path in sorted(package.glob("*.py"))
+               for scope in fork_callers(ast.parse(path.read_text()), None)]
+    assert callers == [("verify.py", "_run_in_shares")]
