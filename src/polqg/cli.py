@@ -1,8 +1,12 @@
 """Command line front end: validate, solve, simulate, verify.
 
 Scenario files are strict JSON; unknown fields are rejected so typos
-cannot silently change a run.  Result documents are compact JSON whose
-only timestamp is meta.generated_at; per-path CSV files carry no
+cannot silently change a run.  _read_json decodes each array of arrays in
+a scenario by itself and turns it into a numpy array at once, so a
+table-form scenario never holds all its numbers as Python floats: parsing
+a 4001-node n=3 table peaks at about twice its model's arrays, where
+json.loads peaked at eleven times.  Result documents are compact JSON
+whose only timestamp is meta.generated_at; per-path CSV files carry no
 timestamps at all and rerunning a simulation writes byte-identical files.
 
 `solve` shares out its file writers, `simulate` its paths (a share
@@ -125,6 +129,12 @@ def _expect(obj, where, allowed, required=()):
         raise ScenarioSyntaxError(f"{where}: missing required field(s) {missing}")
 
 
+def _plain(value):
+    """A scenario value as json.loads gives it, for messages and
+    comparisons: each array from _read_json back as its lists."""
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 def _number(value, where: str, integer: bool = False):
     """A scalar field as a float, or as an int when `integer`.  Null,
     strings, lists, booleans, NaN, infinities and, for an integer, a
@@ -134,30 +144,43 @@ def _number(value, where: str, integer: bool = False):
         ok = math.isfinite(value) and (value.is_integer() or not integer)
     if not ok:
         kind = "an integer" if integer else "a finite number"
-        raise ScenarioSyntaxError(f"{where}: expected {kind}, got {value!r}")
+        raise ScenarioSyntaxError(f"{where}: expected {kind}, got {_plain(value)!r}")
     return int(value) if integer else float(value)
 
 
 def _list(value, where: str) -> list:
+    value = _plain(value)
     if not isinstance(value, list):
         raise ScenarioSyntaxError(f"{where}: expected a list, got {value!r}")
     return value
 
 
+def _numeric(value) -> np.ndarray | None:
+    """np.asarray(value) if value is a regular array of integers or floats,
+    else None.  numpy reads true and false beside numbers as 1 and 0, so
+    the callers rule booleans out themselves."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged
+        return None
+    return arr if arr.dtype.kind in "if" else None
+
+
 def _array(value, where: str) -> np.ndarray:
     """A model array as floats.  Only integers and floats are read: null,
     strings, booleans and ragged lists are scenario errors, never coerced;
-    NaN and infinities pass, for validate to report with their node."""
-    try:
-        arr = np.asarray(value)
-    except ValueError:
-        arr = None
-    ok = arr is not None and arr.dtype.kind in "if"
-    if ok:  # numpy reads true and false beside numbers as 1 and 0
+    NaN and infinities pass, for validate to report with their node.  The
+    reader hands over each array of arrays that keeps these rules as a
+    numpy array already; flat lists and the rest are checked here."""
+    if isinstance(value, np.ndarray):
+        return value.astype(float, copy=False)
+    arr = _numeric(value)
+    if arr is not None:
         unit = (arr == 0) | (arr == 1)
-        ok = not (unit.any() and any(isinstance(v, bool)
-                                     for v in np.asarray(value, dtype=object)[unit]))
-    if not ok:
+        if unit.any() and any(isinstance(v, bool)
+                              for v in np.asarray(value, dtype=object)[unit]):
+            arr = None
+    if arr is None:
         raise ScenarioSyntaxError(
             f"{where}: expected an array of numbers, got {reprlib.repr(value)}")
     return arr.astype(float, copy=False)
@@ -168,7 +191,7 @@ def _numbers(value, where: str) -> np.ndarray:
     arr = _array(value, where)
     if not np.isfinite(arr).all():
         raise ScenarioSyntaxError(
-            f"{where}: expected finite numbers, got {reprlib.repr(value)}")
+            f"{where}: expected finite numbers, got {reprlib.repr(_plain(value))}")
     return arr
 
 
@@ -179,10 +202,10 @@ def _policy_from_spec(spec, grid: TimeGrid, m: int) -> ControlPolicy:
             required=("kind",))
     kind = spec["kind"]
     if not isinstance(kind, str) or kind not in _POLICY_KINDS:
-        raise ScenarioSyntaxError(f"policy: unknown kind {kind!r}")
+        raise ScenarioSyntaxError(f"policy: unknown kind {_plain(kind)!r}")
     label = spec.get("label", "")
     if not isinstance(label, str):
-        raise ScenarioSyntaxError(f"policy.label: expected a string, got {label!r}")
+        raise ScenarioSyntaxError(f"policy.label: expected a string, got {_plain(label)!r}")
     field = _POLICY_KINDS[kind]
     for name in ("table", "offset"):
         if name != field and name in spec:
@@ -212,6 +235,43 @@ def _per_node_fields(spec, where, nnodes, shapes) -> dict[str, np.ndarray]:
     return fields
 
 
+def _read_json(text: str):
+    """json.loads(text), except that each array of arrays that keeps
+    _array's rules comes back as its numpy array: int64 when all its
+    numbers are integers, float64 when none is (a mix stays a list), so
+    _plain gives back exactly the JSON value.  Objects go through the
+    pure-Python scanner, which hands each outermost array to the C scanner
+    by itself, so one table's lists are gone before the next is read.
+    Errors are json.loads's, with the same message and position."""
+    saw_int = False
+
+    def parse_int(digits):
+        nonlocal saw_int
+        saw_int = True
+        return int(digits)
+
+    scan_array = json.JSONDecoder(parse_int=parse_int).scan_once
+
+    def parse_array(s_and_end, scan_once):
+        nonlocal saw_int
+        s, start = s_and_end
+        saw_int = False
+        value, end = scan_array(s, start - 1)
+        if value and isinstance(value[0], list):
+            arr = _numeric(value)
+            # a number array holds no string, so true or false in its text is a boolean
+            if (arr is not None and (arr.dtype.kind == "i" or not saw_int)
+                    and s.find("true", start, end) < 0 and s.find("false", start, end) < 0):
+                return arr, end
+        return value, end
+
+    decoder = json.JSONDecoder()
+    decoder.parse_array = parse_array
+    decoder.scan_once = json.scanner.py_make_scanner(decoder)
+    # through json.loads, which also refuses a byte order mark
+    return json.loads(text, cls=lambda: decoder)
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document.
 
@@ -220,18 +280,20 @@ def parse_scenario(text: str) -> Scenario:
     (with the full report attached) if the model violates an assumption.
     """
     try:
-        doc = json.loads(text)
+        doc = _read_json(text)
     except json.JSONDecodeError as e:
         raise ScenarioSyntaxError(e.msg, e.lineno, e.colno) from None
+    except RecursionError:
+        raise ScenarioSyntaxError("JSON nested too deeply") from None
 
     _expect(doc, "scenario",
             allowed=("format_version", "dims", "T", "steps", "x0",
                      "coefficients", "cost", "delta", "tolerances",
                      "policy", "mc", "output"),
             required=("dims", "T", "steps", "x0", "coefficients", "cost"))
-    if doc.get("format_version", FORMAT_VERSION) != FORMAT_VERSION:
-        raise ScenarioSyntaxError(
-            f"unsupported format_version {doc['format_version']!r}")
+    version = _plain(doc.get("format_version", FORMAT_VERSION))
+    if version != FORMAT_VERSION:
+        raise ScenarioSyntaxError(f"unsupported format_version {version!r}")
 
     _expect(doc["dims"], "dims", allowed=("n", "m", "d", "k"),
             required=("n", "m", "d", "k"))
@@ -291,7 +353,7 @@ def parse_scenario(text: str) -> Scenario:
         out_dir = doc["output"].get("directory")
         if "directory" in doc["output"] and not isinstance(out_dir, str):
             raise ScenarioSyntaxError(
-                f"output.directory: expected a string, got {out_dir!r}")
+                f"output.directory: expected a string, got {_plain(out_dir)!r}")
         if "formats" in doc["output"]:
             formats = tuple(_list(doc["output"]["formats"], "output.formats"))
             for f in formats:

@@ -63,10 +63,16 @@ def _matvec(M: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
     axes, e.g. M (N, i, j) with x (paths, N, j).  Elementwise products and
     sums only, in the order of j, so each path's result does not depend on
     the batch it is in; over all nodes at once this is 2-4x faster than an
-    einsum, whose inner loop runs over the short component axis."""
-    out = np.multiply(M[..., 0], x[..., 0, None], out=out)
-    for j in range(1, x.shape[-1]):
-        out += M[..., j] * x[..., j, None]
+    einsum, whose inner loop runs over the short component axis.  Each
+    component is summed through one scratch the size of a single
+    component, as simulate._add_matvec does, never a (..., i) temporary."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(M.shape[:-2], x.shape[:-1]) + M.shape[-2:-1])
+    tmp = np.empty(out.shape[:-1]) if x.shape[-1] > 1 else None
+    for i in range(M.shape[-2]):
+        o = np.multiply(M[..., i, 0], x[..., 0], out=out[..., i])
+        for j in range(1, x.shape[-1]):
+            o += np.multiply(M[..., i, j], x[..., j], out=tmp)
     return out
 
 

@@ -4,7 +4,8 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import asdict, replace
+import tracemalloc
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from polqg import (
     ControlPolicy,
     NodeTable,
+    ScenarioSyntaxError,
     TimeGrid,
     ValidationFailure,
     compute_gain,
@@ -181,18 +183,41 @@ def test_syntax_error_reports_position(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, value", [
-    ("T", None),
-    ("steps", [1]),
-    ("steps", 2.5),
-    ("dims.n", None),
-    ("mc.n_paths", None),
-    ("mc.seed", 1.5),
-    ("tolerances.psd_tol", None),
-    ("mc.probe_times", [float("nan")]),
-    ("mc.n_paths", -3),
-])
-def test_bad_scalar_field_exits_2_naming_it(tmp_path, capsys, field, value):
+NAN, INF = float("nan"), float("inf")
+
+
+def _case_ids(cases, argname):
+    """pytest's default ids for (field, value, message) cases: the field,
+    then a scalar value itself or else the argument name and the index."""
+    return [f"{f}-{v}" if v is None or isinstance(v, (int, float)) else f"{f}-{argname}{i}"
+            for i, (f, v, _) in enumerate(cases)]
+
+
+_BAD_SCALAR_FIELDS = [
+    ("T", None, "a finite number, got None"),
+    ("steps", [1], "an integer, got [1]"),
+    ("steps", 2.5, "an integer, got 2.5"),
+    ("dims.n", None, "an integer, got None"),
+    ("mc.n_paths", None, "an integer, got None"),
+    ("mc.seed", 1.5, "an integer, got 1.5"),
+    ("tolerances.psd_tol", None, "a finite number, got None"),
+    ("mc.probe_times", [NAN], "a finite number, got nan"),
+    ("mc.n_paths", -3, "a non-negative integer, got -3"),
+    # an array of arrays where a scalar or a list belongs is quoted as written
+    ("T", [[1.0]], "a finite number, got [[1.0]]"),
+    ("T", [[1]], "a finite number, got [[1]]"),
+    ("steps", [[100]], "an integer, got [[100]]"),
+    ("mc.seed", [[1, 2.5]], "an integer, got [[1, 2.5]]"),
+    ("dims.n", [[1, True]], "an integer, got [[1, True]]"),
+    ("tolerances.psd_tol", [[NAN]], "a finite number, got [[nan]]"),
+    ("delta", [[-0.0, INF]], "a finite number, got [[-0.0, inf]]"),
+    ("mc.probe_times", [[0.5]], "a finite number, got [0.5]"),
+]
+
+
+@pytest.mark.parametrize("field, value, expected", _BAD_SCALAR_FIELDS,
+                         ids=_case_ids(_BAD_SCALAR_FIELDS, "value"))
+def test_bad_scalar_field_exits_2_naming_it(tmp_path, capsys, field, value, expected):
     # never a traceback, and never a silently truncated step count or seed
     doc = bench_doc()
     *parents, name = field.split(".")
@@ -202,49 +227,77 @@ def test_bad_scalar_field_exits_2_naming_it(tmp_path, capsys, field, value):
     section[name] = value
     path = write_doc(tmp_path, doc)
     assert main(["validate", "--scenario", path]) == 2
-    assert f"scenario error: {field}: expected" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"scenario error: {field}: expected {expected}\n"
 
 
-@pytest.mark.parametrize("field, section", [
-    ("output.formats", {"output": {"formats": None}}),
-    ("output.formats", {"output": {"formats": "json"}}),
-    ("policy.offset", {"policy": {"kind": "perturbed_feedback", "offset": [None]}}),
-    ("policy.offset", {"policy": {"kind": "perturbed_feedback",
-                                  "offset": [float("inf")]}}),
-    ("policy.table", {"policy": {"kind": "open_loop",
-                                 "table": [[0.0]] * 100 + [[float("nan")]]}}),
-    ("policy.table", {"policy": {"kind": "open_loop", "table": [["0.5"]] * 101}}),
-    ("output.directory", {"output": {"directory": 5}}),
+_BAD_LIST_FIELDS = [
+    ("output.formats", {"output": {"formats": None}}, "a list, got None"),
+    ("output.formats", {"output": {"formats": "json"}}, "a list, got 'json'"),
+    ("policy.offset", {"policy": {"kind": "perturbed_feedback", "offset": [None]}},
+     "an array of numbers, got [None]"),
+    ("policy.offset", {"policy": {"kind": "perturbed_feedback", "offset": [INF]}},
+     "finite numbers, got [inf]"),
+    ("policy.table", {"policy": {"kind": "open_loop", "table": [[0.0]] * 100 + [[NAN]]}},
+     "finite numbers, got [[0.0], [0.0], [0.0], [0.0], [0.0], [0.0], ...]"),
+    ("policy.table", {"policy": {"kind": "open_loop", "table": [["0.5"]] * 101}},
+     "an array of numbers, got [['0.5'], ['0.5'], ['0.5'], ['0.5'], ['0.5'], ['0.5'], ...]"),
+    ("output.directory", {"output": {"directory": 5}}, "a string, got 5"),
     # a field the kind does not read is an error, not silently dropped
-    ("policy.table", {"policy": {"kind": "zero", "table": [[1.0]]}}),
-    ("policy.offset", {"policy": {"kind": "filter_feedback", "offset": [3.0]}}),
+    ("policy.table", {"policy": {"kind": "zero", "table": [[1.0]]}},
+     "none for kind 'zero'"),
+    ("policy.offset", {"policy": {"kind": "filter_feedback", "offset": [3.0]}},
+     "none for kind 'filter_feedback'"),
     ("policy.table", {"policy": {"kind": "perturbed_feedback", "offset": [0.5],
-                                 "table": [[9.0]]}}),
+                                 "table": [[9.0]]}},
+     "none for kind 'perturbed_feedback'"),
     # model arrays take numbers only: no string, boolean or null coerced
-    ("x0", {"x0": ["1.5"]}),
-    ("x0", {"x0": [True]}),
-    ("x0", {"x0": [None]}),
-    ("cost.G", {"cost": {**bench_doc()["cost"], "G": [["2"]]}}),
+    ("x0", {"x0": ["1.5"]}, "an array of numbers, got ['1.5']"),
+    ("x0", {"x0": [True]}, "an array of numbers, got [True]"),
+    ("x0", {"x0": [None]}, "an array of numbers, got [None]"),
+    ("cost.G", {"cost": {**bench_doc()["cost"], "G": [["2"]]}},
+     "an array of numbers, got [['2']]"),
     ("coefficients.constant.A", {"coefficients": {"constant": {
-        **bench_doc()["coefficients"]["constant"], "A": [[True]]}}}),
+        **bench_doc()["coefficients"]["constant"], "A": [[True]]}}},
+     "an array of numbers, got [[True]]"),
     ("policy.label", {"policy": {"kind": "open_loop", "table": [[0.0]] * 101,
-                                 "label": 5}}),
+                                 "label": 5}}, "a string, got 5"),
     # a policy table must fit the scenario's own grid, not only the kernel's
-    ("policy.table", {"policy": {"kind": "open_loop", "table": [[0.0]] * 3}}),
-    ("policy.offset", {"policy": {"kind": "perturbed_feedback", "offset": [[0.5]]}}),
+    ("policy.table", {"policy": {"kind": "open_loop", "table": [[0.0]] * 3}},
+     "shape (101, 1), got (3, 1)"),
+    ("policy.offset", {"policy": {"kind": "perturbed_feedback", "offset": [[0.5]]}},
+     "shape (1,) or (101, 1), got (1, 1)"),
     # numpy reads true and false beside numbers as 1 and 0
     ("coefficients.table.B", {"coefficients": {"table": {
         **{k: [v] * 101 for k, v in bench_doc()["coefficients"]["constant"].items()},
-        "B": [[[1.0]]] * 100 + [[[True]]]}}}),
-    ("cost.G", {"cost": {**bench_doc()["cost"], "G": [[1.0, False]]}}),
-])
-def test_bad_list_field_exits_2_naming_it(tmp_path, capsys, field, section):
+        "B": [[[1.0]]] * 100 + [[[True]]]}}},
+     "an array of numbers, got [[[1.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]], ...]"),
+    ("cost.G", {"cost": {**bench_doc()["cost"], "G": [[1.0, False]]}},
+     "an array of numbers, got [[1.0, False]]"),
+    # an array of arrays is quoted as written, integers as integers
+    ("policy.table", {"policy": {"kind": "open_loop", "table": [[0]] * 100 + [[INF]]}},
+     "finite numbers, got [[0], [0], [0], [0], [0], [0], ...]"),
+    ("output.directory", {"output": {"directory": [[5]]}}, "a string, got [[5]]"),
+    ("policy.label", {"policy": {"kind": "open_loop", "table": [[0.0]] * 101,
+                                 "label": [[1.0]]}}, "a string, got [[1.0]]"),
+    ("cost.G", {"cost": {**bench_doc()["cost"], "G": [[1, 0.5, None]]}},
+     "an array of numbers, got [[1, 0.5, None]]"),
+    ("cost.G", {"cost": {**bench_doc()["cost"], "G": [[1], [2, 3]]}},
+     "an array of numbers, got [[1], [2, 3]]"),
+    ("cost.G", {"cost": {**bench_doc()["cost"], "G": [[2 ** 64]]}},
+     "an array of numbers, got [[18446744073709551616]]"),
+]
+
+
+@pytest.mark.parametrize("field, section, expected", _BAD_LIST_FIELDS,
+                         ids=_case_ids(_BAD_LIST_FIELDS, "section"))
+def test_bad_list_field_exits_2_naming_it(tmp_path, capsys, field, section, expected):
     # rejected while parsing, before validate passes or simulate blames the kernel
     path = write_doc(tmp_path, bench_doc(**section))
+    message = f"scenario error: {field}: expected {expected}\n"
     assert main(["validate", "--scenario", path]) == 2
-    assert f"scenario error: {field}: expected" in capsys.readouterr().err
+    assert capsys.readouterr().err == message
     assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
-    assert f"scenario error: {field}: expected" in capsys.readouterr().err
+    assert capsys.readouterr().err == message
 
 
 def test_scenario_tolerances_reach_the_model_and_its_table():
@@ -278,6 +331,15 @@ def test_tolerance_outside_its_bounds_exits_2_naming_it(tmp_path, capsys, field,
 def test_wrong_format_version(tmp_path, capsys):
     path = write_doc(tmp_path, bench_doc(format_version=99))
     assert main(["validate", "--scenario", path]) == 2
+    assert capsys.readouterr().err == "scenario error: unsupported format_version 99\n"
+
+
+@pytest.mark.parametrize("version", [[[1]], [[1.0, 2.0]]])
+def test_array_format_version_is_refused(tmp_path, capsys, version):
+    # an array never equals version 1, though numpy's [[1]] == 1 would be true
+    path = write_doc(tmp_path, bench_doc(format_version=version))
+    assert main(["validate", "--scenario", path]) == 2
+    assert capsys.readouterr().err == f"scenario error: unsupported format_version {version!r}\n"
 
 
 def test_missing_file_exits_5(tmp_path, capsys):
@@ -1069,3 +1131,122 @@ def test_scenario_needs_exactly_one_form(tmp_path, capsys, section, forms):
     assert main(["validate", "--scenario", path]) == 2
     assert (f"{section}: give exactly one of 'constant' or 'table'"
             in capsys.readouterr().err)
+
+
+# ------------------------------------------------------------------ reader
+
+def _model_and_report(text):
+    try:
+        sc = parse_scenario(text)
+    except ValidationFailure as e:
+        return None, e.report
+    return sc.model, sc.report
+
+
+def _int_table_doc(mixed=False):
+    """The scalar benchmark with every per-node field an integer table; K
+    and R vary by node, and with `mixed` K holds a float at every other node."""
+    doc = bench_doc()
+    for section in ("coefficients", "cost"):
+        given = doc[section].pop("constant")
+        doc[section]["table"] = {f: [np.asarray(v, dtype=int).tolist()] * 101
+                                 for f, v in given.items()}
+    doc["coefficients"]["table"]["K"] = [[[1 + i % 3 + (0.5 if mixed and i % 2 else 0)]]
+                                         for i in range(101)]
+    doc["cost"]["table"]["R"] = [[[2 + i % 2]] for i in range(101)]
+    return doc
+
+
+# a non-finite entry of one coefficient table: (value, field, node)
+_NONFINITE = {"nan": (NAN, "A", 7), "inf": (INF, "B", 9), "-inf": (-INF, "C", 3)}
+
+
+def _reader_doc(case):
+    if case.startswith("draw"):
+        draw, form = case[4:].split("-")
+        model, grid = random_validated_model(np.random.default_rng(int(draw)),
+                                             time_varying=True)
+        return model_doc(model, grid, form)
+    if case in ("ints", "mixed"):
+        return _int_table_doc(mixed=case == "mixed")
+    value, field, node = _NONFINITE[case]
+    model, grid = random_validated_model(np.random.default_rng(101), time_varying=True)
+    doc = model_doc(model, grid)
+    doc["coefficients"]["table"][field][node][0][0] = value
+    return doc
+
+
+@pytest.mark.parametrize("case", [
+    *(f"draw{d}-{form}" for d in (100, 101, 102, 103) for form in ("table", "constant")),
+    "ints", "mixed", *_NONFINITE])
+def test_reader_gives_the_json_loads_model(monkeypatch, case):
+    # the reader's arrays are _array's arrays of json.loads's lists, bit
+    # for bit, and a NaN or infinite node still reaches validate
+    text = json.dumps(_reader_doc(case))
+    model, report = _model_and_report(text)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_read_json", json.loads)
+        want_model, want_report = _model_and_report(text)
+    assert report.summary() == want_report.summary()
+    if case in _NONFINITE:
+        bad = report.check("A1_coefficients_finite")
+        assert not bad.passed and bad.worst_node == _NONFINITE[case][2]
+        return
+    for f in fields(want_model):
+        got, want = getattr(model, f.name), getattr(want_model, f.name)
+        if isinstance(want, np.ndarray):
+            assert type(got) is np.ndarray, f.name
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                             want.tobytes()), f.name
+        else:
+            assert got == want, f.name
+
+
+@pytest.mark.parametrize("text", [
+    "", "   ", "\ufeff{}", "{", "[", "nope", '{"dims": \n nope}', '{"a"', '{"a":',
+    '{"a" 1}', '{"a": 1,}', '{"a": 1 "b": 2}', "{1: 2}", '{"a": [1, 2}',
+    '{"a": [[1, 2], [3]', '{"a": [[1,], [2]]}', '{"a": [[1 2]]}',
+    '{"a": [[1.0],\n  [2.0,\n ]]}', '{"a": tru}', '{"a": [[nul]]}', '{"a": "x\ny"}',
+    '{"a": "\\q"}', '{"a": 1} x', '{"a": [[1.0]]} [', '{"a": 01}', '{"a": [[-]]}',
+    '{"a": 1.}', '{"a": [[1.e5]]}', '{"a": NaNx}', '{"a": {"b": [[1]], }}',
+    '{"a": "unterminated', "[[1.0], [2.0]]]", '{"a": [[1.0]] ,}',
+    '{"a": [[1.0]], "b": [[2.0]]]}', '{"a": [[true, 1.0]], "b": [[nope]]}',
+])
+def test_reader_errors_are_json_loads_errors(text):
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(text)
+    w = want.value
+    with pytest.raises(json.JSONDecodeError) as got:
+        cli._read_json(text)
+    assert (got.value.msg, got.value.pos) == (w.msg, w.pos)
+    with pytest.raises(ScenarioSyntaxError) as err:
+        parse_scenario(text)
+    assert err.value.args == (f"{w.msg} (line {w.lineno}, column {w.colno})",)
+    assert (err.value.line, err.value.col) == (w.lineno, w.colno)
+
+
+def test_reader_parse_peak_stays_near_the_model_arrays():
+    # json.loads held every table at once as lists of Python floats, 10.8
+    # times the model's arrays at the peak; the reader holds one table's
+    model, grid = random_validated_model(np.random.default_rng(100), steps=4000,
+                                         time_varying=True)
+    text = json.dumps(model_doc(model, grid))
+    arrays = sum(getattr(model, f).nbytes
+                 for f in ("x0", "G", "g") + COEFF_NAMES + COST_NAMES)
+    tracemalloc.start()
+    try:
+        parse_scenario(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * arrays
+
+
+@pytest.mark.parametrize("text", ["[" * 200_000, '{"a": ' * 200_000,
+                                  '{"x0": ' + "[" * 200_000],
+                         ids=["array", "object", "field"])
+def test_deeply_nested_scenario_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert main(["validate", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == "scenario error: JSON nested too deeply\n"

@@ -63,3 +63,28 @@ def test_only_the_share_driver_forks():
     callers = [(path.name, scope) for path in sorted(package.glob("*.py"))
                for scope in fork_callers(ast.parse(path.read_text()), None)]
     assert callers == [("verify.py", "_run_in_shares")]
+
+
+def test_only_the_scenario_reader_decodes_json():
+    # parse_scenario reads each table straight into an array through
+    # cli._read_json; a second decoder would hold a whole document's
+    # numbers as Python lists again
+    def decoders(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("json"):
+            yield scope, "import"
+        if isinstance(node, ast.Attribute) and (
+                node.attr in ("raw_decode", "scan_once")
+                or (isinstance(node.value, ast.Name) and node.value.id == "json"
+                    and node.attr in ("load", "loads", "JSONDecoder", "decoder", "scanner"))):
+            yield scope, "decode"
+        if isinstance(node, ast.Name) and node.id == "_read_json":
+            yield scope, "read"
+        for child in ast.iter_child_nodes(node):
+            yield from decoders(child, scope)
+
+    package = pathlib.Path(polqg.__file__).parent
+    found = {(path.name, scope, what) for path in sorted(package.glob("*.py"))
+             for scope, what in decoders(ast.parse(path.read_text()), None)}
+    assert found == {("cli.py", "_read_json", "decode"), ("cli.py", "parse_scenario", "read")}

@@ -14,6 +14,7 @@ from polqg import (
     solve_all,
     tilde_J,
 )
+from polqg.value import _matvec
 
 from oracles import (
     HAT_FLOOR,
@@ -185,3 +186,24 @@ def test_tilde_zero_without_state_noise():
     model, grid = benchmark_model(100, D=0.0)
     sol = solve_all(model, grid)
     assert tilde_J(model, sol) == 0.0
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_matvec_is_bitwise_the_whole_component_formula(i, j):
+    # _matvec's former body: one (..., i) temporary per j; the same products
+    # and sums in the same order, so every bit agrees
+    def whole(M, x):
+        out = M[..., 0] * x[..., 0, None]
+        for k in range(1, x.shape[-1]):
+            out += M[..., k] * x[..., k, None]
+        return out
+
+    rng = np.random.default_rng(10 * i + j)
+    M, x = rng.standard_normal((7, i, j)), rng.standard_normal((5, 7, j))
+    want = whole(M, x)
+    assert _matvec(M, x).tobytes() == want.tobytes()
+    out = np.empty((5, 8, i))[:, 1:]  # as simulate passes Y[:, 1:]
+    assert _matvec(M, x, out=out) is out and out.tobytes() == want.tobytes()
+    # a matrix without a node axis, as the terminal weight G
+    assert _matvec(M[0], x[:, 0]).tobytes() == whole(M[0], x[:, 0]).tobytes()
