@@ -572,10 +572,6 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-# paths per kernel chunk within a share
-_SIM_CHUNK = 1024
-
-
 def cmd_simulate(args) -> int:
     sc, grid, seed, n_paths = _load_scenario(args)
     sol = solve_all(sc.model, grid)
@@ -583,7 +579,7 @@ def cmd_simulate(args) -> int:
 
     def write_share(a: int, b: int):
         for j0, _, _, arrs in _simulate_chunks(sc.model, sol, (sc.policy,), a, b,
-                                               seed, _SIM_CHUNK):
+                                               seed):
             for j, bundle in enumerate(_bundles(sol, arrs), j0):
                 with open(os.path.join(out, f"path_{j:05d}.csv"), "w") as f:
                     bundle_to_csv(bundle, f)
@@ -613,7 +609,11 @@ def _run_checks(sc: Scenario, grid: TimeGrid, seed: int, n_paths: int,
     statistic is read from the one report that reduces it (see
     polqg.verify).  Every estimate that carries an Euler bias is also read
     off the grid with twice the steps, where only the feedback and
-    perturbed policies run, and the gap widens its band (see check)."""
+    perturbed policies run, and the gap widens its band (see check).  The
+    lag-1 autocorrelation needs two steps, so one step is refused before
+    any pass."""
+    if grid.steps < 2:
+        raise ValueError(f"need at least 2 steps, got {grid.steps}")
     model = sc.model
     sol = solve_all(model, grid)
     grid2 = TimeGrid(grid.T, 2 * grid.steps)

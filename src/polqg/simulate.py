@@ -26,12 +26,19 @@ costs, from value.path_cost; the control law, Theta Xhat - R^{-1}(B^T phi
 + r) and its variants, lives only in _policy_controls.  Noise is keyed by
 (seed, path_index), so any path can be redrawn alone.
 
-Paths run on a leading axis, one path for the public functions.  No
-per-path product goes through BLAS matmul, whose kernel depends on the
-batch size: per-node products are two-operand np.einsum, all-node ones
-_add_matvec or value._matvec, each contracting a path in the same order
-in any batch, so for every n a path's outputs and cost are bitwise the
-same alone, in any batch and at any chunk size.
+Every path array has the shape (paths, nodes, width): paths on the
+leading axis, one path for the public functions.  The kernel's noise and
+outputs are stored node-major (_node_major), as transposed views of
+(nodes, paths, width) buffers, so each step of the two chains reads and
+writes one contiguous per-node slab [:, i] instead of `paths` strided
+rows.  The storage order changes no number: no per-path product goes
+through BLAS matmul, whose kernel depends on the batch size; per-node
+products are two-operand np.einsum, all-node ones _add_matvec or
+value._matvec, each contracting a path in the same order in any batch
+and any layout; and every sum over nodes (path_cost's, and verify's
+increment sums) runs on path-major data.  So for every n a path's
+outputs and cost are bitwise the same alone, in any batch and at any
+chunk size.
 
 Path files, and cli's series.csv, are CSV of %.17g numbers.
 _format_rows_17g writes a whole float block at once in numpy, byte for
@@ -89,13 +96,17 @@ class NoiseDraw:
     dWp: np.ndarray  # (steps, k) state-only noise
 
 
-def draw_noise(seed: int, path_index: int, grid: TimeGrid, dims: Dimensions) -> NoiseDraw:
+def draw_noise(seed: int, path_index: int, grid: TimeGrid, dims: Dimensions,
+               out: np.ndarray | None = None) -> NoiseDraw:
     """Increments for one path from a Philox stream keyed by (seed, path_index).
 
     The key fixes the whole stream, so the same arguments reproduce the
     same draw bitwise no matter how many other paths were drawn, in what
     order, or on how many workers: a fresh Philox(key=(path_index << 64)
-    | seed), here one generator re-keyed per call (not thread-safe).
+    | seed), here one generator re-keyed per call (not thread-safe).  The
+    stream's first steps*d normals, times sqrt(h), are dW and the next
+    steps*k are dWp; both are views of out, a contiguous float array of
+    steps*(d+k) entries, if it is given.
     """
     if path_index < 0:
         raise ValueError(f"path_index must be >= 0, got {path_index}")
@@ -103,9 +114,11 @@ def draw_noise(seed: int, path_index: int, grid: TimeGrid, dims: Dimensions) -> 
     fresh["state"]["key"] = np.array([int(seed) & _M64, int(path_index) & _M64],
                                      dtype=np.uint64)
     gen.bit_generator.state = fresh
-    scale = np.sqrt(grid.h)
-    return NoiseDraw(grid, scale * gen.standard_normal((grid.steps, dims.d)),
-                     scale * gen.standard_normal((grid.steps, dims.k)))
+    z = gen.standard_normal(grid.steps * (dims.d + dims.k), out=out)
+    z *= np.sqrt(grid.h)
+    cut = grid.steps * dims.d
+    return NoiseDraw(grid, z[:cut].reshape(grid.steps, dims.d),
+                     z[cut:].reshape(grid.steps, dims.k))
 
 
 # policy kind -> the scenario field of the table it reads, if any
@@ -184,6 +197,12 @@ def _check_policy_table(policy: ControlPolicy, grid: TimeGrid, m: int,
                             + " or ".join(map(str, shapes)) + f", got {policy.table.shape}")
 
 
+def _node_major(paths: int, nodes: int, width: int, zeros: bool = False) -> np.ndarray:
+    """An empty (or zero) (paths, nodes, width) array stored node by node:
+    each per-node slab [:, i] is one C-contiguous block."""
+    return (np.zeros if zeros else np.empty)((nodes, paths, width)).transpose(1, 0, 2)
+
+
 def _add_matvec(out, M, x, tmp):
     """out += M x for M (N, i, j), x (paths, N, j), summed in the order of
     j one scalar product at a time through the (paths, N) scratch tmp."""
@@ -196,7 +215,7 @@ def _add_matvec(out, M, x, tmp):
 def _check_finite(where: str, *paths):
     """NonFinite at the first node where a path is not finite (per-node extremes, no mask)."""
     bad = np.logical_or.reduce([~np.isfinite(e) for a in paths
-                                for e in (a.min(0).min(1), a.max(0).max(1))])
+                                for e in (a.min(axis=(0, 2)), a.max(axis=(0, 2)))])
     if bad.any():
         raise NonFinite(where, int(bad.argmax()))
 
@@ -217,16 +236,17 @@ def _closed_loop_arrays(model: ModelSpec, sol: DeterministicSolution,
                         policy: ControlPolicy, dW: np.ndarray, dWp: np.ndarray):
     """Step every path at once (leading axis of dW/dWp) and return X and
     Xhat (paths, N+1, n), u (paths, N+1, m), the innovation increments dV
-    (paths, N, d) the filter consumed, and the cost of each path."""
+    (paths, N, d) the filter consumed, and the cost of each path.  The
+    four arrays are stored node-major (see _node_major)."""
     grid, tab = sol.grid, sol.table
     n, m, d = model.dims.n, model.dims.m, model.dims.d
     npaths, N = dW.shape[0], grid.steps
     _check_policy_table(policy, grid, m)
     h = np.diff(grid.nodes)[:, None, None]
-    X = np.empty((npaths, N + 1, n))  # holds Xtil until the last line
-    Xhat = np.empty((npaths, N + 1, n))
-    u = np.empty((npaths, N + 1, m))
-    dV = np.zeros((npaths, N, d))
+    X = _node_major(npaths, N + 1, n)  # holds Xtil until the last line
+    Xhat = _node_major(npaths, N + 1, n)
+    u = _node_major(npaths, N + 1, m)
+    dV = _node_major(npaths, N, d, zeros=True)
     tmp = u[:, :-1, 0]  # scratch until the filter loop writes the controls
     with np.errstate(invalid="ignore", over="ignore"):  # _check_finite reports
         _error_chain(sol, dW, dWp, X, tmp)
@@ -248,26 +268,37 @@ def _closed_loop_arrays(model: ModelSpec, sol: DeterministicSolution,
     return {"X": X, "Xhat": Xhat, "u": u, "dV": dV, "cost": path_cost(tab, X, u)}
 
 
+# paths per path-major block: of _bundles' copies, and in polqg.verify of
+# the noise scratch and of the increment sums
+_PATH_BLOCK = 16
+
+
 def _bundles(sol: DeterministicSolution, arrs) -> Iterator[PathBundle]:
     """The paths of a _closed_loop_arrays output as PathBundles; Y and V
-    are summed from their increments in place, for all paths."""
+    are summed from their increments in place, for all paths, node-major
+    like the kernel's arrays.  The bundles are cut from path-major copies
+    of _PATH_BLOCK paths at a time, so each path's rows are contiguous
+    for the CSV writer, and a caller that drops each bundle holds one
+    block of copies at a time."""
     tab = sol.table
     X, Xhat, dV = arrs["X"], arrs["Xhat"], arrs["dV"]
     shape = X.shape[:2] + dV.shape[2:]
     # each level allocated just before it is filled, not as one block,
     # to keep the chunk's peak RSS down
-    Y = np.zeros(shape)
+    Y = _node_major(*shape, zeros=True)
     dY = _matvec(tab.H[:-1:2], Xhat[:, :-1], out=Y[:, 1:])
     dY += tab.h[:-1:2]
     dY *= np.diff(sol.grid.nodes)[:, None]
     dY += dV
-    V = np.zeros(shape)
+    V = _node_major(*shape, zeros=True)
     V[:, 1:] = dV
     for level in (Y, V):
         np.cumsum(level[:, 1:], axis=1, out=level[:, 1:])
-    for p, cost in enumerate(arrs["cost"]):
-        yield PathBundle(sol.grid, X[p], Y[p], Xhat[p], V[p], arrs["u"][p],
-                         float(cost))
+    for b0 in range(0, len(X), _PATH_BLOCK):
+        rows = slice(b0, b0 + _PATH_BLOCK)
+        block = [np.ascontiguousarray(a[rows]) for a in (X, Y, Xhat, V, arrs["u"])]
+        for p, cost in enumerate(arrs["cost"][rows]):
+            yield PathBundle(sol.grid, *(a[p] for a in block), float(cost))
 
 
 def simulate_closed_loop(model: ModelSpec, sol: DeterministicSolution,

@@ -116,6 +116,8 @@ def path_cost(tab: NodeTable, X: np.ndarray, U) -> np.ndarray:
             f += dot(_matvec(R[b], Us), Us)
             f += 2.0 * dot(q[b], Xs)
             f += 2.0 * dot(r[b], Us)
+            # f is C-ordered, as _matvec allocates it, whatever the layout
+            # of X: the sum over t runs in one order for any storage
             cost += np.einsum("pt,t->p", f, dt[b])
             if not np.isfinite(cost).all():
                 raise NonFinite("path_cost", t0 + _first_nonfinite(f, N - t0))

@@ -32,6 +32,18 @@ worker count or scheduling.  _run_in_shares, the only place polqg forks,
 reruns the whole pass in this process if any share fails, in a child or
 here, so that an error names the first bad node over the same chunks,
 with the same message and exit code, as a single-process run.
+
+Each share runs its paths in chunks, and _simulate_chunks is the one
+place a chunk is sized.  A path costs 8 (N+1)(3n + m + 2d + k) bytes: its
+noise, the kernel's X, Xhat, u and dV, and room for one more state-sized
+temporary.  A chunk holds as many paths as fit _CHUNK_BYTES (24 MiB), but
+at least _MIN_CHUNK (512) so that the kernel's per-step Python overhead
+stays amortised, and a share is cut evenly into the fewest such chunks.
+Only one chunk's noise and one policy's output are live at a time, so
+each process holds about one budget of Monte Carlo arrays on top of the
+solutions and the shared statistics, however many paths it runs; more
+only where 512 paths exceed the budget (N above about 875 on the scalar
+model).
 """
 
 from __future__ import annotations
@@ -52,7 +64,9 @@ from .simulate import (
     ControlPolicy,
     PathBundle,
     _bundles,
+    _PATH_BLOCK,
     _closed_loop_arrays,
+    _node_major,
     draw_noise,
 )
 from .value import _matvec, optimal_value, path_cost, tilde_J
@@ -90,36 +104,64 @@ def default_probe_nodes(grid: TimeGrid) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # the chunk loop
 
+# the chunk rule's byte budget and floor (see the module docstring)
+_CHUNK_BYTES = 24 * 2**20
+_MIN_CHUNK = 512
+
+
 def _noise_stack(seed: int, j0: int, j1: int, grid, dims):
-    dW = np.empty((j1 - j0, grid.steps, dims.d))
-    dWp = np.empty((j1 - j0, grid.steps, dims.k))
-    for j in range(j0, j1):
-        nd = draw_noise(seed, j, grid, dims)
-        dW[j - j0] = nd.dW
-        dWp[j - j0] = nd.dWp
+    """The increments of paths j0..j1-1 from draw_noise: dW (paths, N, d)
+    and dWp (paths, N, k), stored node-major like the kernel's arrays.
+    _PATH_BLOCK paths at a time are drawn into the rows of a path-major
+    scratch and written into the stacks as one block."""
+    N, d, k = grid.steps, dims.d, dims.k
+    dW, dWp = _node_major(j1 - j0, N, d), _node_major(j1 - j0, N, k)
+    scratch = np.empty((min(_PATH_BLOCK, j1 - j0), N * (d + k)))
+    for b0 in range(j0, j1, _PATH_BLOCK):
+        z = scratch[:min(_PATH_BLOCK, j1 - b0)]
+        for j, row in enumerate(z, b0):
+            draw_noise(seed, j, grid, dims, out=row)
+        rows = slice(b0 - j0, b0 - j0 + len(z))
+        dW[rows] = z[:, :N * d].reshape(-1, N, d)
+        dWp[rows] = z[:, N * d:].reshape(-1, N, k)
     return dW, dWp
 
 
 def _simulate_chunks(model: ModelSpec, sol: DeterministicSolution,
                      policies: Sequence[ControlPolicy], first: int, stop: int,
-                     seed: int, chunk_size: int):
+                     seed: int, chunk_size: int | None = None):
     """Yield (j0, j1, policy, kernel output) for paths first..stop-1 chunk
     by chunk: each chunk's noise is drawn once and every policy runs on it,
-    in the given order."""
-    if chunk_size < 1:
+    in the given order.  This is the one place a chunk is sized: by the
+    chunk rule of the module docstring, the paths cut evenly into the
+    fewest chunks of at most max(_CHUNK_BYTES // bytes per path,
+    _MIN_CHUNK) paths, or else chunk_size paths, which only the
+    chunk-invariance tests pass.  The noise is freed before the chunk's
+    last output is yielded, and no output is held here once the caller
+    resumes, so a caller that drops each output holds only one at a time."""
+    if chunk_size is None:
+        dims, count = model.dims, stop - first
+        per_path = 8 * (sol.grid.steps + 1) * (3 * dims.n + dims.m + 2 * dims.d + dims.k)
+        chunks = -(-count // max(_CHUNK_BYTES // per_path, _MIN_CHUNK))
+        chunk_size = max(-(-count // max(chunks, 1)), 1)
+    elif chunk_size < 1:
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
     for j0 in range(first, stop, chunk_size):
         j1 = min(j0 + chunk_size, stop)
         dW, dWp = _noise_stack(seed, j0, j1, sol.grid, model.dims)
-        for policy in policies:
-            yield j0, j1, policy, _closed_loop_arrays(model, sol, policy, dW, dWp)
+        for k, policy in enumerate(policies):
+            arrs = _closed_loop_arrays(model, sol, policy, dW, dWp)
+            if k == len(policies) - 1:
+                del dW, dWp
+            yield j0, j1, policy, arrs
+            del arrs
 
 
 def iter_path_bundles(model: ModelSpec, sol: DeterministicSolution,
                       policy: ControlPolicy, n_paths: int, seed: int,
-                      chunk_size: int = 1024) -> Iterator[PathBundle]:
+                      chunk_size: int | None = None) -> Iterator[PathBundle]:
     """Yield PathBundles for path indices 0..n_paths-1 in order, simulated
-    in chunks so memory stays bounded."""
+    in chunks (see _simulate_chunks) so memory stays bounded."""
     for _, _, _, arrs in _simulate_chunks(model, sol, (policy,), 0, n_paths,
                                           seed, chunk_size):
         yield from _bundles(sol, arrs)
@@ -201,18 +243,25 @@ class PathStatistics:
 
 def _record_feedback(arrs, stats: PathStatistics, rows: slice):
     """Write the per-path numbers of one chunk of filter feedback paths
-    into rows of stats: the probe statistics, the innovation increment
-    sums, and the cost split along X = Xhat + Xtil, where value.path_cost
-    prices Xhat with the applied controls and Xtil with none.  The
-    chunk's dV and X buffers are its scratch, for the increment products
-    and for Xtil, so arrs holds neither afterwards."""
+    into rows of stats: the innovation increment sums, the probe
+    statistics, and the cost split along X = Xhat + Xtil, where
+    value.path_cost prices Xhat with the applied controls and Xtil with
+    none.  K^{-1} dV and its products are formed _PATH_BLOCK paths at a
+    time in path-major scratch, so every sum over nodes runs in the order
+    it runs on a path-major array.  The chunk's X buffer becomes Xtil, so
+    arrs no longer holds X afterwards."""
     tab = stats.sol.table
-    dvc = _matvec(tab.Kinv[:-1:2], arrs["dV"])  # K^{-1} dV
-    stats.inc_sums[rows] = dvc.sum(axis=1)
-    sq = arrs["dV"]
-    stats.inc_sq[rows] = np.square(dvc, out=sq).sum(axis=1)
-    stats.lag_sums[rows] = np.multiply(dvc[:, :-1], dvc[:, 1:], out=sq[:, :-1]).sum(axis=1)
-    del dvc, sq  # before the path costs' temporaries
+    dV = arrs["dV"]
+    scratch = np.empty((2, min(_PATH_BLOCK, len(dV))) + dV.shape[1:])
+    for b0 in range(0, len(dV), _PATH_BLOCK):
+        block = dV[b0:b0 + _PATH_BLOCK]
+        dvc, sq = scratch[:, :len(block)]
+        _matvec(tab.Kinv[:-1:2], block, out=dvc)  # K^{-1} dV
+        out = slice(rows.start + b0, rows.start + b0 + len(block))
+        stats.inc_sums[out] = dvc.sum(axis=1)
+        stats.inc_sq[out] = np.square(dvc, out=sq).sum(axis=1)
+        stats.lag_sums[out] = np.multiply(dvc[:, :-1], dvc[:, 1:], out=sq[:, :-1]).sum(axis=1)
+    del scratch, dvc, sq  # before the path costs' temporaries
     Xtil = np.subtract(arrs["X"], arrs["Xhat"], out=arrs["X"])
     for pn in stats.error_outer:
         til = Xtil[:, pn]
@@ -225,11 +274,14 @@ def _record_feedback(arrs, stats: PathStatistics, rows: slice):
 def simulate_statistics(model: ModelSpec, sol: DeterministicSolution,
                         n_paths: int, seed: int, probes: Sequence[int] = (),
                         policies: Sequence[ControlPolicy] = (),
-                        chunk_size: int = 2048) -> PathStatistics:
+                        chunk_size: int | None = None) -> PathStatistics:
     """Simulate paths 0..n_paths-1 under filter feedback and, on the same
     noise, under each extra policy; keep the per-path numbers every report
     needs, with the error statistics at each probe node.  The paths run in
-    one forked worker per CPU (see the module docstring)."""
+    one forked worker per CPU, each in chunks of at most the 24 MiB byte
+    budget, so each process holds about one budget of noise and kernel
+    output (see the module docstring); chunk_size fixes the paths per
+    chunk instead, for the chunk-invariance tests."""
     if n_paths < 2:
         raise InsufficientPaths(f"need at least 2 paths, got {n_paths}")
     for pn in probes:
@@ -354,9 +406,12 @@ class BrownianityReport:
 
 
 def brownianity_report(stats: PathStatistics) -> BrownianityReport:
-    """Pool the feedback paths' innovation increment statistics."""
+    """Pool the feedback paths' innovation increment statistics; the
+    lag-1 autocorrelation needs at least 2 steps (ValueError)."""
     count, grid = stats.n_paths, stats.sol.grid
     steps, d = grid.steps, stats.inc_sums.shape[1]
+    if steps < 2:
+        raise ValueError(f"need at least 2 steps for the lag-1 autocorrelation, got {steps}")
     inc_mean = stats.inc_sums.sum(axis=0) / (count * steps)
     inc_sq = stats.inc_sq.sum(axis=0)
     qv_ratio = float(inc_sq.sum() / (count * d * grid.T))

@@ -1083,6 +1083,23 @@ def test_verify_degenerate_noiseless_scenario(tmp_path, capsys):
     assert main(["verify", "--scenario", path, "--out", str(out)]) == 0
 
 
+def test_verify_refuses_a_one_step_grid(tmp_path, capsys, monkeypatch):
+    # the lag-1 autocorrelation needs two steps: one step is refused before
+    # any pass, with no 0/0 warning, no nan row and no output file
+    passes = []
+    monkeypatch.setattr(cli, "simulate_statistics",
+                        lambda *a, **k: passes.append(1) or verify.simulate_statistics(*a, **k))
+    path = write_doc(tmp_path, bench_doc(mc={"n_paths": 20, "seed": 1}))
+    out = tmp_path / "v"
+    assert main(["verify", "--scenario", path, "--out", str(out), "--steps", "1"]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == "invalid input: need at least 2 steps, got 1\n"
+    assert passes == [] and not out.exists()
+    assert main(["verify", "--scenario", path, "--out", str(out), "--steps", "2"]) in (0, 4)
+    assert len(passes) == 2
+
+
 # -------------------------------------------------------------------- parse
 
 def test_scenario_parses_policy_and_mc():

@@ -88,3 +88,26 @@ def test_only_the_scenario_reader_decodes_json():
     found = {(path.name, scope, what) for path in sorted(package.glob("*.py"))
              for scope, what in decoders(ast.parse(path.read_text()), None)}
     assert found == {("cli.py", "_read_json", "decode"), ("cli.py", "parse_scenario", "read")}
+
+
+def test_only_the_chunk_loop_sizes_a_chunk():
+    # verify._simulate_chunks cuts paths into chunks by one byte budget; an
+    # integer chunk-length default elsewhere would size chunks by its own
+    # rule, outside that budget
+    def fixed_lengths(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                named = list(zip(reversed(args.posonlyargs + args.args),
+                                 reversed(args.defaults)))
+                named += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+                for arg, default in named:
+                    if ("chunk" in arg.arg.lower() and isinstance(default, ast.Constant)
+                            and type(default.value) is int):
+                        yield node.name, arg.arg
+
+    package = pathlib.Path(polqg.__file__).parent
+    found = [(path.name, *hit) for path in sorted(package.glob("*.py"))
+             for hit in fixed_lengths(ast.parse(path.read_text()))
+             if hit[0] != "_simulate_chunks"]
+    assert found == []

@@ -152,11 +152,18 @@ def test_nonfinite_noise_names_the_node(bench):
     assert (err.value.what, err.value.node) == ("simulate_closed_loop", 8)
 
 
+def _slabs_contiguous(a):
+    return all(a[:, i].flags.c_contiguous for i in range(a.shape[1]))
+
+
 def test_kernel_temporaries_stay_below_one_buffer(kernel_cases):
     # all-node terms go into the output buffers: besides its outputs, a
-    # call never holds as much as one more (paths, N, max(n, d)) array
+    # call never holds as much as one more (paths, N, max(n, d)) array.
+    # Noise and outputs are stored node-major: each per-node slab [:, i]
+    # of the step loops is one contiguous block
     for model, grid, sol in kernel_cases:
         dW, dWp = _noise_stack(5, 0, 300, grid, model.dims)
+        assert _slabs_contiguous(dW) and _slabs_contiguous(dWp)
         dims = model.dims
         buffer = dW.shape[0] * grid.steps * max(dims.n, dims.d) * 8
         for policy in all_policies(grid, dims.m):
@@ -169,6 +176,8 @@ def test_kernel_temporaries_stay_below_one_buffer(kernel_cases):
                 tracemalloc.stop()
             outputs = sum(a.nbytes for a in arrs.values())
             assert peak - before < outputs + buffer, (dims, policy.label)
+            for key in ("X", "Xhat", "u", "dV"):
+                assert _slabs_contiguous(arrs[key]), (dims, policy.label, key)
             del arrs
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import os
 import tracemalloc
 
 import numpy as np
@@ -126,6 +128,63 @@ def test_run_batch_chunk_invariance(any_n):
                 for field in got.__dataclass_fields__:
                     np.testing.assert_array_equal(getattr(got, field),
                                                   getattr(want, field), field)
+
+
+@pytest.fixture(scope="module")
+def share800():
+    """One share of the scalar benchmark's 2N pass (N = 800, 1000 paths)
+    on one CPU, under the default chunk rule: its statistics, its traced
+    peak above what was live at the call, the chunks it ran, and the same
+    pass as one chunk."""
+    model, grid = benchmark_model(800)
+    sol = solve_all(model, grid)
+    args = (model, sol, 1000, 3, (200, 400, 600, 800),
+            [ControlPolicy("perturbed_feedback", [0.5])])
+    chunks = []
+    real_stack = verify._noise_stack
+
+    def noise_stack(seed, j0, j1, grid, dims):
+        chunks.append((j0, j1))
+        return real_stack(seed, j0, j1, grid, dims)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0})
+        mp.setattr(verify, "_noise_stack", noise_stack)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            stats = simulate_statistics(*args)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        default = list(chunks)
+        whole = simulate_statistics(*args, chunk_size=1000)
+    assert chunks[len(default):] == [(0, 1000)]
+    return stats, peak, default, whole
+
+
+def test_default_chunks_bound_the_memory_of_a_share(share800):
+    # a chunk holds at most the byte budget, verify._CHUNK_BYTES = 24 MiB, of
+    # noise and kernel output (about 19 MiB traced here, in two chunks), so
+    # the share stays within one budget above what was live; as one
+    # 2048-path chunk it held about 44 MiB
+    _, peak, _, _ = share800
+    assert peak < 1.0 * (24 * 2**20)
+
+
+def test_default_chunks_split_a_share_without_changing_a_bit(share800):
+    stats, _, chunks, whole = share800
+    assert len(chunks) >= 2
+    assert chunks[0][0] == 0 and chunks[-1][1] == 1000
+    assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+    for field in dataclasses.fields(stats):
+        got, want = getattr(stats, field.name), getattr(whole, field.name)
+        if isinstance(got, dict):
+            assert got.keys() == want.keys()
+            for key in got:
+                np.testing.assert_array_equal(got[key], want[key], f"{field.name}[{key}]")
+        elif isinstance(got, np.ndarray):
+            np.testing.assert_array_equal(got, want, field.name)
 
 
 @pytest.mark.parametrize("chunk_size", [0, -5])
@@ -273,6 +332,14 @@ def test_brownianity_requires_two_paths(bench100):
     model, grid, sol = bench100
     with pytest.raises(InsufficientPaths):
         brownianity_report(simulate_statistics(model, sol, 1, seed=0))
+
+
+def test_brownianity_requires_two_steps():
+    # one step has no lag-1 pair: the report raises rather than divide 0 by 0
+    model, grid = benchmark_model(1)
+    stats = simulate_statistics(model, solve_all(model, grid), 20, seed=0)
+    with pytest.raises(ValueError, match="at least 2 steps"):
+        brownianity_report(stats)
 
 
 # ------------------------------------------------------------- decomposition
