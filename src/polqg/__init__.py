@@ -63,12 +63,14 @@ from .verify import (
     BatchReport,
     BrownianityReport,
     DecompositionReport,
+    DiscreteMoments,
     PathStatistics,
     PolicyComparison,
     brownianity_report,
     compare_policies,
     decomposition_check,
     default_probe_nodes,
+    discrete_moments,
     expected_discrete_error_cov,
     iter_path_bundles,
     run_batch,

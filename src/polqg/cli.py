@@ -10,10 +10,10 @@ whose only timestamp is meta.generated_at; per-path CSV files carry no
 timestamps at all and rerunning a simulation writes byte-identical files.
 
 `solve` shares out its file writers, `simulate` its paths (a share
-simulates its paths and writes their files) and `verify` the paths of each
-Monte Carlo pass, one share per CPU this process may run on, through the
-one fork helper verify._run_in_shares, which reruns the work here if any
-share fails.  Each file depends on its own writer alone and each verify
+simulates its paths and writes their files) and `verify` the paths of its
+one Monte Carlo pass, one share per CPU this process may run on, through
+the one fork helper verify._run_in_shares, which reruns the work here if
+any share fails.  Each file depends on its own writer alone and each verify
 statistic is reduced from complete per-path arrays, so every output is
 byte-identical for any number of workers.
 
@@ -82,6 +82,7 @@ from .verify import (
     compare_policies,
     decomposition_check,
     default_probe_nodes,
+    discrete_moments,
     run_batch,
     simulate_statistics,
 )
@@ -605,19 +606,18 @@ def _run_checks(sc: Scenario, grid: TimeGrid, seed: int, n_paths: int,
                 sigma_scale: float = 1.0) -> tuple[list[dict], list]:
     """All verification checks; returns (check rows, extra series rows).
 
-    One simulate_statistics pass per grid feeds every check, and each
-    statistic is read from the one report that reduces it (see
-    polqg.verify).  Every estimate that carries an Euler bias is also read
-    off the grid with twice the steps, where only the feedback and
-    perturbed policies run, and the gap widens its band (see check).  The
-    lag-1 autocorrelation needs two steps, so one step is refused before
-    any pass."""
+    One simulate_statistics pass feeds every estimate, and each statistic
+    is read from the one report that reduces it (see polqg.verify).  Every
+    estimate that carries an Euler bias has its band widened by the gap
+    between the exact expectations of the simulated chain on this grid and
+    on the grid with twice the steps (verify.discrete_moments; see check).
+    The lag-1 autocorrelation needs two steps, so one step is refused
+    before any pass."""
     if grid.steps < 2:
         raise ValueError(f"need at least 2 steps, got {grid.steps}")
     model = sc.model
     sol = solve_all(model, grid)
-    grid2 = TimeGrid(grid.T, 2 * grid.steps)
-    sol2 = solve_all(model, grid2)
+    sol2 = solve_all(model, TimeGrid(grid.T, 2 * grid.steps))
     if sigma_scale != 1.0:
         sol = _scaled_sigma_solution(sol, sigma_scale)
         sol2 = _scaled_sigma_solution(sol2, sigma_scale)
@@ -626,8 +626,8 @@ def _run_checks(sc: Scenario, grid: TimeGrid, seed: int, n_paths: int,
     perturbed = ControlPolicy("perturbed_feedback", eps)
     stats = simulate_statistics(model, sol, n_paths, seed, probes,
                                 [ControlPolicy("zero"), perturbed])
-    stats2 = simulate_statistics(model, sol2, n_paths, seed,
-                                 [2 * pn for pn in probes], [perturbed])
+    # exact expectations under filter feedback (offset 0) and the perturbation
+    exact, exact2 = (discrete_moments(model, s, (0.0, eps)) for s in (sol, sol2))
 
     checks: list[dict] = []
     series: list = []
@@ -636,9 +636,10 @@ def _run_checks(sc: Scenario, grid: TimeGrid, seed: int, n_paths: int,
               one_sided=False):
         """Add the row |estimate - target| <= band = 3 se + 3 halving_gap +
         _band_floor(scale, else target) on every element, showing the one
-        furthest outside.  2x the gap to the grid with twice the steps is the
-        Euler bias when that is linear in h; pad it by half again for the
-        remainder.  One-sided (an excess cost): estimate >= -band, 2 se."""
+        furthest outside.  The halving gap is |E_N - E_2N| of the
+        statistic's exact expectation over the simulated chain; 2x it is
+        the Euler bias when that is linear in h, padded by half again for
+        the remainder.  One-sided (an excess cost): estimate >= -band, 2 se."""
         band = ((2.0 if one_sided else 3.0) * se + 3.0 * halving_gap
                 + _band_floor(target if scale is None else scale))
         est, se, target, band = np.broadcast_arrays(estimate, se, target, band)
@@ -648,21 +649,22 @@ def _run_checks(sc: Scenario, grid: TimeGrid, seed: int, n_paths: int,
         checks.append({"name": name, **{k: float(a.flat[worst]) for k, a in shown},
                        "passed": bool((miss <= band).all())})
 
-    comp, comp2 = compare_policies(stats), compare_policies(stats2)
+    comp = compare_policies(stats)
 
     # realized cost against the analytic value
-    fb, fb2 = comp.row("filter_feedback"), comp2.row("filter_feedback")
+    fb = comp.row("filter_feedback")
     check("cost_vs_value", fb.cost_mean, fb.cost_se, stats.analytic_value,
-          abs(fb.cost_mean - fb2.cost_mean))
+          abs(exact.costs[0] - exact2.costs[0]))
     series.append(("cost_mean", grid.T, fb.cost_mean))
     series.append(("analytic_value", grid.T, stats.analytic_value))
 
     # error covariance and orthogonality at every probe node
     for pn in probes:
-        r, r2 = run_batch(stats, pn), run_batch(stats2, 2 * pn)
+        r = run_batch(stats, pn)
         Sigma = sol.Sigma[pn]
         check(f"error_cov_node{pn}", np.abs(r.emp_error_cov - Sigma),
-              r.emp_error_cov_se, 0.0, np.abs(r.emp_error_cov - r2.emp_error_cov),
+              r.emp_error_cov_se, 0.0,
+              np.abs(exact.error_cov[pn] - exact2.error_cov[2 * pn]),
               scale=np.linalg.norm(Sigma))
         check(f"orthogonality_node{pn}", abs(r.orth_stat), r.orth_se)
         t_pn = float(grid.nodes[pn])
@@ -679,10 +681,10 @@ def _run_checks(sc: Scenario, grid: TimeGrid, seed: int, n_paths: int,
     check("brownianity_lag1", np.abs(br.lag1_autocorr), br.lag1_band / 3.0)
 
     # cost decomposition
-    dr, dr2 = decomposition_check(stats), decomposition_check(stats2)
+    dr = decomposition_check(stats)
     check("decomposition_cross", abs(dr.cross_mean), dr.cross_se)
     check("decomposition_tildeJ", dr.tildeJ_mean, dr.tildeJ_se,
-          stats.tildeJ_analytic, abs(dr.tildeJ_mean - dr2.tildeJ_mean))
+          stats.tildeJ_analytic, abs(exact.tildeJ - exact2.tildeJ))
 
     # policy comparison under common random numbers
     for row in comp.rows:
@@ -694,9 +696,10 @@ def _run_checks(sc: Scenario, grid: TimeGrid, seed: int, n_paths: int,
     # perturbation penalty against its closed form
     pred = float(np.trapezoid(np.einsum("a,tab,b->t", eps, sol.table.R[::2], eps),
                               grid.nodes))
-    row, row2 = comp.row("perturbed_feedback"), comp2.row("perturbed_feedback")
+    row = comp.row("perturbed_feedback")
+    excess, excess2 = (e.costs[1] - e.costs[0] for e in (exact, exact2))
     check("perturbed_excess_vs_prediction", row.excess_mean, row.excess_se,
-          pred, abs(row.excess_mean - row2.excess_mean))
+          pred, abs(excess - excess2))
 
     return checks, series
 

@@ -190,8 +190,11 @@ def _scan_backward(grid: TimeGrid, L_at: Callable[[slice], np.ndarray],
     out[N] = y
     for k1 in range(N, 0, -_CHUNK):
         k0 = max(k1 - _CHUNK, 0)
-        # processing order: row r is step k1 - 1 - r
-        S = np.ascontiguousarray(_rk4_maps(L_at(slice(2 * k0, 2 * k1 + 1)), hs[k0:k1])[::-1])
+        # processing order: row r is step k1 - 1 - r; a map that is not
+        # finite makes its node's value not finite, which raises blowup
+        with np.errstate(over="ignore", invalid="ignore"):
+            S = np.ascontiguousarray(
+                _rk4_maps(L_at(slice(2 * k0, 2 * k1 + 1)), hs[k0:k1])[::-1])
         s = len(S)
         # a block's rows sum to at most _LOG_CAP, so no product overflows
         c = np.cumsum(np.log(np.maximum(np.abs(S).sum(axis=-1).reshape(s, -1).max(axis=1), 1.0)))

@@ -260,19 +260,22 @@ class NodeTable:
         B, S = f["B"], f["S"]
         RinvBS = solve_stack(f["R"], np.concatenate((B.mT, S), axis=-1), "R", times)
         RinvBt, RinvS = RinvBS[..., :n], RinvBS[..., n:]
-        return cls(
-            grid, model.dims, **f, G=model.G, g=model.g,
-            Kinv=solve_stack(K, eye_d, "K", times),
-            KinvH=KinvH,
-            Acl=f["A"] - f["C"] @ KinvH,
-            N=K @ K.mT,
-            DDt=f["D"] @ f["D"].mT,
-            Abar=f["A"] - B @ RinvS,
-            BRBt=B @ RinvBt,
-            Qbar=f["Q"] - S.mT @ RinvS,
-            HNH=KinvH.mT @ KinvH,
-            psd_tol=model.psd_tol,
-        )
+        Kinv = solve_stack(K, eye_d, "K", times)
+        # a product that overflows is reported by the solve that reads it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return cls(
+                grid, model.dims, **f, G=model.G, g=model.g,
+                Kinv=Kinv,
+                KinvH=KinvH,
+                Acl=f["A"] - f["C"] @ KinvH,
+                N=K @ K.mT,
+                DDt=f["D"] @ f["D"].mT,
+                Abar=f["A"] - B @ RinvS,
+                BRBt=B @ RinvBt,
+                Qbar=f["Q"] - S.mT @ RinvS,
+                HNH=KinvH.mT @ KinvH,
+                psd_tol=model.psd_tol,
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +355,9 @@ def _eig_floor(M: np.ndarray, psd_tol: float) -> np.ndarray:
     finite = np.isfinite(M).all(axis=(-2, -1))
     Mf = M[finite]
     slack = np.full(finite.shape, -np.inf)
-    slack[finite] = (np.linalg.eigvalsh(0.5 * (Mf + Mf.mT))[..., 0]
-                     + psd_tol * (1.0 + np.linalg.norm(Mf, axis=(-2, -1))))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the node
+        slack[finite] = (np.linalg.eigvalsh(0.5 * (Mf + Mf.mT))[..., 0]
+                         + psd_tol * (1.0 + np.linalg.norm(Mf, axis=(-2, -1))))
     return slack
 
 
@@ -407,11 +411,12 @@ def validate(model: ModelSpec) -> ValidationReport:
     # Q - S^T R^{-1} S with the symmetric part of R; a singular or non-finite
     # R fails the node outright and is swapped for I so the stacked solve
     # goes through (a non-finite Q or S fails it in _eig_floor)
-    Rs = 0.5 * (model.R + model.R.mT)
-    singular = ~np.isfinite(Rs).all(axis=(-2, -1))
-    singular[~singular] = np.linalg.det(Rs[~singular]) == 0.0
-    Rs[singular] = np.eye(model.dims.m)
-    M = model.Q - model.S.mT @ np.linalg.solve(Rs, model.S)
+    with np.errstate(over="ignore", invalid="ignore"):  # fails in _eig_floor
+        Rs = 0.5 * (model.R + model.R.mT)
+        singular = ~np.isfinite(Rs).all(axis=(-2, -1))
+        singular[~singular] = np.linalg.det(Rs[~singular]) == 0.0
+        Rs[singular] = np.eye(model.dims.m)
+        M = model.Q - model.S.mT @ np.linalg.solve(Rs, model.S)
     slacks = np.where(singular, -np.inf, _eig_floor(M, model.psd_tol))
     checks.append(_worst_node("A3_QSRS_psd", slacks))
 

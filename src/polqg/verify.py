@@ -19,6 +19,14 @@ Each statistic is reduced in exactly one report:
 The analytic targets (optimal value, tilde_J) live on PathStatistics,
 and Sigma on the solution; no report copies them.
 
+discrete_moments holds the exact law of the chain the kernel steps: the
+mean and covariance of (Xtil, Xhat) node by node, and from them the
+expected costs, Xtil cost and error covariance that the pass's estimates
+converge to on the same grid.  `polqg verify` makes one pass, on its own
+grid, and takes the Euler bias allowance of its biased rows from
+discrete_moments on that grid and on the grid with twice the steps, so no
+path is simulated on a second grid.
+
 Per-path noise comes from draw_noise(seed, path_index) and every per-path
 number is bitwise independent of the chunk its path ran in (see
 polqg.simulate).  The pass cuts paths 0..n_paths-1 into one contiguous
@@ -51,13 +59,13 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .detsolve import DeterministicSolution
-from .errors import InsufficientPaths
+from .errors import InsufficientPaths, NonFinite
 from .model import ModelSpec, TimeGrid
 from .model import table_at_nodes  # noqa: F401  bench/tracer.py wraps it here by name
 from .simulate import (
@@ -69,7 +77,7 @@ from .simulate import (
     _node_major,
     draw_noise,
 )
-from .value import _matvec, optimal_value, path_cost, tilde_J
+from .value import _first_nonfinite, _matvec, optimal_value, path_cost, tilde_J
 
 __all__ = [
     "PathStatistics",
@@ -83,6 +91,8 @@ __all__ = [
     "compare_policies",
     "brownianity_report",
     "decomposition_check",
+    "DiscreteMoments",
+    "discrete_moments",
     "expected_discrete_error_cov",
     "iter_path_bundles",
     "default_probe_nodes",
@@ -281,7 +291,9 @@ def simulate_statistics(model: ModelSpec, sol: DeterministicSolution,
     one forked worker per CPU, each in chunks of at most the 24 MiB byte
     budget, so each process holds about one budget of noise and kernel
     output (see the module docstring); chunk_size fixes the paths per
-    chunk instead, for the chunk-invariance tests."""
+    chunk instead, for the chunk-invariance tests.  `polqg verify` runs
+    one such pass; the exact expectations of these numbers on any grid
+    come from discrete_moments, with no paths."""
     if n_paths < 2:
         raise InsufficientPaths(f"need at least 2 paths, got {n_paths}")
     for pn in probes:
@@ -451,30 +463,90 @@ def decomposition_check(stats: PathStatistics) -> DecompositionReport:
 
 
 # ---------------------------------------------------------------------------
-# discrete-chain covariance oracle
+# exact law of the simulated chain
+
+@dataclass(frozen=True)
+class DiscreteMoments:
+    """Exact expectations over the Euler chain the kernel steps, on one grid."""
+
+    costs: np.ndarray      # (len(offsets),) E path_cost under each offset
+    tildeJ: float          # E path_cost(Xtil, 0)
+    error_cov: np.ndarray  # (N+1, n, n) Cov Xtil at every node
+
+
+def discrete_moments(model: ModelSpec, sol: DeterministicSolution,
+                     offsets: Sequence = (0.0,)) -> DiscreteMoments:
+    """The exact law of Z = (Xtil, Xhat) as simulate._closed_loop_arrays
+    steps it under the optimal feedback plus each offset (an m-vector or
+    one per node, as a perturbed_feedback table; 0.0 is filter feedback).
+
+    The chain is linear with independent Gaussian increments, so with the
+    kernel's left-endpoint coefficients and L = sol.gain its mean and
+    covariance obey
+
+        mu_{i+1} = F_i mu_i + c_i,  Gam_{i+1} = F_i Gam_i F_i^T + h_i G_i G_i^T,
+        F_i = [[I + h curlyA, 0], [h L H, I + h (A + B Theta)]],
+        c_i = (0, h (a + B (offset - ff))),  G_i = [[-Delta, D], [L K, 0]],
+
+    from mu_0 = (0, x0) and Gam_0 = 0; Gam is the same for every offset.
+    The costs are path_cost's weights and left Riemann sum in expectation:
+    E <W w, w> = tr(W Cov w) + <W E w, E w> for w = (X, u) = (Xtil + Xhat,
+    Theta Xhat + offset - ff).  They differ from the continuous targets by
+    the simulator's O(h) Euler bias (Talay & Tubaro, Stoch. Anal. Appl.
+    8(4), 1990), which verify allows for with |E_N - E_2N|.  An expectation
+    that is not finite raises NonFinite at the first node whose expected
+    running cost is not finite, else node N.
+    """
+    grid, tab = sol.grid, sol.table
+    (n, m, d, k), N = astuple(model.dims), grid.steps
+    A, B, a, D, H, K, Q, S, R, q, r = (getattr(tab, f)[::2] for f in (
+        "A", "B", "a", "D", "H", "K", "Q", "S", "R", "q", "r"))
+    dt = np.diff(grid.nodes)
+    h = dt[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as NonFinite
+        F = np.zeros((N, 2 * n, 2 * n))
+        F[:, :n, :n] = np.eye(n) + h * sol.curlyA[:-1]
+        F[:, n:, :n] = h * sol.gain[:-1] @ H[:-1]
+        F[:, n:, n:] = np.eye(n) + h * (A[:-1] + B[:-1] @ sol.Theta[:-1])
+        G = np.zeros((N, 2 * n, d + k))
+        G[:, :n] = np.concatenate((-sol.Delta, D), axis=2)[:-1]
+        G[:, n:, :d] = (sol.gain @ K)[:-1]
+        GGt = h * (G @ G.mT)
+        u0 = np.stack([np.broadcast_to(o, (N + 1, m)) for o in offsets]) - sol.ff
+        c = dt[:, None] * (a[:-1] + np.einsum("tij,ptj->pti", B[:-1], u0[:, :-1]))
+        cov = np.zeros((N + 1, 2 * n, 2 * n))
+        mean = np.zeros((len(u0), N + 1, 2 * n))
+        mean[:, 0, n:] = model.x0
+        for i in range(N):
+            cov[i + 1] = F[i] @ cov[i] @ F[i].T + GGt[i]
+            mean[:, i + 1] = mean[:, i] @ F[i].T
+            mean[:, i + 1, n:] += c[:, i]
+        # w = E Z + (0, u0), priced by W = [[Q, S^T], [S, R]] and (q, r)
+        E = np.zeros((N + 1, n + m, 2 * n))
+        E[:, :n] = np.eye(n, 2 * n) + np.eye(n, 2 * n, n)
+        E[:, n:, n:] = sol.Theta
+        W = np.concatenate((np.concatenate((Q, S.mT), axis=2),
+                            np.concatenate((S, R), axis=2)), axis=1)
+        cov_w = E @ cov @ E.mT
+        mean_w = np.einsum("tij,ptj->pti", E, mean)
+        mean_w[:, :, n:] += u0
+        running = (np.einsum("tij,tji->t", W, cov_w)
+                   + np.einsum("pti,tij,ptj->pt", mean_w, W, mean_w)
+                   + 2.0 * np.einsum("ti,pti->pt", np.concatenate((q, r), axis=1), mean_w))
+        XT = mean_w[:, N, :n]
+        costs = (running[:, :-1] @ dt + np.trace(tab.G @ cov_w[N, :n, :n])
+                 + np.einsum("pi,ij,pj->p", XT, tab.G, XT) + 2.0 * XT @ tab.g)
+        til = cov[:, :n, :n]  # E Xtil = 0: the error chain has no forcing
+        tildeJ = np.einsum("tij,tji->t", Q[:-1], til[:-1]) @ dt + np.trace(tab.G @ til[N])
+    if not np.isfinite([*costs, tildeJ]).all():
+        raise NonFinite("discrete_moments", _first_nonfinite(running, N))
+    return DiscreteMoments(costs, float(tildeJ), til)
+
 
 def expected_discrete_error_cov(model: ModelSpec,
                                 sol: DeterministicSolution) -> np.ndarray:
-    """Exact second moments of the Euler error chain at every node.
-
-    The simulated error recursion is linear with independent Gaussian
-    increments, so its covariance obeys
-
-        Cov_{i+1} = F_i Cov_i F_i^T + (Delta_i Delta_i^T + D_i D_i^T) h,
-        F_i = I + h curlyA_i,  Cov_0 = 0.
-
-    The difference to Sigma is the discretization bias of the simulator,
-    which is what a covariance comparison must allow for.
-    """
-    grid = sol.grid
-    n = model.dims.n
-    D = sol.table.D[::2]
-    out = np.zeros((grid.steps + 1, n, n))
-    hsteps = np.diff(grid.nodes)
-    eye = np.eye(n)
-    for i in range(grid.steps):
-        hs = hsteps[i]
-        F = eye + hs * sol.curlyA[i]
-        Dl = sol.Delta[i]
-        out[i + 1] = F @ out[i] @ F.T + hs * (Dl @ Dl.T + D[i] @ D[i].T)
-    return out
+    """Cov Xtil of the Euler error chain at every node, the Xtil block of
+    discrete_moments.  The difference to Sigma is the discretization bias
+    of the simulator, which is what a covariance comparison must allow
+    for."""
+    return discrete_moments(model, sol).error_cov

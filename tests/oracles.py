@@ -237,3 +237,56 @@ def closed_loop_reference(model, sol, policy, dW, dWp):
     xT = X[:, N]
     cost += np.einsum("pa,ab,pb->p", xT, model.G, xT) + 2.0 * xT @ model.g
     return {"X": X, "Xhat": Xhat, "u": u, "dV": dV, "cost": cost}
+
+
+def discrete_moments_reference(model, sol, offsets):
+    """The exact law of the Euler chain of closed_loop_reference, stepped
+    one node at a time in the coordinates (X, Xhat): with L = sol.gain
+    and u = Theta Xhat + v, v = offset - R^{-1}(B^T phi + r),
+
+        X_{i+1}    = (I + hA) X + hB Theta Xhat + h (a + B v) + C dW + D dW'
+        Xhat_{i+1} = hLH X + (I + hA + hB Theta - hLH) Xhat + h (a + B v) + LK dW
+
+    from X_0 = Xhat_0 = x0.  Coefficients and cost weights are the values
+    of sol.table at the solution's nodes, so any grid will do.  Returns
+    the expected cost under each offset (an m-vector or one per node), the
+    expected cost of Xtil = X - Xhat alone, and Cov Xtil at every node;
+    each cost is a left Riemann sum over the moments of X and u plus the
+    terminal cost."""
+    tab, grid = sol.table, sol.grid
+    h = np.diff(grid.nodes)
+    N, n = grid.steps, model.dims.n
+    A, B, a, C, D, H, K, Q, S, R, q, r = (getattr(tab, f)[::2] for f in
+                                          "A B a C D H K Q S R q r".split())
+    Th, L = sol.Theta, sol.gain
+    ff = [np.linalg.solve(R[i], B[i].T @ sol.phi[i] + r[i]) for i in range(N + 1)]
+    # covariance blocks of (X, Xhat), the same for every offset
+    Cxx, Cxh, Chh = (np.zeros((N + 1, n, n)) for _ in range(3))
+    for i in range(N):
+        F = np.block([[np.eye(n) + h[i] * A[i], h[i] * B[i] @ Th[i]],
+                      [h[i] * L[i] @ H[i],
+                       np.eye(n) + h[i] * (A[i] + B[i] @ Th[i] - L[i] @ H[i])]])
+        G = np.block([[C[i], D[i]], [L[i] @ K[i], np.zeros_like(D[i])]])
+        P = np.block([[Cxx[i], Cxh[i]], [Cxh[i].T, Chh[i]]])
+        P = F @ P @ F.T + h[i] * G @ G.T
+        Cxx[i + 1], Cxh[i + 1], Chh[i + 1] = P[:n, :n], P[:n, n:], P[n:, n:]
+    Ctil = Cxx - Cxh - Cxh.transpose(0, 2, 1) + Chh
+    costs = []
+    for off in offsets:
+        off = np.broadcast_to(off, (N + 1, model.dims.m))
+        mx, mh, cost = model.x0.copy(), model.x0.copy(), 0.0
+        for i in range(N):
+            v = off[i] - ff[i]
+            mu = Th[i] @ mh + v
+            cost += h[i] * (np.trace(Q[i] @ Cxx[i]) + mx @ Q[i] @ mx
+                            + 2.0 * (np.trace(S[i] @ Cxh[i] @ Th[i].T) + mu @ S[i] @ mx)
+                            + np.trace(R[i] @ Th[i] @ Chh[i] @ Th[i].T) + mu @ R[i] @ mu
+                            + 2.0 * (q[i] @ mx + r[i] @ mu))
+            drift = h[i] * (a[i] + B[i] @ v)
+            mx, mh = (mx + h[i] * (A[i] @ mx + B[i] @ Th[i] @ mh) + drift,
+                      mh + h[i] * (L[i] @ H[i] @ (mx - mh) + (A[i] + B[i] @ Th[i]) @ mh)
+                      + drift)
+        costs.append(cost + np.trace(model.G @ Cxx[N]) + mx @ model.G @ mx
+                     + 2.0 * model.g @ mx)
+    tildeJ = sum(h[i] * np.trace(Q[i] @ Ctil[i]) for i in range(N))
+    return np.array(costs), tildeJ + np.trace(model.G @ Ctil[N]), Ctil

@@ -87,11 +87,11 @@ def test_traced_verify_runs(tmp_path, monkeypatch):
             setattr(importlib.import_module(module), name, fn)
     assert code in (0, 4)
     metrics = tracer.layer_metrics(json.loads((tmp_path / "spans.json").read_text()))
-    # one pass per grid, each policy once on one noise draw: feedback, zero
-    # and perturbed feedback on the N grid, feedback and perturbed feedback
-    # on the 2N grid; no path is simulated twice
-    assert metrics["simulate.kernel_calls"] == 5
-    assert metrics["simulate.path_steps"] == 3 * 8 * 20 + 2 * 8 * 40
+    # one pass, each policy once on one noise draw: feedback, zero and
+    # perturbed feedback; the grid with twice the steps is only solved, for
+    # its exact moments, and no path is simulated twice
+    assert metrics["simulate.kernel_calls"] == 3
+    assert metrics["simulate.path_steps"] == 3 * 8 * 20
     assert metrics["simulate.distinct_ratio"] == 1.0
     # the tracer counts the steps of integrate_matrix_ode, and solve_all
     # composes step maps instead of stepping it

@@ -8,10 +8,12 @@ import pytest
 from polqg import (
     ControlPolicy,
     InsufficientPaths,
+    NonFinite,
     brownianity_report,
     compare_policies,
     decomposition_check,
     default_probe_nodes,
+    discrete_moments,
     draw_noise,
     expected_discrete_error_cov,
     iter_path_bundles,
@@ -19,10 +21,17 @@ from polqg import (
     simulate_closed_loop,
     simulate_statistics,
     solve_all,
+    solve_filter_side,
 )
 from polqg import verify
 
-from oracles import TOTAL, benchmark_model, random_validated_model, scalar_model
+from oracles import (
+    TOTAL,
+    benchmark_model,
+    discrete_moments_reference,
+    random_validated_model,
+    scalar_model,
+)
 
 FEEDBACK = ControlPolicy("filter_feedback")
 
@@ -397,3 +406,62 @@ def test_discrete_cov_matches_empirical_on_coarse_grid():
     if gap > 6.0 * rep.emp_error_cov_se[0, 0]:
         assert (np.abs(rep.emp_error_cov - sol.Sigma[-1])
                 > 3.0 * rep.emp_error_cov_se).any()
+
+
+# ------------------------------------------------- exact law of the chain
+
+@pytest.mark.parametrize("sigma_scale", [1.0, 1.3])
+def test_discrete_moments_match_the_node_by_node_reference(any_n, sigma_scale):
+    # the scalar benchmark and time-varying draws with n = 3 and 2, under
+    # feedback, a constant offset and one per node; a scaled Sigma rebuilds
+    # the gain, so the chain is no longer the filter's
+    for model, grid, sol in any_n:
+        if sigma_scale != 1.0:
+            sol = dataclasses.replace(sol, **solve_filter_side(sol.Sigma * sigma_scale,
+                                                               sol.table))
+        m = model.dims.m
+        ramp = np.linspace(-1.0, 1.0, grid.steps + 1)[:, None] * np.arange(1, m + 1)
+        offsets = (0.0, np.full(m, 0.5), ramp)
+        got = discrete_moments(model, sol, offsets)
+        costs, tildeJ, cov = discrete_moments_reference(model, sol, offsets)
+        np.testing.assert_allclose(got.costs, costs, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got.tildeJ, tildeJ, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got.error_cov, cov, rtol=0.0, atol=1e-12)
+        assert got.costs.shape == (3,)
+
+
+def test_discrete_error_cov_is_the_moments_xtil_block(any_n):
+    for model, grid, sol in any_n:
+        np.testing.assert_array_equal(expected_discrete_error_cov(model, sol),
+                                      discrete_moments(model, sol).error_cov)
+
+
+@pytest.mark.parametrize("case", ["scalar", "random_2d"])
+def test_discrete_moments_match_monte_carlo(case):
+    # the kernel's sample means of the feedback cost, the perturbed excess
+    # and the Xtil cost sit within 4 SE of their exact expectations
+    if case == "scalar":
+        model, grid = benchmark_model(50)
+    else:
+        model, grid = random_validated_model(np.random.default_rng(102),
+                                             time_varying=True)
+        assert model.dims.n == 2
+    sol = solve_all(model, grid)
+    eps = np.full(model.dims.m, 0.5)
+    stats = simulate_statistics(model, sol, 20000, seed=67, policies=[
+        ControlPolicy("perturbed_feedback", eps)])
+    exact = discrete_moments(model, sol, (0.0, eps))
+    fb = stats.costs["filter_feedback"]
+    for sample, want in ((fb, exact.costs[0]),
+                         (stats.costs["perturbed_feedback"] - fb,
+                          exact.costs[1] - exact.costs[0]),
+                         (stats.tildeJ, exact.tildeJ)):
+        mean, se = verify._mean_se(sample)
+        assert abs(mean - want) <= 4.0 * se
+
+
+def test_discrete_moments_overflow_names_the_node():
+    model, grid = scalar_model(x0=1e300, steps=20)
+    with pytest.raises(NonFinite) as err:
+        discrete_moments(model, solve_all(model, grid))
+    assert "discrete_moments" in str(err.value) and "node 0" in str(err.value)
