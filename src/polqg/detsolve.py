@@ -213,10 +213,12 @@ def _scan_backward(grid: TimeGrid, L_at: Callable[[slice], np.ndarray],
             r = rows[d:][rows[d:] - d >= first[d:]]
             if not r.size:
                 break
-            S[r] = S[r] @ S[r - d]
+            with np.errstate(over="ignore", invalid="ignore"):  # raises blowup below
+                S[r] = S[r] @ S[r - d]
             d *= 2
         for a, b in zip(starts, ends):
-            vals = apply(S[a:b], y)
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = apply(S[a:b], y)
             bad = ~np.isfinite(vals).reshape(b - a, -1).all(axis=1)
             if bad.any():
                 r = int(np.argmax(bad))

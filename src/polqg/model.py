@@ -345,7 +345,8 @@ def _finite_check(name: str, tables: dict[str, np.ndarray]) -> CheckResult:
 
 def _sym_slack(M: np.ndarray, sym_tol: float) -> np.ndarray:
     """sym_tol - ||M - M^T||; -inf at a non-finite node, not nan."""
-    slack = sym_tol - np.linalg.norm(M - M.mT, axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):  # replaced below
+        slack = sym_tol - np.linalg.norm(M - M.mT, axis=(-2, -1))
     return np.where(np.isfinite(M).all(axis=(-2, -1)), slack, -np.inf)
 
 

@@ -79,6 +79,11 @@ __all__ = [
 
 _M64 = (1 << 64) - 1
 
+try:  # np.einsum's C core, without the Python wrapper's microsecond per call
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # a numpy without the private name: the same numbers
+    _einsum = np.einsum
+
 
 @functools.cache
 def _rekeyable():
@@ -115,7 +120,7 @@ def draw_noise(seed: int, path_index: int, grid: TimeGrid, dims: Dimensions,
                                      dtype=np.uint64)
     gen.bit_generator.state = fresh
     z = gen.standard_normal(grid.steps * (dims.d + dims.k), out=out)
-    z *= np.sqrt(grid.h)
+    z *= math.sqrt(grid.h)
     cut = grid.steps * dims.d
     return NoiseDraw(grid, z[:cut].reshape(grid.steps, dims.d),
                      z[cut:].reshape(grid.steps, dims.k))
@@ -172,18 +177,30 @@ class PathBundle:
         return self.X - self.Xhat
 
 
-def _policy_controls(policy: ControlPolicy, sol: DeterministicSolution, i: int,
-                     Xhat: np.ndarray, out: np.ndarray):
-    """Write the controls at node i of the paths at Xhat into out (paths, m)."""
+def _policy_controls(policy: ControlPolicy, sol: DeterministicSolution,
+                     u: np.ndarray):
+    """The control law of policy for the controls u (paths, N+1, m).  The
+    zero and open_loop controls do not depend on the state: they are all
+    written into u here, and None is returned.  Otherwise the returned
+    law(i, Xhat_i, u_i) writes the controls at node i of the paths at
+    Xhat_i (paths, n) into u_i (paths, m)."""
     if policy.kind == "zero":
-        out[...] = 0.0
-    elif policy.kind == "open_loop":
-        out[...] = policy.table[i]
-    else:
-        np.einsum("ij,pj->pi", sol.Theta[i], Xhat, out=out)
-        out -= sol.ff[i]
-        if policy.kind == "perturbed_feedback":
-            out += policy.table if policy.table.ndim == 1 else policy.table[i]
+        u[...] = 0.0
+        return None
+    if policy.kind == "open_loop":
+        u[...] = policy.table
+        return None
+    Theta, ff, offset = sol.Theta, sol.ff, policy.table
+    if offset is not None:
+        offset = np.broadcast_to(offset, ff.shape)
+
+    def law(i: int, x: np.ndarray, out: np.ndarray):
+        _einsum("ij,pj->pi", Theta[i], x, out=out)
+        out -= ff[i]
+        if offset is not None:
+            out += offset[i]
+
+    return law
 
 
 def _check_policy_table(policy: ControlPolicy, grid: TimeGrid, m: int,
@@ -227,9 +244,10 @@ def _error_chain(sol: DeterministicSolution, dW, dWp, Xt, tmp):
     Xt[...] = 0.0
     _add_matvec(Xt[:, 1:], -sol.Delta[:-1], dW, tmp)
     _add_matvec(Xt[:, 1:], sol.table.D[:-1:2], dWp, tmp)
-    for i in range(sol.grid.steps):
-        nxt = Xt[:, i + 1]
-        nxt += np.einsum("ij,pj->pi", F[i], Xt[:, i])
+    prod = np.empty(Xt.shape[::2])
+    slabs = Xt.transpose(1, 0, 2)  # slabs[i] is Xt[:, i]
+    for Fi, x, nxt in zip(F, slabs, slabs[1:]):
+        nxt += _einsum("ij,pj->pi", Fi, x, out=prod)
 
 
 def _closed_loop_arrays(model: ModelSpec, sol: DeterministicSolution,
@@ -257,15 +275,20 @@ def _closed_loop_arrays(model: ModelSpec, sol: DeterministicSolution,
         _add_matvec(Xhat[:, 1:], sol.gain[:-1], dV, tmp)
         Ah = np.eye(n) + h * tab.A[:-1:2]
         hB = h * tab.B[:-1:2]
-        for i in range(N):
-            _policy_controls(policy, sol, i, Xhat[:, i], u[:, i])
-            nxt = Xhat[:, i + 1]
-            nxt += np.einsum("ij,pj->pi", Ah[i], Xhat[:, i])
-            nxt += np.einsum("ij,pj->pi", hB[i], u[:, i])
-        _policy_controls(policy, sol, N, Xhat[:, N], u[:, N])
+        law = _policy_controls(policy, sol, u)
+        prod = np.empty((npaths, n))
+        xs, us = Xhat.transpose(1, 0, 2), u.transpose(1, 0, 2)  # per-node slabs
+        for i, (Ai, Bi, x, ui, nxt) in enumerate(zip(Ah, hB, xs, us, xs[1:])):
+            if law:
+                law(i, x, ui)
+            nxt += _einsum("ij,pj->pi", Ai, x, out=prod)
+            nxt += _einsum("ij,pj->pi", Bi, ui, out=prod)
+        if law:
+            law(N, xs[N], us[N])
         X += Xhat
     _check_finite("simulate_closed_loop", X, Xhat)
-    return {"X": X, "Xhat": Xhat, "u": u, "dV": dV, "cost": path_cost(tab, X, u)}
+    cost = path_cost(tab, X, 0.0 if policy.kind == "zero" else u)
+    return {"X": X, "Xhat": Xhat, "u": u, "dV": dV, "cost": cost}
 
 
 # paths per path-major block: of _bundles' copies, and in polqg.verify of

@@ -67,7 +67,7 @@ def _matvec(M: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
     component is summed through one scratch the size of a single
     component, as simulate._add_matvec does, never a (..., i) temporary."""
     if out is None:
-        out = np.empty(np.broadcast_shapes(M.shape[:-2], x.shape[:-1]) + M.shape[-2:-1])
+        out = np.empty(np.broadcast(M[..., 0, 0], x[..., 0]).shape + M.shape[-2:-1])
     tmp = np.empty(out.shape[:-1]) if x.shape[-1] > 1 else None
     for i in range(M.shape[-2]):
         o = np.multiply(M[..., i, 0], x[..., 0], out=out[..., i])
@@ -91,11 +91,16 @@ def path_cost(tab: NodeTable, X: np.ndarray, U) -> np.ndarray:
     summed over blocks of about N/16 nodes, so the temporaries stay a small
     fraction of X.  Every product is a _matvec and a path's blocks are the
     same in any batch, so a path's cost does not depend on its batch.  A
-    cost that is not finite raises NonFinite at the first node whose
-    running cost is not finite, or at node N for the terminal term.
+    scalar zero U prices the state alone: the S, R and r terms would only
+    add zeros, so they are skipped, which can change nothing but the sign
+    of a cost that is exactly zero.  A cost that is not finite raises
+    NonFinite at the first node whose running cost is not finite, or at
+    node N for the terminal term.
     """
     N = X.shape[1] - 1
-    U = np.broadcast_to(U, X.shape[:2] + (tab.dims.m,))
+    controls = np.ndim(U) > 0 or U != 0
+    if controls:
+        U = np.broadcast_to(U, X.shape[:2] + (tab.dims.m,))
     # left-endpoint weights: nodes 0..N-1 are the even knots before the last
     Q, S, R = tab.Q[:-1:2], tab.S[:-1:2], tab.R[:-1:2]
     q, r = tab.q[:-1:2], tab.r[:-1:2]
@@ -104,18 +109,26 @@ def path_cost(tab: NodeTable, X: np.ndarray, U) -> np.ndarray:
     def dot(a, b):
         return _matvec(a[..., None, :], b)[..., 0]
 
+    def twice(c):
+        c *= 2.0
+        return c
+
     XT = X[:, -1]
     with np.errstate(over="ignore", invalid="ignore"):  # reported as NonFinite
-        cost = dot(_matvec(tab.G, XT), XT) + 2.0 * dot(tab.g, XT)
+        cost = dot(_matvec(tab.G, XT), XT)
+        cost += twice(dot(tab.g, XT))
         width = -(-N // 16)
         for t0 in range(0, N, width):
             b = slice(t0, min(t0 + width, N))
-            Xs, Us = X[:, b], U[:, b]
+            Xs = X[:, b]
             f = dot(_matvec(Q[b], Xs), Xs)
-            f += 2.0 * dot(_matvec(S[b], Xs), Us)
-            f += dot(_matvec(R[b], Us), Us)
-            f += 2.0 * dot(q[b], Xs)
-            f += 2.0 * dot(r[b], Us)
+            if controls:
+                Us = U[:, b]
+                f += twice(dot(_matvec(S[b], Xs), Us))
+                f += dot(_matvec(R[b], Us), Us)
+            f += twice(dot(q[b], Xs))
+            if controls:
+                f += twice(dot(r[b], Us))
             # f is C-ordered, as _matvec allocates it, whatever the layout
             # of X: the sum over t runs in one order for any storage
             cost += np.einsum("pt,t->p", f, dt[b])

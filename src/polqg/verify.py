@@ -44,13 +44,13 @@ with the same message and exit code, as a single-process run.
 Each share runs its paths in chunks, and _simulate_chunks is the one
 place a chunk is sized.  A path costs 8 (N+1)(3n + m + 2d + k) bytes: its
 noise, the kernel's X, Xhat, u and dV, and room for one more state-sized
-temporary.  A chunk holds as many paths as fit _CHUNK_BYTES (24 MiB), but
+temporary.  A chunk holds as many paths as fit _CHUNK_BYTES (12 MiB), but
 at least _MIN_CHUNK (512) so that the kernel's per-step Python overhead
 stays amortised, and a share is cut evenly into the fewest such chunks.
 Only one chunk's noise and one policy's output are live at a time, so
 each process holds about one budget of Monte Carlo arrays on top of the
 solutions and the shared statistics, however many paths it runs; more
-only where 512 paths exceed the budget (N above about 875 on the scalar
+only where 512 paths exceed the budget (from N = 438 on the scalar
 model).
 """
 
@@ -115,7 +115,7 @@ def default_probe_nodes(grid: TimeGrid) -> tuple[int, ...]:
 # the chunk loop
 
 # the chunk rule's byte budget and floor (see the module docstring)
-_CHUNK_BYTES = 24 * 2**20
+_CHUNK_BYTES = 12 * 2**20
 _MIN_CHUNK = 512
 
 
@@ -288,7 +288,7 @@ def simulate_statistics(model: ModelSpec, sol: DeterministicSolution,
     """Simulate paths 0..n_paths-1 under filter feedback and, on the same
     noise, under each extra policy; keep the per-path numbers every report
     needs, with the error statistics at each probe node.  The paths run in
-    one forked worker per CPU, each in chunks of at most the 24 MiB byte
+    one forked worker per CPU, each in chunks of at most the 12 MiB byte
     budget, so each process holds about one budget of noise and kernel
     output (see the module docstring); chunk_size fixes the paths per
     chunk instead, for the chunk-invariance tests.  `polqg verify` runs

@@ -14,6 +14,8 @@ composite Simpson quadrature at 2^21 panels (oracle_* functions recompute
 them; a meta test pins the frozen constants against the oracles).
 """
 
+import tracemalloc
+
 import numpy as np
 
 from polqg import (
@@ -179,6 +181,19 @@ def random_validated_model(rng, steps=60, time_varying=False):
     model = ModelSpec(Dimensions(n, m, d, k), grid, x0, **tables, G=G, g=g)
     assert validate(model).passed
     return model, grid
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn(*args, **kwargs) under tracemalloc: its result, and the peak of
+    traced memory during the call above what was traced when it began."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - before
 
 
 def closed_loop_reference(model, sol, policy, dW, dWp):

@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -32,7 +31,7 @@ from polqg.cli import (
     parse_scenario,
 )
 
-from oracles import TOTAL, discrete_moments_reference, random_validated_model
+from oracles import TOTAL, discrete_moments_reference, random_validated_model, traced_peak
 
 
 def bench_doc(**over):
@@ -377,16 +376,27 @@ def test_overflowed_cost_exits_3_naming_the_node(tmp_path, capsys):
     ("validate", "R", 1e308, 2, "FAIL  A3_QSRS_psd              worst_node=   0  margin=-inf"),
     ("validate", "R", -1e308, 2,
      "FAIL  A3_R_uniformly_definite  worst_node=   0  margin=nan"),
-], ids=["K", "D", "B", "S", "R", "minus_R"])
+    ("validate", "Q", -INF, 2,
+     "FAIL  A3_Q_symmetric           worst_node=   0  margin=-inf"),
+    ("validate", "R", -INF, 2,
+     "FAIL  A3_R_symmetric           worst_node=   0  margin=-inf"),
+    ("solve", "a", 1e308, 3, "numerical failure: phi: non-finite value at node 27\n"),
+    ("solve", "q", 1e308, 3, "numerical failure: phi: non-finite value at node 39\n"),
+    ("solve", "D", 1e154, 3, "numerical failure: Sigma: non-finite value at node 1\n"),
+], ids=["K", "D", "B", "S", "R", "minus_R", "minus_inf_Q", "minus_inf_R", "a", "q",
+        "D_1e154"])
 def test_overflowing_products_raise_no_warning(tmp_path, capsys, command, field,
                                                value, code, shown):
-    # K K^T, D D^T and B R^{-1} B^T in NodeTable.build, and the PSD margins
-    # of validate, overflow on these finite inputs: the solve that reads
-    # them or the failed check reports it, and no RuntimeWarning reaches
-    # stderr, which this suite would raise as an error
+    # K K^T, D D^T and B R^{-1} B^T in NodeTable.build, the PSD margins and
+    # symmetry slacks of validate, and the doubling products and Mobius
+    # steps of the Riccati scans overflow or meet infinities on these
+    # inputs: the solve that reads them or the failed check reports it, and
+    # no RuntimeWarning reaches stderr, which this suite would raise as an
+    # error
     doc = bench_doc()
     section = "coefficients" if field in COEFF_NAMES else "cost"
-    doc[section]["constant"][field] = [[value]]
+    vector = not isinstance(doc[section]["constant"][field][0], list)
+    doc[section]["constant"][field] = [value] if vector else [[value]]
     argv = [command, "--scenario", write_doc(tmp_path, doc)]
     if command == "solve":
         argv += ["--steps", "40", "--out", str(tmp_path / "o")]
@@ -1295,12 +1305,7 @@ def test_reader_parse_peak_stays_near_the_model_arrays():
     text = json.dumps(model_doc(model, grid))
     arrays = sum(getattr(model, f).nbytes
                  for f in ("x0", "G", "g") + COEFF_NAMES + COST_NAMES)
-    tracemalloc.start()
-    try:
-        parse_scenario(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(parse_scenario, text)
     assert peak <= 3 * arrays
 
 

@@ -1,6 +1,5 @@
 import dataclasses
 import io
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from polqg import (
     TimeGrid,
     bundle_to_csv,
     draw_noise,
+    path_cost,
     simulate_closed_loop,
     simulate_error_direct,
     solve_all,
@@ -23,7 +23,12 @@ from polqg import simulate
 from polqg.simulate import _closed_loop_arrays, _format_rows_17g
 from polqg.verify import _noise_stack
 
-from oracles import benchmark_model, closed_loop_reference, random_validated_model
+from oracles import (
+    benchmark_model,
+    closed_loop_reference,
+    random_validated_model,
+    traced_peak,
+)
 
 
 def zero_noise(grid, dims):
@@ -143,6 +148,17 @@ def test_kernel_matches_per_step_reference(kernel_cases):
                                            atol=1e-13, err_msg=key)
 
 
+def test_zero_policy_cost_is_the_cost_of_its_controls(kernel_cases):
+    # the kernel prices the zero policy with a scalar zero control, which
+    # skips the S, R and r terms; its cost is bitwise that of the u it returns
+    for model, grid, sol in kernel_cases:
+        dW, dWp = _noise_stack(29, 0, 40, grid, model.dims)
+        arrs = _closed_loop_arrays(model, sol, ControlPolicy("zero"), dW, dWp)
+        assert not arrs["u"].any()
+        want = path_cost(sol.table, arrs["X"], arrs["u"])
+        np.testing.assert_array_equal(arrs["cost"].view(np.uint64), want.view(np.uint64))
+
+
 def test_nonfinite_noise_names_the_node(bench):
     model, grid, sol = bench
     dW, dWp = _noise_stack(3, 0, 5, grid, model.dims)
@@ -167,15 +183,9 @@ def test_kernel_temporaries_stay_below_one_buffer(kernel_cases):
         dims = model.dims
         buffer = dW.shape[0] * grid.steps * max(dims.n, dims.d) * 8
         for policy in all_policies(grid, dims.m):
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                arrs = _closed_loop_arrays(model, sol, policy, dW, dWp)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            arrs, peak = traced_peak(_closed_loop_arrays, model, sol, policy, dW, dWp)
             outputs = sum(a.nbytes for a in arrs.values())
-            assert peak - before < outputs + buffer, (dims, policy.label)
+            assert peak < outputs + buffer, (dims, policy.label)
             for key in ("X", "Xhat", "u", "dV"):
                 assert _slabs_contiguous(arrs[key]), (dims, policy.label, key)
             del arrs

@@ -85,6 +85,43 @@ def test_path_cost_names_the_first_nonfinite_node():
         path_cost(tab, X, U)
 
 
+def _zero_control_cases():
+    """The scalar model with every weight nonzero, and draw 100 (n = 3,
+    m = 2, time-varying S, q and r)."""
+    yield NodeTable.build(*scalar_model(S=0.5, q=2.0, r=-1.0, G=3.0, g=0.5, steps=40))
+    model, grid = random_validated_model(np.random.default_rng(100), time_varying=True)
+    assert model.dims.n == 3
+    yield NodeTable.build(model, grid)
+
+
+@pytest.mark.parametrize("paths", [1, 37])
+def test_zero_control_cost_is_bitwise_the_zero_array_cost(paths):
+    # a scalar zero skips the S, R and r terms, which add only zeros
+    rng = np.random.default_rng(paths)
+    for tab in _zero_control_cases():
+        N, dims = tab.grid.steps, tab.dims
+        X = rng.standard_normal((paths, N + 1, dims.n))
+        want = path_cost(tab, X, np.zeros((paths, N + 1, dims.m)))
+        got = path_cost(tab, X, 0.0)
+        assert np.all(want != 0.0)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_zero_control_cost_names_the_same_nonfinite_node():
+    # the terms skipped for a scalar zero cannot hide a non-finite X
+    model, grid = scalar_model(S=0.5, r=-1.0, G=1.0, steps=40)
+    tab = NodeTable.build(model, grid)
+    X = np.repeat(constant_paths(grid, 1.0, 0.0)[0], 2, axis=0)
+    for node, bad in ((7, 1e200), (7, np.inf), (12, np.nan), (40, 1e200)):
+        Xb = X.copy()
+        Xb[1, node] = bad
+        Xb[0, node + 1:-1] = np.nan  # later, and short of the terminal node
+        for U in (0.0, np.zeros_like(X)):
+            with pytest.raises(NonFinite) as err:
+                path_cost(tab, Xb, U)
+            assert (err.value.what, err.value.node) == ("path_cost", node)
+
+
 def test_optimal_value_names_the_part_and_its_node():
     model, grid = benchmark_model(20)
     sol = solve_all(model, grid)

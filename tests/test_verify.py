@@ -1,6 +1,5 @@
 import dataclasses
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +30,7 @@ from oracles import (
     discrete_moments_reference,
     random_validated_model,
     scalar_model,
+    traced_peak,
 )
 
 FEEDBACK = ControlPolicy("filter_feedback")
@@ -71,14 +71,8 @@ def _record_feedback_peak(model, grid, sol, paths, probes):
     stats = simulate_statistics(model, sol, paths, seed=101, probes=probes)
     dW, dWp = verify._noise_stack(101, 0, paths, grid, model.dims)
     arrs = verify._closed_loop_arrays(model, sol, FEEDBACK, dW, dWp)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        verify._record_feedback(arrs, stats, slice(0, paths))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return (peak - before) / arrs["dV"].nbytes
+    _, peak = traced_peak(verify._record_feedback, arrs, stats, slice(0, paths))
+    return peak / arrs["dV"].nbytes
 
 
 def test_record_feedback_holds_one_increment_buffer(bench100):
@@ -139,16 +133,14 @@ def test_run_batch_chunk_invariance(any_n):
                                                   getattr(want, field), field)
 
 
-@pytest.fixture(scope="module")
-def share800():
-    """One share of the scalar benchmark's 2N pass (N = 800, 1000 paths)
-    on one CPU, under the default chunk rule: its statistics, its traced
-    peak above what was live at the call, the chunks it ran, and the same
-    pass as one chunk."""
-    model, grid = benchmark_model(800)
+def _one_share(steps, seed, probes, policies):
+    """One 1000-path share of the scalar benchmark on N = steps, on one
+    CPU under the default chunk rule: its statistics, its traced peak
+    above what was live at the call, the chunks it ran, and the same pass
+    as one chunk."""
+    model, grid = benchmark_model(steps)
     sol = solve_all(model, grid)
-    args = (model, sol, 1000, 3, (200, 400, 600, 800),
-            [ControlPolicy("perturbed_feedback", [0.5])])
+    args = (model, sol, 1000, seed, probes, policies)
     chunks = []
     real_stack = verify._noise_stack
 
@@ -159,24 +151,48 @@ def share800():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "sched_getaffinity", lambda pid: {0})
         mp.setattr(verify, "_noise_stack", noise_stack)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            stats = simulate_statistics(*args)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        stats, peak = traced_peak(simulate_statistics, *args)
         default = list(chunks)
         whole = simulate_statistics(*args, chunk_size=1000)
     assert chunks[len(default):] == [(0, 1000)]
     return stats, peak, default, whole
 
 
+def _assert_same_statistics(got_stats, want_stats):
+    """Every per-path array of two PathStatistics is bitwise the same."""
+    for field in dataclasses.fields(got_stats):
+        got, want = getattr(got_stats, field.name), getattr(want_stats, field.name)
+        if isinstance(got, dict):
+            assert got.keys() == want.keys()
+            pairs = [(f"{field.name}[{key}]", got[key], want[key]) for key in got]
+        elif isinstance(got, np.ndarray):
+            pairs = [(field.name, got, want)]
+        else:
+            continue
+        for name, a, b in pairs:
+            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64), name)
+
+
+@pytest.fixture(scope="module")
+def share800():
+    """A share on N = 800, where 512 paths exceed the byte budget."""
+    return _one_share(800, 3, (200, 400, 600, 800),
+                      [ControlPolicy("perturbed_feedback", [0.5])])
+
+
+@pytest.fixture(scope="module")
+def share400():
+    """A share of the benchmark's `polqg verify` on the scalar model: N = 400,
+    verify's probes and policies."""
+    return _one_share(400, 7, (100, 200, 300, 400),
+                      [ControlPolicy("zero"), ControlPolicy("perturbed_feedback", [0.5])])
+
+
 def test_default_chunks_bound_the_memory_of_a_share(share800):
-    # a chunk holds at most the byte budget, verify._CHUNK_BYTES = 24 MiB, of
-    # noise and kernel output (about 19 MiB traced here, in two chunks), so
-    # the share stays within one budget above what was live; as one
-    # 2048-path chunk it held about 44 MiB
+    # 512 paths exceed the 12 MiB byte budget from N = 438 on, so the
+    # chunk floor cuts this share into two chunks of 500 (about 19.7 MiB
+    # traced here), and the share stays within 24 MiB above what was live;
+    # as one 1000-path chunk it holds about 38 MiB
     _, peak, _, _ = share800
     assert peak < 1.0 * (24 * 2**20)
 
@@ -186,14 +202,17 @@ def test_default_chunks_split_a_share_without_changing_a_bit(share800):
     assert len(chunks) >= 2
     assert chunks[0][0] == 0 and chunks[-1][1] == 1000
     assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-    for field in dataclasses.fields(stats):
-        got, want = getattr(stats, field.name), getattr(whole, field.name)
-        if isinstance(got, dict):
-            assert got.keys() == want.keys()
-            for key in got:
-                np.testing.assert_array_equal(got[key], want[key], f"{field.name}[{key}]")
-        elif isinstance(got, np.ndarray):
-            np.testing.assert_array_equal(got, want, field.name)
+    _assert_same_statistics(stats, whole)
+
+
+def test_benchmark_share_runs_in_two_chunks_within_the_budget(share400):
+    # 560 paths fit the 12 MiB budget at N = 400, so the 1000-path share
+    # runs as two chunks of 500 and holds under one budget above what was
+    # live (about 9.6 MiB traced; 19.0 MiB as one chunk under 24 MiB)
+    stats, peak, chunks, whole = share400
+    assert chunks == [(0, 500), (500, 1000)]
+    assert peak < verify._CHUNK_BYTES
+    _assert_same_statistics(stats, whole)
 
 
 @pytest.mark.parametrize("chunk_size", [0, -5])
